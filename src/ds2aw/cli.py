@@ -140,10 +140,10 @@ def _write_run(
     )
 
 
-def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str, threads: int | None) -> int:
+def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
     sd = _build_sd(cfg)
     params = _theta_params(cfg, sd)
-    fields = fieldgen.evaluate_grid(cfg.times, cfg.nx, cfg.ny, sd, params, threads)
+    fields = fieldgen.evaluate_grid(cfg.times, cfg.nx, cfg.ny, sd, params)
     _write_run(cfg, fields, out_dir, "fg", fmt)
     return 0
 
@@ -220,11 +220,6 @@ def _parser() -> argparse.ArgumentParser:
             "--format", choices=["csv", "bin", "both"], default=None,
             help="field file format (default: config outputs.format)",
         )
-        sp.add_argument("--seed", type=int, default=None, help="reserved")
-        sp.add_argument(
-            "--threads", type=int, default=None,
-            help="worker threads, 0 = auto (env DS2AW_THREADS)",
-        )
 
     common(sub.add_parser("analyze", help="mode census and genericity report"))
     common(sub.add_parser("spectrum", help="spectral data JSON"))
@@ -254,9 +249,8 @@ def main(argv=None) -> int:
         fmt = args.format or cfg.out_format
         if out_dir is None:
             raise ConfigError("config-parse", "evolve commands need --out")
-        threads = args.threads
         if args.command == "evolve-fg":
-            return cmd_evolve_fg(cfg, out_dir, fmt, threads)
+            return cmd_evolve_fg(cfg, out_dir, fmt)
         if args.command == "evolve-ref":
             return cmd_evolve_ref(cfg, out_dir, fmt)
         raise ConfigError("config-parse", f"unknown command {args.command}")

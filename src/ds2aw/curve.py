@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError, GenericityError
-from .modes import Mode, check_genericity, enumerate_modes, min_search_radius, unstable_classes
+from .modes import (
+    Mode, check_genericity, enumerate_modes, min_search_radius, resonant_points, unstable_classes
+)
 
 # Pairs with a resonant point this close to the real axis are rejected:
 # the matrix elements divide by Im(tau).
@@ -200,20 +202,15 @@ def rescale(a: float, L_x: float, L_y: float, eps: float, v0=None) -> Rescaling:
 def resonant_pair(mode: Mode) -> tuple[ResonantPair, ResonantPair]:
     """Both resonant pairs of an unstable mode: (tau_1, tau_2) and its negative.
 
-    tau_1 = (k/2)(-1 + i s), tau_2 = (k/2)(1 + i s) with k = k_x + i k_y and
-    s = sqrt((4 - |k|^2)/|k|^2); this is the sign branch with
-    Im(tau_1/tau_2) > 0.  The negated pair solves the resonance system of
-    the mode (-k_x, -k_y) and is returned with that mode attached.
+    The points come from :func:`.modes.resonant_points`.  The negated pair
+    solves the resonance system of the mode (-k_x, -k_y) and is returned
+    with that mode attached.
     """
     if not mode.unstable:
         raise ConfigError(
             "wrong-class", f"mode ({mode.n_x}, {mode.n_y}) is not unstable"
         )
-    k = complex(mode.k_x, mode.k_y)
-    k2 = mode.k_squared
-    s = math.sqrt((4.0 - k2) / k2)
-    tau_1 = 0.5 * k * (-1.0 + 1j * s)
-    tau_2 = 0.5 * k * (1.0 + 1j * s)
+    tau_1, tau_2 = resonant_points(mode.k_x, mode.k_y)
     if abs(tau_1.imag) < DEGENERATE_IM_TOL or abs(tau_2.imag) < DEGENERATE_IM_TOL:
         raise DegenerateSpectrumError(
             "degenerate-pair",
@@ -221,7 +218,7 @@ def resonant_pair(mode: Mode) -> tuple[ResonantPair, ResonantPair]:
             "axis; the configuration is non-generic",
         )
     theta = math.atan2(mode.k_y, mode.k_x)
-    phi = math.acos(math.sqrt(k2) / 2.0)
+    phi = math.acos(math.sqrt(mode.k_squared) / 2.0)
     neg_mode = Mode(-mode.n_x, -mode.n_y, -mode.k_x, -mode.k_y, mode.sigma, True)
     theta_neg = theta - math.pi if theta > 0 else theta + math.pi
     return (

@@ -8,25 +8,24 @@ u(0, 0, 0):
 
 with w_j(z, t) = (W_z)_j z + (W_zbar)_j zbar + (W_t)_j t, A = A(inf_2) and
 d the theta-argument offset; the C constants vanish at leading order.  The
-spatial part of w is i(k_x x + k_y y) per handle, so the field is exactly
-doubly periodic on the configured torus.
+spatial part of w is i(k_x x + k_y y) per handle, with (k_x, k_y) a wave
+vector of the torus lattice, so the field is exactly doubly periodic.  On
+the torus grid each theta is therefore a trigonometric polynomial in the
+grid indices: evaluate_grid sums it as one folded inverse FFT per theta,
+exact on the grid points; evaluate_batch sums the lattice directly at any
+points and is the grid path's oracle.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import SpectralData
 from .errors import ConfigError, DegenerateSpectrumError, NumericError
-from .theta import ThetaParams, adaptive_radius, theta
-
-# Grid points per work chunk; fixed so results do not depend on threading.
-CHUNK = 8192
+from .theta import ThetaParams, adaptive_radius, theta, theta_grid
 
 DENOM_FLOOR = 1e-300
 
@@ -77,56 +76,56 @@ def default_theta_params(
     return ThetaParams(g=sd.g, B=sd.B, truncation_radius=M, tail_tolerance=tail_tol)
 
 
-def _phase_args(sd: SpectralData, z: np.ndarray, t: float) -> np.ndarray:
-    """w(z, t) for a batch of z, shape (npts, g)."""
-    return (
-        z[:, None] * sd.W_z[None, :]
-        + np.conjugate(z)[:, None] * sd.W_zbar[None, :]
-        + t * sd.W_t[None, :]
-    )
+def _base_thetas(sd: SpectralData, params: ThetaParams) -> tuple[complex, complex]:
+    """theta(d) and theta(A(inf2) + d), the time-independent factors of u."""
+    theta_d = complex(theta(sd.d, params))
+    theta_ad = complex(theta(sd.A_inf2 + sd.d, params))
+    if abs(theta_ad) < DENOM_FLOOR:
+        raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
+    return theta_d, theta_ad
 
 
-def _ratio_chunk(
-    sd: SpectralData,
-    params: ThetaParams,
-    w: np.ndarray,
-    theta_d: complex,
-    theta_ad: complex,
-    coords,
-) -> np.ndarray:
-    th_num = theta(sd.A_inf2[None, :] + w + sd.d[None, :], params)
-    th_den = theta(w + sd.d[None, :], params)
-    bad = np.abs(th_den) < DENOM_FLOOR
-    if np.any(bad):
-        i = int(np.argmax(bad))
+def _ratio(sd: SpectralData, num, den, base, coords) -> np.ndarray:
+    """u from the numerator and denominator thetas; coords(i) gives the
+    (x, y, t) of flat sample i for the error messages."""
+    i = int(np.argmin(np.abs(den)))
+    if np.abs(den.flat[i]) < DENOM_FLOOR:
         x, y, t = coords(i)
         raise NumericError(
             "theta-zero",
             f"theta denominator vanishes at (x, y, t) = ({x:.6g}, {y:.6g}, {t:.6g}); "
             "the leading-order formula has a pole here",
         )
-    return th_num * (theta_d / (theta_ad * th_den)) * sd.u00
+    theta_d, theta_ad = base
+    u = num * (theta_d / (theta_ad * den)) * sd.u00
+    if not np.all(np.isfinite(u)):
+        x, y, t = coords(int(np.argmin(np.isfinite(u))))
+        raise NumericError(
+            "nan-detected",
+            f"non-finite sample at (x, y, t) = ({x:.6g}, {y:.6g}, {t:.6g})",
+        )
+    return u
 
 
 def evaluate_batch(
     sd: SpectralData, z: np.ndarray, t: float, params: ThetaParams | None
 ) -> np.ndarray:
-    """u at complex positions z = x + i y (flat array) and one time."""
+    """u at complex positions z = x + i y (flat array) and one time, by
+    direct lattice sums (the oracle for :func:`evaluate_grid`)."""
     z = np.asarray(z, dtype=complex).ravel()
     if sd.g == 0:
         return np.full(z.shape, sd.u00, dtype=complex)
     if params is None:
         params = default_theta_params(sd, [t])
-    theta_d = complex(theta(sd.d, params))
-    theta_ad = complex(theta(sd.A_inf2 + sd.d, params))
-    if abs(theta_ad) < DENOM_FLOOR:
-        raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
-    w = _phase_args(sd, z, t)
+    base = _base_thetas(sd, params)
+    w = z[:, None] * sd.W_z + np.conjugate(z)[:, None] * sd.W_zbar + t * sd.W_t
+    num = theta(sd.A_inf2[None, :] + w + sd.d[None, :], params)
+    den = theta(w + sd.d[None, :], params)
 
     def coords(i):
         return z[i].real, z[i].imag, t
 
-    return _ratio_chunk(sd, params, w, theta_d, theta_ad, coords)
+    return _ratio(sd, num, den, base, coords)
 
 
 def evaluate_u(
@@ -136,66 +135,45 @@ def evaluate_u(
     return complex(evaluate_batch(sd, np.array([complex(x, y)]), t, params)[0])
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("DS2AW_THREADS", "0") or 0)
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    return threads
-
-
 def evaluate_grid(
     times,
     nx: int,
     ny: int,
     sd: SpectralData,
     params: ThetaParams | None = None,
-    threads: int | None = None,
 ) -> list[Field]:
     """Sample the finite-gap field on the torus grid at each time.
 
-    Work is split into fixed-size chunks of grid points, so the output is
-    bit-identical regardless of the number of worker threads.
+    Per snapshot, c = d + W_t t and the two t-dependent thetas, theta(A +
+    w + c) and theta(w + c), are each one folded inverse FFT over the grid
+    (:func:`.theta.theta_grid`): handle j's spatial phase w_j is 2 pi i
+    (n_x ix / nx + n_y iy / ny) for its mode's integer harmonic, so the
+    lattice sum is a trigonometric polynomial sampled exactly on the grid.
     """
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
-    if params is None and sd.g > 0:
+    if sd.g == 0:
+        return [
+            Field(sd.L_x, sd.L_y, nx, ny, float(t), np.full((ny, nx), sd.u00, complex))
+            for t in times
+        ]
+    if params is None:
         params = default_theta_params(sd, times)
-    x = np.arange(nx) * (sd.L_x / nx)
-    y = np.arange(ny) * (sd.L_y / ny)
-    X, Y = np.meshgrid(x, y, indexing="xy")
-    z = (X + 1j * Y).ravel()
-    nthreads = _resolve_threads(threads)
-
+    base = _base_thetas(sd, params)
+    harmonics = [(p.mode.n_x, p.mode.n_y) for p in sd.pairs]
     fields = []
     for t in times:
         t = float(t)
-        u = np.empty(z.shape, dtype=complex)
-        if sd.g == 0:
-            u[:] = sd.u00
-        else:
-            theta_d = complex(theta(sd.d, params))
-            theta_ad = complex(theta(sd.A_inf2 + sd.d, params))
-            if abs(theta_ad) < DENOM_FLOOR:
-                raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
-            spans = [(lo, min(lo + CHUNK, z.size)) for lo in range(0, z.size, CHUNK)]
+        c = sd.d + sd.W_t * t
+        num = theta_grid(sd.A_inf2 + c, harmonics, nx, ny, params)
+        den = theta_grid(c, harmonics, nx, ny, params)
 
-            def work(span):
-                lo, hi = span
-                w = _phase_args(sd, z[lo:hi], t)
+        def coords(i):
+            iy, ix = divmod(i, nx)
+            return ix * sd.L_x / nx, iy * sd.L_y / ny, t
 
-                def coords(i):
-                    return z[lo + i].real, z[lo + i].imag, t
-
-                u[lo:hi] = _ratio_chunk(sd, params, w, theta_d, theta_ad, coords)
-
-            if nthreads > 1 and len(spans) > 1:
-                with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                    list(pool.map(work, spans))
-            else:
-                for span in spans:
-                    work(span)
-        fields.append(Field(sd.L_x, sd.L_y, nx, ny, t, u.reshape(ny, nx)))
+        u = _ratio(sd, num, den, base, coords)
+        fields.append(Field(sd.L_x, sd.L_y, nx, ny, t, u))
     return fields
 
 

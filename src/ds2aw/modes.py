@@ -152,15 +152,17 @@ def unstable_classes(modes: list[Mode]) -> list[Mode]:
     ]
 
 
-def _unstable_taus(mode: Mode) -> tuple[complex, complex]:
-    # Resonant points of the unstable mode on the unit circle (inline copy
-    # of the curve-module formula so the genericity check has no cycle).
-    k = complex(mode.k_x, mode.k_y)
-    k2 = mode.k_squared
+def resonant_points(k_x: float, k_y: float) -> tuple[complex, complex]:
+    """Resonant points (tau_1, tau_2) of an unstable mode at background 1.
+
+    tau_1 = (k/2)(-1 + i s), tau_2 = (k/2)(1 + i s) with k = k_x + i k_y and
+    s = sqrt((4 - |k|^2)/|k|^2), the sign branch with Im(tau_1/tau_2) > 0;
+    both lie on the unit circle.
+    """
+    k = complex(k_x, k_y)
+    k2 = k_x * k_x + k_y * k_y
     s = math.sqrt(max(4.0 - k2, 0.0) / k2)
-    tau_1 = 0.5 * k * (-1.0 + 1j * s)
-    tau_2 = 0.5 * k * (1.0 + 1j * s)
-    return tau_1, tau_2
+    return 0.5 * k * (-1.0 + 1j * s), 0.5 * k * (1.0 + 1j * s)
 
 
 def check_genericity(
@@ -187,8 +189,7 @@ def check_genericity(
     # Points are compared at a = 1 (the curve is built after rescaling).
     points: list[tuple[tuple[int, int], complex]] = []
     for m in unstable_classes(modes):
-        scaled = Mode(m.n_x, m.n_y, m.k_x / a, m.k_y / a, m.sigma, m.unstable)
-        t1, t2 = _unstable_taus(scaled)
+        t1, t2 = resonant_points(m.k_x / a, m.k_y / a)
         key = (m.n_x, m.n_y)
         points.extend([(key, t1), (key, t2), (key, -t1), (key, -t2)])
     for i in range(len(points)):

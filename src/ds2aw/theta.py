@@ -17,6 +17,14 @@ makes both the tail estimate and the in-box term pruning one-dimensional
 products.  In the leading-order finite-gap regime Re b_jj ~ 2 log(eps) is
 very negative, so the certified radius is small and, for larger genus,
 only lattice points with a few active components survive the pruning.
+Pruning runs one coordinate at a time as array filters: every kept prefix
+is extended by every candidate n_j, and the extensions whose certified
+bound (with the best case for the remaining coordinates) is below the drop
+level are filtered out, which keeps lexicographic order.
+
+theta_grid evaluates theta(w + c) on a whole torus grid when the spatial
+part w is i(k_x x + k_y y) with lattice wave vectors: one folded inverse
+FFT of the term values.
 """
 
 from __future__ import annotations
@@ -177,10 +185,11 @@ def _pruned_box(
     """Lexicographic enumeration of the box points whose certified term
     bound exceeds log_drop.
 
-    The subtree search prunes with two separable certificates at once
-    (diagonal-dominance decays a_j and the uniform lambda_min), then the
-    survivors pass an exact filter Re(n.B.n)/2 + sum_j |n_j| r_j, so the
-    kept set is exactly the box points that cannot be discarded."""
+    Prefixes are filtered coordinate by coordinate with two separable
+    certificates at once (diagonal-dominance decays a_j and the uniform
+    lambda_min), then the survivors pass an exact filter Re(n.B.n)/2 +
+    sum_j |n_j| r_j, so the kept set is exactly the box points that cannot
+    be discarded."""
     cand = np.arange(-M, M + 1)
     a_sep = _component_decay(B)
     lam = min_decay(B)
@@ -191,31 +200,17 @@ def _pruned_box(
         for j in range(g - 1, -1, -1):
             max_future[j] = max_future[j + 1] + float(L[j].max())
         certs.append((L, max_future))
-    rows: list[np.ndarray] = []
-    prefix = np.zeros(g, dtype=np.int64)
-
-    def recurse(j: int, w0: float, w1: float) -> None:
-        (L0, f0), (L1, f1) = certs
-        if j == g - 1:
-            mask = (w0 + L0[j] >= log_drop) & (w1 + L1[j] >= log_drop)
-            if mask.any():
-                block = np.empty((int(mask.sum()), g), dtype=np.int64)
-                block[:, :j] = prefix[:j]
-                block[:, j] = cand[mask]
-                rows.append(block)
-            return
-        for idx, n in enumerate(cand):
-            v0 = w0 + float(L0[j][idx])
-            v1 = w1 + float(L1[j][idx])
-            if v0 + f0[j + 1] < log_drop or v1 + f1[j + 1] < log_drop:
-                continue
-            prefix[j] = n
-            recurse(j + 1, v0, v1)
-
-    recurse(0, 0.0, 0.0)
-    if not rows:
-        return np.zeros((1, g), dtype=np.int64)
-    N = np.concatenate(rows, axis=0)
+    # kept prefixes (lexicographic) and their partial bounds per certificate
+    N = np.zeros((1, 0), dtype=np.int64)
+    w = [np.zeros(1) for _ in certs]
+    for j in range(g):
+        ext = [(wc[:, None] + L[j]).ravel() for wc, (L, _) in zip(w, certs)]
+        keep = np.flatnonzero(
+            np.logical_and.reduce([e + f[j + 1] >= log_drop for e, (_, f) in zip(ext, certs)])
+        )
+        parent, idx = np.divmod(keep, len(cand))
+        N = np.column_stack([N[parent], cand[idx]])
+        w = [e[keep] for e in ext]
     exact = 0.5 * np.einsum("ni,ij,nj->n", N, np.real(B), N) + np.abs(N) @ r
     N = N[exact >= log_drop]
     if len(N) == 0:
@@ -230,9 +225,10 @@ def _pruned_box(
 
 
 @lru_cache(maxsize=16)
-def _terms_cached(b_bytes: bytes, g: int, M: int, r_key: tuple, log_drop: float):
+def _terms_cached(b_bytes: bytes, g: int, M: int, r_key: tuple, tol: float):
     B = np.frombuffer(b_bytes, dtype=complex).reshape(g, g)
     box = (2 * M + 1) ** g
+    log_drop = math.log(max(tol, 1e-250) * 1e-6 / float(2 * M + 1) ** g)
     if box <= SMALL_BOX:
         N = _full_box(g, M)
         dropped = 0.0
@@ -242,6 +238,29 @@ def _terms_cached(b_bytes: bytes, g: int, M: int, r_key: tuple, log_drop: float)
         dropped = (float(box) - len(N)) * math.exp(log_drop)
     quad = 0.5 * np.einsum("ni,ij,nj->n", N, B, N)
     return N, quad, dropped
+
+
+def _term_set(params: ThetaParams, r: np.ndarray):
+    """Kept lattice points, their n.B.n/2, the charge for pruned in-box
+    terms and the |Re z| bound, rounded up to 1/4 so calls share terms."""
+    r = np.ceil(r * 4.0) / 4.0
+    key = (params.B.tobytes(), params.g, params.truncation_radius, tuple(r.tolist()))
+    return (*_terms_cached(*key, params.tail_tolerance), r)
+
+
+def _certify(params: ThetaParams, r: np.ndarray, dropped: float, vals: np.ndarray) -> None:
+    """Raise truncation-insufficient unless the exterior tail plus the
+    pruned in-box terms stay below tail_tolerance * min |theta|; a NaN or
+    infinite bound or value fails the check."""
+    bound = tail_bound(params.B, params.truncation_radius, r) + dropped
+    floor = float(np.min(np.abs(vals))) if vals.size else 0.0
+    if not (bound <= params.tail_tolerance * floor):
+        raise NumericError(
+            "truncation-insufficient",
+            f"certified truncation error {bound:.3e} exceeds "
+            f"{params.tail_tolerance:.1e} * min|theta| = {floor:.3e} at radius "
+            f"{params.truncation_radius}",
+        )
 
 
 def theta(z, params: ThetaParams) -> complex | np.ndarray:
@@ -261,35 +280,38 @@ def theta(z, params: ThetaParams) -> complex | np.ndarray:
             f"argument has {z.shape[-1]} components, expected genus {params.g}",
         )
     zb = z.reshape(-1, params.g)
-    # per-component |Re z| bound over the batch, rounded up for cache reuse
-    r = np.ceil(np.max(np.abs(np.real(zb)), axis=0) * 4.0) / 4.0
-    box = float(2 * params.truncation_radius + 1) ** params.g
-    log_drop = math.log(max(params.tail_tolerance, 1e-250) * 1e-6 / box)
-    N, quad, dropped = _terms_cached(
-        params.B.tobytes(),
-        params.g,
-        params.truncation_radius,
-        tuple(r.tolist()),
-        log_drop,
-    )
+    N, quad, dropped, r = _term_set(params, np.max(np.abs(np.real(zb)), axis=0))
     vals = np.empty(zb.shape[0], dtype=complex)
     chunk = max(1, int(20_000_000 // max(len(N), 1)))
     NT = N.T.astype(complex)
     for lo in range(0, zb.shape[0], chunk):
         args = zb[lo : lo + chunk] @ NT + quad
         vals[lo : lo + chunk] = np.exp(args).sum(axis=1)
-    bound = tail_bound(params.B, params.truncation_radius, r) + dropped
-    floor = float(np.min(np.abs(vals))) if vals.size else 0.0
-    if bound > params.tail_tolerance * floor:
-        raise NumericError(
-            "truncation-insufficient",
-            f"certified truncation error {bound:.3e} exceeds "
-            f"{params.tail_tolerance:.1e} * |theta| at radius "
-            f"{params.truncation_radius}",
-        )
+    _certify(params, r, dropped, vals)
     if scalar:
         return complex(vals[0])
     return vals.reshape(z.shape[:-1])
+
+
+def theta_grid(c, harmonics, nx: int, ny: int, params: ThetaParams) -> np.ndarray:
+    """theta(w + c) at grid points (ix, iy), shape (ny, nx), where
+    w_j = 2 pi i (n_x ix / nx + n_y iy / ny) for row j of ``harmonics``.
+
+    Term n is the harmonic m = sum_j n_j (n_x, n_y)_j times exp(n.B.n/2 +
+    n.c), so the sum is nx ny ifft2 of the terms binned at m mod (nx, ny),
+    exact on the grid.  Re w = 0, so |Re c| bounds every argument.
+    """
+    c = np.asarray(c, dtype=complex)
+    N, quad, dropped, r = _term_set(params, np.abs(np.real(c)))
+    m = N @ np.asarray(harmonics, dtype=np.int64)
+    bins = (m[:, 1] % ny) * nx + m[:, 0] % nx
+    terms = np.exp(quad + N @ c)
+    coef = np.bincount(bins, terms.real, nx * ny) + 1j * np.bincount(
+        bins, terms.imag, nx * ny
+    )
+    vals = (nx * ny) * np.fft.ifft2(coef.reshape(ny, nx))
+    _certify(params, r, dropped, vals)
+    return vals
 
 
 def quasi_periodicity_residual(z, k: int, params: ThetaParams) -> float:

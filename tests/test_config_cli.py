@@ -182,6 +182,24 @@ def test_evolve_determinism_bitwise(tmp_path):
             assert b1 == b2
 
 
+def test_evolve_fg_nan_exits_numeric(tmp_path, capsys):
+    # theta overflows at t = 50: a coded numeric failure, not NaN files
+    path, _ = single_mode_config(tmp_path, times=[50.0], grid=[16, 16])
+    out = tmp_path / "fg"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out)]) == 5
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["exit_code"] == 5
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--seed"])
+def test_removed_flags_rejected(tmp_path, flag):
+    path, _ = single_mode_config(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["evolve-fg", "--config", str(path), "--out", str(tmp_path / "o"), flag, "1"])
+    assert err.value.code == 2
+
+
 def test_compare_self_is_zero(tmp_path, capsys):
     path, _ = single_mode_config(tmp_path, times=[0.0, 0.2])
     out = tmp_path / "run"

@@ -16,6 +16,7 @@ from ds2aw import (
     evaluate_u,
     first_appearance_estimate,
 )
+from ds2aw.fieldgen import evaluate_batch
 
 from conftest import SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
 
@@ -57,23 +58,20 @@ def test_cauchy_datum_reproduced(single_mode_sd):
     assert np.abs(f.u - target).max() < 10.0 * sd.eps**2
 
 
-def test_grid_matches_pointwise_bitwise(single_mode_sd):
-    sd = single_mode_sd
-    params = default_theta_params(sd, [0.4])
-    f = evaluate_grid([0.4], 8, 8, sd, params)[0]
-    for iy in range(8):
-        for ix in range(8):
-            x = ix * sd.L_x / 8
-            y = iy * sd.L_y / 8
-            assert f.u[iy, ix] == evaluate_u(x, y, 0.4, sd, params)
-
-
-def test_thread_schedule_independence(single_mode_sd):
-    sd = single_mode_sd
-    params = default_theta_params(sd, [0.3])
-    a = evaluate_grid([0.3], 64, 64, sd, params, threads=1)[0]
-    b = evaluate_grid([0.3], 64, 64, sd, params, threads=4)[0]
-    assert np.array_equal(a.u, b.u)
+def test_grid_matches_direct_sum(single_mode_sd, four_mode_sd):
+    # the folded-FFT grid path against the direct lattice sum at every grid
+    # point; the two paths sum in a different order, so equality is to
+    # rounding, not bitwise
+    rescaled = build_spectral_data(SINGLE_LX, SINGLE_LY, 1e-2, cosine_grid(32, 32), a=0.9)
+    t8 = 0.75 * first_appearance_estimate(four_mode_sd)
+    cases = [(single_mode_sd, 0.4, 8), (single_mode_sd, 3.0, 16), (rescaled, 1.7, 16),
+             (four_mode_sd, t8, 16)]
+    for sd, t, n in cases:
+        params = default_theta_params(sd, [t])
+        f = evaluate_grid([t], n, n, sd, params)[0]
+        X, Y = f.grid()
+        direct = evaluate_batch(sd, (X + 1j * Y).ravel(), t, params).reshape(n, n)
+        assert np.max(np.abs(f.u - direct) / np.abs(direct)) <= 1e-12
 
 
 def test_modulational_growth_rate(single_mode_sd):
@@ -160,19 +158,14 @@ def test_theta_zero_reported(single_mode_sd, monkeypatch):
     monkeypatch.setattr(fieldgen, "DENOM_FLOOR", 1e-2)
     root = np.array([1j * math.pi + sd.B[0, 0] / 2.0, 0.35 + 0.1j])
     bad = dataclasses.replace(sd, d=root)
+    params = default_theta_params(sd, [0.0])
     with pytest.raises(NumericError) as err:
-        evaluate_u(0.0, 0.0, 0.0, bad, default_theta_params(sd, [0.0]))
+        evaluate_u(0.0, 0.0, 0.0, bad, params)
     assert err.value.code == "theta-zero"
-
-
-def test_threads_env_fallback(monkeypatch):
-    from ds2aw.fieldgen import _resolve_threads
-
-    monkeypatch.setenv("DS2AW_THREADS", "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(2) == 2
-    monkeypatch.setenv("DS2AW_THREADS", "0")
-    assert _resolve_threads(None) >= 1
+    with pytest.raises(NumericError) as err:
+        evaluate_grid([0.0], 8, 8, bad, params)
+    assert err.value.code == "theta-zero"
+    assert "(x, y, t) = (0, 0, 0)" in err.value.message
 
 
 def test_truncation_insufficient_propagates(single_mode_sd):
@@ -180,4 +173,9 @@ def test_truncation_insufficient_propagates(single_mode_sd):
     tiny = ThetaParams(g=sd.g, B=sd.B, truncation_radius=1, tail_tolerance=1e-30)
     with pytest.raises(NumericError) as err:
         evaluate_u(0.1, 0.2, 0.5, sd, tiny)
+    assert err.value.code == "truncation-insufficient"
+    # at t = 50 the theta terms overflow: the grid fails closed instead of
+    # returning NaN samples
+    with pytest.raises(NumericError) as err:
+        evaluate_grid([50.0], 16, 16, sd)
     assert err.value.code == "truncation-insufficient"

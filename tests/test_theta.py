@@ -7,12 +7,16 @@ against products of block evaluations.
 """
 
 import cmath
+import importlib
+import math
 
 import numpy as np
 import pytest
 
 from ds2aw import NumericError, ThetaParams, adaptive_radius, quasi_periodicity_residual, theta
 from ds2aw.theta import tail_bound
+
+theta_mod = importlib.import_module("ds2aw.theta")
 
 # Direct-summation oracle, genus 1, B = [-2], z = 0:
 # 1 + 2(e^-1 + e^-4 + e^-9 + e^-16 + ...)
@@ -135,12 +139,16 @@ def test_batch_matches_pointwise_bitwise():
         assert batch[i] == theta(zs[i], p)
 
 
-def test_pruned_path_matches_full_box(monkeypatch):
+def exact_filter(B, M, r, log_drop):
+    """Full box, lexicographic, filtered by Re(n.B.n)/2 + |n|.r >= log_drop."""
+    N = theta_mod._full_box(B.shape[0], M)
+    bound = 0.5 * np.einsum("ni,ij,nj->n", N, np.real(B), N) + np.abs(N) @ r
+    return N[bound >= log_drop]
+
+
+def test_pruned_path_matches_full_box(monkeypatch, four_mode_sd):
     # boxes above SMALL_BOX go through certified pruning; force the same
     # evaluation through both paths and compare
-    import importlib
-
-    theta_mod = importlib.import_module("ds2aw.theta")
     rng = np.random.default_rng(12)
     g, M = 5, 6  # box 13^5 = 371k, above the default pruning threshold
     d = rng.uniform(-15.0, -11.0, size=g)
@@ -155,6 +163,16 @@ def test_pruned_path_matches_full_box(monkeypatch):
     full = theta(zs, p)
     theta_mod._terms_cached.cache_clear()
     assert np.max(np.abs(pruned - full) / np.abs(full)) < 1e-12
+    # the kept set is exactly the filtered full box, element for element and
+    # in order; genus 8 (four modes) at M = 2 is a 5^8 box
+    r5 = np.ceil(np.max(np.abs(zs.real), axis=0) * 4.0) / 4.0
+    sd = four_mode_sd
+    r8 = np.ceil(np.abs(np.real(sd.d)) * 4.0) / 4.0
+    for B, M, r, log_drop in ((B, M, r5, math.log(1e-12 / 13**5)),
+                              (sd.B, 2, r8, math.log(1e-16 / 5**8)),
+                              (sd.B, 2, r8 + 3.0, math.log(1e-16 / 5**8))):
+        kept = theta_mod._pruned_box(B, B.shape[0], M, r, log_drop)
+        assert np.array_equal(kept, exact_filter(B, M, r, log_drop))
 
 
 def test_adaptive_radius_minimality_and_determinism():
@@ -204,10 +222,6 @@ def test_division_by_zero_theta_guard(monkeypatch):
     # genus-1 theta vanishes at z = i pi + b/2; floating point leaves a
     # residue of order e^{3b/2} there, far above the 1e-300 hard floor, so
     # raise the floor to make the guard reachable and hit the exact root.
-    import importlib
-
-    theta_mod = importlib.import_module("ds2aw.theta")
-
     B = np.array([[-6.0 + 0j]])
     p = ThetaParams(g=1, B=B, truncation_radius=12, tail_tolerance=1.0)
     z0 = np.array([1j * np.pi + B[0, 0] / 2.0])
