@@ -51,7 +51,7 @@ from .modes import (
     growth_rate,
     unstable_classes,
 )
-from .refsolver import evolve, q_from_u, step
+from .refsolver import evolve, q_from_u
 from .theta import ThetaParams, adaptive_radius, quasi_periodicity_residual, theta
 
 __version__ = "0.1.0"
@@ -96,7 +96,6 @@ __all__ = [
     "rescale",
     "resonant_pair",
     "stable_resonant_pair",
-    "step",
     "theta",
     "unstable_classes",
 ]

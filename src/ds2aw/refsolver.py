@@ -4,16 +4,24 @@
     q = F^{-1}[ Q(k) F[|u|^2] ],   Q(k) = (k_x^2 - k_y^2)/(k_x^2 + k_y^2),
 
 on the doubly-periodic torus, with Q(0) = 0 realizing the zero-mean gauge
-for q.  Both sub-flows are exact: the nonlocal term is a pointwise phase
-rotation (q depends only on |u|^2, which it preserves) and the linear part
-is diagonal in Fourier space.  The composition is therefore unitary in L^2
-to rounding and time-reversible.  This is the ground-truth oracle for the
+for q.  Both sub-flows are exact.  The linear part is diagonal in Fourier
+space: over a step h it multiplies by exp(-i h (k_x^2 - k_y^2)).  The
+nonlocal sub-flow is u_t = 2iqu; it keeps |u|^2, hence q, fixed, so over a
+time s it is the pointwise rotation u -> exp(2i s q) u.  A Strang half step
+(s = h/2) is therefore exp(i h q).  The composition is unitary in L^2 to
+rounding and time-reversible.  This is the ground-truth oracle for the
 finite-gap formula.
+
+``evolve`` runs the symmetric Strang scheme fused over each segment between
+snapshots.  Because the rotation keeps |u|^2, the q computed after one
+step's linear part is also the q that the next step's opening half-phase
+needs, so the two adjacent half-phases merge into one rotation exp(2i h q).
+A lone half-phase opens and closes every segment, so each snapshot is the
+symmetric-Strang field itself.  A step costs two complex FFTs for the
+linear part and two real FFTs for q.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,38 +60,34 @@ def q_multiplier(field: Field) -> np.ndarray:
     return Q
 
 
-@dataclass
-class SolverState:
-    field: Field
-    dt: float
-    Q_multiplier: np.ndarray
-    K_diff: np.ndarray  # k_x^2 - k_y^2 grid for the linear phase
-
-    @property
-    def t(self) -> float:
-        return self.field.t
+def _half_spectrum(Q: np.ndarray) -> np.ndarray:
+    """The k_x >= 0 columns of Q, the bins ``rfft2`` returns."""
+    return Q[:, : Q.shape[1] // 2 + 1]
 
 
-def make_state(field: Field, dt: float) -> SolverState:
-    _check_grid(field.nx, field.ny)
-    if dt == 0.0:
-        raise ConfigError("invalid-dt", "dt must be nonzero")
-    KX, KY = _wavenumbers(field)
-    return SolverState(
-        field=Field(field.L_x, field.L_y, field.nx, field.ny, field.t,
-                    np.array(field.u, dtype=complex)),
-        dt=dt,
-        Q_multiplier=q_multiplier(field),
-        K_diff=KX * KX - KY * KY,
-    )
+def _mean_flow(u: np.ndarray, Q_half: np.ndarray) -> np.ndarray:
+    """q = F^{-1}[Q F[|u|^2]] through the real FFT.
+
+    |u|^2 is real and Q is real and even on the grid (Q(-k) = Q(k), the
+    Nyquist bins included), so Q F[|u|^2] is Hermitian and its inverse is
+    real: the half spectrum holds all of it and the real FFT pair gives
+    the same q as the full complex one, up to rounding.
+    """
+    dens = u.real * u.real + u.imag * u.imag
+    return np.fft.irfft2(Q_half * np.fft.rfft2(dens), s=dens.shape)
+
+
+def _rotate(u: np.ndarray, angle: np.ndarray, rot: np.ndarray) -> None:
+    """u *= exp(i angle) in place, built in the complex buffer ``rot``."""
+    np.cos(angle, out=rot.real)
+    np.sin(angle, out=rot.imag)
+    u *= rot
 
 
 def q_from_u(field: Field) -> np.ndarray:
     """Mean-flow field q for the samples of u; real with zero mean."""
     _check_grid(field.nx, field.ny)
-    Q = q_multiplier(field)
-    dens = np.abs(field.u) ** 2
-    return np.real(np.fft.ifft2(Q * np.fft.fft2(dens)))
+    return _mean_flow(field.u, _half_spectrum(q_multiplier(field)))
 
 
 def stability_bound(field: Field) -> float:
@@ -103,26 +107,20 @@ def stability_bound(field: Field) -> float:
     return DT_SAFETY / peak
 
 
-def step(state: SolverState) -> SolverState:
-    """One Strang step: half nonlinear phase, full linear, half nonlinear."""
-    f = state.field
-    dt = state.dt
-    u = f.u
-    q = np.real(np.fft.ifft2(state.Q_multiplier * np.fft.fft2(np.abs(u) ** 2)))
-    u = u * np.exp(1j * dt * q)
-    u = np.fft.ifft2(np.fft.fft2(u) * np.exp(-1j * dt * state.K_diff))
-    q = np.real(np.fft.ifft2(state.Q_multiplier * np.fft.fft2(np.abs(u) ** 2)))
-    u = u * np.exp(1j * dt * q)
-    if not np.all(np.isfinite(u.view(float))):
-        raise NumericError(
-            "nan-detected", f"non-finite sample at t = {f.t + dt:.6g} (possible blow-up)"
-        )
-    return SolverState(
-        field=Field(f.L_x, f.L_y, f.nx, f.ny, f.t + dt, u),
-        dt=dt,
-        Q_multiplier=state.Q_multiplier,
-        K_diff=state.K_diff,
-    )
+def step(
+    u: np.ndarray, propagator: np.ndarray, Q_half: np.ndarray, phase: float, rot: np.ndarray
+) -> np.ndarray:
+    """One fused Strang step of ``evolve``: the linear flow, then q of the
+    result, then the rotation exp(i phase q).
+
+    ``propagator`` is exp(-i h (k_x^2 - k_y^2)).  ``phase`` is 2h inside a
+    segment, where this step's closing half-phase and the next step's
+    opening one merge, and h on a segment's last step.  Returns the new
+    samples; ``rot`` is scratch space.
+    """
+    u = np.fft.ifft2(propagator * np.fft.fft2(u))
+    _rotate(u, phase * _mean_flow(u, Q_half), rot)
+    return u
 
 
 def evolve(
@@ -139,7 +137,9 @@ def evolve(
     The step size is locally shrunk (never grown) so every segment between
     snapshots is covered by uniform sub-steps landing exactly on its end.
     Backward evolution (T < u0.t) is supported for reversibility checks.
-    If ``max_series`` is a list, (t, max|u|) is appended after every step.
+    If ``max_series`` is a list, (t, max|u|) is appended after every step,
+    with t = target on a segment's last step.  Inside a segment the samples
+    carry the next step's opening half-phase, which leaves |u| unchanged.
     """
     direction = 1.0 if T >= u0.t else -1.0
     times = [float(t) for t in snapshot_times]
@@ -159,7 +159,14 @@ def evolve(
                 f"dt = {dt} exceeds the splitting accuracy bound {bound:.3e} "
                 "for this initial data",
             )
-    state = make_state(u0, dt)
+    _check_grid(u0.nx, u0.ny)
+    if dt == 0.0:
+        raise ConfigError("invalid-dt", "dt must be nonzero")
+    KX, KY = _wavenumbers(u0)
+    K_diff = KX * KX - KY * KY
+    Q_half = _half_spectrum(q_multiplier(u0))
+    u = np.array(u0.u, dtype=complex)
+    rot = np.empty_like(u)
     out: list[Field] = []
     targets = list(times)
     if not targets or abs(targets[-1] - T) > 1e-12:
@@ -170,12 +177,18 @@ def evolve(
         if abs(span) > 1e-14:
             nsteps = max(1, int(np.ceil(abs(span) / abs(dt) - 1e-12)))
             sub = span / nsteps
-            state = SolverState(state.field, sub, state.Q_multiplier, state.K_diff)
-            for _ in range(nsteps):
-                state = step(state)
+            propagator = np.exp(-1j * sub * K_diff)
+            _rotate(u, sub * _mean_flow(u, Q_half), rot)
+            for k in range(1, nsteps + 1):
+                last = k == nsteps
+                u = step(u, propagator, Q_half, sub if last else 2.0 * sub, rot)
+                t = target if last else now + k * sub
+                if not np.all(np.isfinite(u.view(float))):
+                    raise NumericError(
+                        "nan-detected", f"non-finite sample at t = {t:.6g} (possible blow-up)"
+                    )
                 if max_series is not None:
-                    max_series.append((state.t, float(np.abs(state.field.u).max())))
+                    max_series.append((t, float(np.abs(u).max())))
         now = target
-        f = state.field
-        out.append(Field(f.L_x, f.L_y, f.nx, f.ny, target, f.u.copy()))
+        out.append(Field(u0.L_x, u0.L_y, u0.nx, u0.ny, target, u.copy()))
     return out

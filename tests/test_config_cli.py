@@ -192,6 +192,21 @@ def test_evolve_fg_nan_exits_numeric(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_evolve_ref_nan_exits_numeric(tmp_path, capsys):
+    # one NaN in the grid_file datum: the solver's first step fails closed
+    v0 = np.zeros((32, 32), dtype=complex)
+    v0[3, 4] = np.nan
+    grid = tmp_path / "v0.bin"
+    write_field_bin(Field(SINGLE_LX, SINGLE_LY, 32, 32, 0.0, v0), grid)
+    path, _ = single_mode_config(tmp_path, perturbation={"grid_file": str(grid)})
+    out = tmp_path / "ref"
+    assert main(["evolve-ref", "--config", str(path), "--out", str(out)]) == 5
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "nan-detected" and err["exit_code"] == 5
+    assert "t = 0.001 " in err["message"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])
 def test_removed_flags_rejected(tmp_path, flag):
     path, _ = single_mode_config(tmp_path)

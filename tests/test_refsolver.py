@@ -11,10 +11,45 @@ import math
 import numpy as np
 import pytest
 
-from ds2aw import ConfigError, Field, NumericError, evolve, growth_rate, q_from_u, step
-from ds2aw.refsolver import make_state, q_multiplier, stability_bound
+from ds2aw import ConfigError, Field, NumericError, evolve, growth_rate, q_from_u
+from ds2aw.refsolver import q_multiplier, stability_bound
 
 from test_modes import harmonic_matrix
+
+
+def strang_reference(field, targets, dt):
+    """Unfused symmetric Strang oracle: snapshots of u at each target.
+
+    Each segment is cut into equal sub-steps as ``evolve`` does, and every
+    step is taken on its own: q from |u|^2 by a full complex FFT, half
+    phase exp(i h q), the linear flow, q again, half phase (6 FFTs).
+    """
+    kx = 2 * math.pi * np.fft.fftfreq(field.nx, d=field.L_x / field.nx)
+    ky = 2 * math.pi * np.fft.fftfreq(field.ny, d=field.L_y / field.ny)
+    KX, KY = np.meshgrid(kx, ky, indexing="xy")
+    K_diff = KX * KX - KY * KY
+    Q = q_multiplier(field)
+    u = np.array(field.u, dtype=complex)
+    now = field.t
+    out = []
+    for target in targets:
+        nsteps = max(1, math.ceil(abs(target - now) / abs(dt) - 1e-12))
+        h = (target - now) / nsteps
+        for _ in range(nsteps):
+            q = np.real(np.fft.ifft2(Q * np.fft.fft2(np.abs(u) ** 2)))
+            u = u * np.exp(1j * h * q)
+            u = np.fft.ifft2(np.fft.fft2(u) * np.exp(-1j * h * K_diff))
+            q = np.real(np.fft.ifft2(Q * np.fft.fft2(np.abs(u) ** 2)))
+            u = u * np.exp(1j * h * q)
+        out.append(u)
+        now = target
+    return out
+
+
+def step_snapshots(field, dt, nsteps):
+    """``evolve`` with a snapshot after each of nsteps steps of size dt."""
+    times = [k * dt for k in range(1, nsteps + 1)]
+    return evolve(field, times[-1], dt, snapshot_times=times)
 
 
 def flat_field(L_x=2 * math.pi, L_y=2 * math.pi, n=32, value=1.0 + 0j):
@@ -82,13 +117,11 @@ def test_q_pure_x_and_y_harmonics():
 
 def test_q_real_zero_mean_every_step():
     f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 32, 1, 0, 1e-2)
-    state = make_state(f, 1e-2)
-    for _ in range(50):
-        state = step(state)
-        q = q_from_u(state.field)
+    for g in step_snapshots(f, 1e-2, 50):
+        q = q_from_u(g)
         assert abs(q.mean()) < 1e-12
-        dens = np.abs(state.field.u) ** 2
-        raw = np.fft.ifft2(q_multiplier(state.field) * np.fft.fft2(dens))
+        dens = np.abs(g.u) ** 2
+        raw = np.fft.ifft2(q_multiplier(g) * np.fft.fft2(dens))
         assert np.abs(raw.imag).max() < 1e-12
 
 
@@ -102,10 +135,8 @@ def test_q_multiplier_range():
 def test_l2_conservation():
     f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 32, 1, 0, 1e-2)
     norm0 = np.linalg.norm(f.u)
-    state = make_state(f, 1e-3)
-    for _ in range(200):
-        state = step(state)
-        assert abs(np.linalg.norm(state.field.u) - norm0) <= 1e-12 * norm0
+    for g in step_snapshots(f, 1e-3, 200):
+        assert abs(np.linalg.norm(g.u) - norm0) <= 1e-12 * norm0
 
 
 @pytest.mark.parametrize(
@@ -152,6 +183,25 @@ def test_snapshots_land_exactly():
     assert [g.t for g in fields] == times + [0.5]
     only_final = evolve(f, 0.5, 7e-3)
     assert len(only_final) == 1 and only_final[0].t == 0.5
+
+
+@pytest.mark.parametrize("T,times", [(0.3, [0.05, 0.22]), (-0.3, [-0.05, -0.22])])
+def test_fused_matches_strang_reference(T, times):
+    f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 64, 1, 0, 0.1)
+    dt = 7e-3
+    series = []
+    fields = evolve(f, T, dt, snapshot_times=times, max_series=series)
+    targets = times + [T]
+    ref = strang_reference(f, targets, dt)
+    assert [g.t for g in fields] == targets
+    for g, r in zip(fields, ref):
+        assert np.abs(g.u - r).max() <= 1e-12 * np.abs(r).max()
+    # one entry per step; each segment's last entry lands on its target
+    counts = [math.ceil(abs(b - a) / dt - 1e-12) for a, b in zip([0.0] + targets, targets)]
+    assert len(series) == sum(counts)
+    ends = np.cumsum(counts) - 1
+    assert [series[i][0] for i in ends] == targets
+    assert series[-1][1] == np.abs(fields[-1].u).max()
 
 
 def test_dt_bound_enforced():
