@@ -8,7 +8,8 @@ Gaussian tail bound certifies the requested tolerance.
 
 import numpy as np
 
-from ds2aw import ThetaParams, adaptive_radius, quasi_periodicity_residual, theta
+from ds2aw import ThetaParams, adaptive_radius, quasi_periodicity_residual
+from ds2aw.theta import theta
 
 # genus 1 reference value: B = [-2], z = 0
 p1 = ThetaParams(g=1, B=np.array([[-2.0 + 0j]]), truncation_radius=6)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,23 +37,12 @@ def _emit(doc: dict, out_path: Path | None) -> None:
         out_path.write_text(text + "\n")
 
 
-def _mode_row(m) -> dict:
-    return {
-        "n_x": m.n_x,
-        "n_y": m.n_y,
-        "k_x": m.k_x,
-        "k_y": m.k_y,
-        "sigma": [m.sigma.real, m.sigma.imag],
-        "unstable": m.unstable,
-    }
-
-
 def cmd_analyze(cfg: RunConfig, out_dir: Path | None) -> int:
     modes = enumerate_modes(cfg.L_x, cfg.L_y, cfg.a)
     report = check_genericity(cfg.L_x, cfg.L_y, cfg.a)
     doc = {
         "config_hash": config_hash(cfg),
-        "modes": [_mode_row(m) for m in modes],
+        "modes": [m.to_dict() for m in modes],
         "unstable_count": sum(1 for m in modes if m.unstable),
         "genericity": report.to_dict(),
     }
@@ -75,9 +63,7 @@ def _diagnostics(sd: curve.SpectralData) -> dict:
         "resonance_residual_max": res,
         "wt_sigma_delta_max": wt_delta,
         "reality_residual_max": curve.reality_residual(sd),
-        "period_matrix_asymmetry": float(np.max(np.abs(sd.B - sd.B.T)))
-        if sd.g
-        else 0.0,
+        "period_matrix_asymmetry": float(np.max(np.abs(sd.B - sd.B.T))),
     }
 
 
@@ -165,12 +151,22 @@ def _load_run(path: Path) -> tuple[dict, Path]:
         raise ConfigError("config-parse", f"cannot read manifest {mpath}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError("config-parse", f"{mpath}: {err.msg}") from err
+    _require(manifest, ("grid", "times", "files"), mpath)
     return manifest, mpath.parent
+
+
+def _require(doc, keys, where) -> None:
+    """Raise config-parse naming the first of ``keys`` that ``doc`` lacks."""
+    missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
+    if missing:
+        raise ConfigError("config-parse", f"{where}: manifest lacks key {missing[0]!r}")
 
 
 def _load_field(entry: dict, base: Path, manifest: dict) -> fieldgen.Field:
     if "bin" in entry:
         return fieldio.read_field_bin(base / entry["bin"])
+    _require(entry, ("csv", "t"), base)
+    _require(manifest, ("L_x", "L_y"), base)
     nx, ny = manifest["grid"]
     return fieldio.read_field_csv(
         base / entry["csv"], manifest["L_x"], manifest["L_y"], nx, ny, entry["t"]

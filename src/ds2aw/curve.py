@@ -74,13 +74,6 @@ class ResonantPair:
 
 
 @dataclass
-class BranchPoints:
-    """Four branch points E_{4j-3..4j} of one opened handle."""
-
-    E: tuple[complex, complex, complex, complex]
-
-
-@dataclass
 class SpectralData:
     """All leading-order data of the genus g = 2N curve.
 
@@ -100,10 +93,6 @@ class SpectralData:
     A_div: np.ndarray
     K: np.ndarray
     d: np.ndarray
-    C0: complex = 0.0
-    Cz: complex = 0.0
-    Czbar: complex = 0.0
-    Ct: complex = 0.0
     eps: float = 0.0
     u00: complex = 1.0
     L_x: float = 0.0
@@ -121,14 +110,7 @@ class SpectralData:
                     "tau_2": c(p.tau_2),
                     "theta_angle": p.theta_angle,
                     "phi_angle": p.phi_angle,
-                    "mode": {
-                        "n_x": p.mode.n_x,
-                        "n_y": p.mode.n_y,
-                        "k_x": p.mode.k_x,
-                        "k_y": p.mode.k_y,
-                        "sigma": c(p.mode.sigma),
-                        "unstable": p.mode.unstable,
-                    },
+                    "mode": p.mode.to_dict(),
                     "alpha": c(p.alpha),
                     "beta": c(p.beta),
                     "sqrt_alpha_beta": c(p.sqrt_alpha_beta),
@@ -143,10 +125,6 @@ class SpectralData:
             "A_div": [c(v) for v in self.A_div],
             "K": [c(v) for v in self.K],
             "d": [c(v) for v in self.d],
-            "C0": c(self.C0),
-            "Cz": c(self.Cz),
-            "Czbar": c(self.Czbar),
-            "Ct": c(self.Ct),
             "eps": self.eps,
             "u00": c(self.u00),
             "L_x": self.L_x,
@@ -160,43 +138,6 @@ def _c2l(v) -> list[float] | None:
         return None
     v = complex(v)
     return [v.real, v.imag]
-
-
-@dataclass
-class Rescaling:
-    """Map between the original problem and its unit-background twin.
-
-    If u solves DS2 with background a, then u~(x,y,t) = u(x/a, y/a, t/a^2)/a
-    solves it with background 1 on the stretched torus.  Grid samples of the
-    initial perturbation are reused verbatim: the grid stretches with the
-    domain.
-    """
-
-    a: float
-    L_x: float
-    L_y: float
-    eps: float
-    v0: np.ndarray | None
-    time_scale: float
-
-    def to_scaled_time(self, t: float) -> float:
-        return self.time_scale * t
-
-    def to_original_time(self, t_scaled: float) -> float:
-        return t_scaled / self.time_scale
-
-    def to_original_field(self, u_scaled: np.ndarray) -> np.ndarray:
-        return self.a * u_scaled
-
-
-def rescale(a: float, L_x: float, L_y: float, eps: float, v0=None) -> Rescaling:
-    """Rescale a background-a problem to background 1 (see Rescaling)."""
-    if a <= 0.0:
-        raise ConfigError("invalid-period", f"background must be positive, got {a}")
-    v0 = None if v0 is None else np.asarray(v0, dtype=complex)
-    return Rescaling(
-        a=a, L_x=L_x * a, L_y=L_y * a, eps=eps / a, v0=v0, time_scale=a * a
-    )
 
 
 def resonant_pair(mode: Mode) -> tuple[ResonantPair, ResonantPair]:
@@ -225,24 +166,6 @@ def resonant_pair(mode: Mode) -> tuple[ResonantPair, ResonantPair]:
         ResonantPair(0, tau_1, tau_2, theta, phi, mode),
         ResonantPair(0, -tau_1, -tau_2, theta_neg, phi, neg_mode),
     )
-
-
-def stable_resonant_pair(mode: Mode) -> tuple[complex, complex]:
-    """Resonant pair of a stable mode, off the unit circle (diagnostic only)."""
-    if mode.unstable:
-        raise ConfigError(
-            "wrong-class", f"mode ({mode.n_x}, {mode.n_y}) is unstable"
-        )
-    k2 = mode.k_squared
-    if k2 <= 4.0:
-        raise ConfigError(
-            "wrong-class",
-            f"mode ({mode.n_x}, {mode.n_y}) is not outside the instability disk",
-        )
-    k = complex(mode.k_x, mode.k_y)
-    tau_1 = 0.5 * k * (-1.0 + math.sqrt((k2 - 4.0) / k2))
-    tau_2 = -1.0 / tau_1.conjugate()
-    return tau_1, tau_2
 
 
 def order_pairs(pairs: list[ResonantPair]) -> list[ResonantPair]:
@@ -327,26 +250,6 @@ def alpha_beta(pair: ResonantPair, c_j: complex, c_minus_j: complex) -> Resonant
     if s.real < 0.0 or (s.real == 0.0 and s.imag < 0.0):
         s = -s
     return dataclasses.replace(pair, alpha=alpha, beta=beta, sqrt_alpha_beta=s)
-
-
-def branch_points(pair: ResonantPair, eps: float) -> BranchPoints:
-    """Leading-order branch points around the pair's two resonant points.
-
-    The displacements are +/- 2 tau_1 q_2 eps sqrt(ab) / (i Im(tau_2 conj
-    tau_1)) around tau_1 and the q-swapped expression around tau_2.
-    """
-    if pair.sqrt_alpha_beta is None:
-        raise DegenerateSpectrumError(
-            "degenerate-mode", f"pair {pair.j}: matrix elements not computed"
-        )
-    if eps <= 0.0:
-        raise DegenerateSpectrumError("degenerate-mode", "eps must be positive")
-    denom = 1j * pair.im_cross
-    d1 = 2.0 * pair.tau_1 * pair.q_2 * eps * pair.sqrt_alpha_beta / denom
-    d2 = 2.0 * pair.tau_2 * pair.q_1 * eps * pair.sqrt_alpha_beta / denom
-    return BranchPoints(
-        (pair.tau_1 + d1, pair.tau_1 - d1, pair.tau_2 + d2, pair.tau_2 - d2)
-    )
 
 
 def period_matrix(pairs: list[ResonantPair], eps: float) -> np.ndarray:
@@ -483,9 +386,13 @@ def build_spectral_data(
         raise DegenerateSpectrumError(
             "degenerate-mode", "eps = 0 gives alpha = beta = 0 on every handle"
         )
+    if a <= 0.0:
+        raise ConfigError("invalid-period", f"background must be positive, got {a}")
     v0_grid = np.asarray(v0_grid, dtype=complex)
-    sc = rescale(a, L_x, L_y, eps, v0_grid)
-    report = check_genericity(sc.L_x, sc.L_y, 1.0, search_radius)
+    # Unit-background twin: u(x/a, y/a, t/a^2)/a solves DS2 with background
+    # 1 on the stretched torus; the grid samples of v0 are reused verbatim.
+    Lx1, Ly1, eps1 = L_x * a, L_y * a, eps / a
+    report = check_genericity(Lx1, Ly1, 1.0, search_radius)
     if not report.ok:
         raise GenericityError(
             "genericity",
@@ -494,14 +401,14 @@ def build_spectral_data(
             f"{len(report.multiplicity_violations)} collisions, "
             f"{len(report.marginal_modes)} marginal modes",
         )
-    modes = enumerate_modes(sc.L_x, sc.L_y, 1.0, search_radius)
+    modes = enumerate_modes(Lx1, Ly1, 1.0, search_radius)
     classes = unstable_classes(modes)
     if not classes:
         raise DegenerateSpectrumError(
             "no-unstable-modes", "the instability disk contains no lattice mode"
         )
     grid_radius = max(
-        min_search_radius(sc.L_x, sc.L_y, 1.0),
+        min_search_radius(Lx1, Ly1, 1.0),
         search_radius or 0,
     )
     if min(v0_grid.shape) < 4 * grid_radius:
@@ -524,10 +431,10 @@ def build_spectral_data(
             ) from err
     pairs = order_pairs(pairs)
 
-    B = period_matrix(pairs, sc.eps)
+    B = period_matrix(pairs, eps1)
     W_z, W_zbar, W_t = frequency_vectors(pairs)
     A_inf2 = abel_infinity(pairs)
-    A_div, K, d = divisor_and_constants(pairs, B, sc.eps)
+    A_div, K, d = divisor_and_constants(pairs, B, eps1)
     u00 = a + eps * complex(v0_grid[0, 0])
     return SpectralData(
         g=len(pairs),
@@ -542,28 +449,6 @@ def build_spectral_data(
         d=d,
         eps=eps,
         u00=u00,
-        L_x=L_x,
-        L_y=L_y,
-        a=a,
-    )
-
-
-def empty_spectral_data(L_x: float, L_y: float, a: float = 1.0) -> SpectralData:
-    """Degenerate eps -> 0 limit: no handles, the field is the background."""
-    zero = np.zeros(0, dtype=complex)
-    return SpectralData(
-        g=0,
-        pairs=[],
-        B=np.zeros((0, 0), dtype=complex),
-        W_z=zero,
-        W_zbar=zero.copy(),
-        W_t=zero.copy(),
-        A_inf2=zero.copy(),
-        A_div=zero.copy(),
-        K=zero.copy(),
-        d=zero.copy(),
-        eps=0.0,
-        u00=complex(a),
         L_x=L_x,
         L_y=L_y,
         a=a,

@@ -3,17 +3,18 @@
 The solution is a ratio of four theta values times the normalization
 u(0, 0, 0):
 
-    u = exp(z Cz + zbar Czbar + t Ct)
-        * theta(A + w + d) theta(d) / (theta(A + d) theta(w + d)) * u00,
+    u = theta(A + w + d) theta(d) / (theta(A + d) theta(w + d)) * u00,
 
 with w_j(z, t) = (W_z)_j z + (W_zbar)_j zbar + (W_t)_j t, A = A(inf_2) and
-d the theta-argument offset; the C constants vanish at leading order.  The
-spatial part of w is i(k_x x + k_y y) per handle, with (k_x, k_y) a wave
-vector of the torus lattice, so the field is exactly doubly periodic.  On
-the torus grid each theta is therefore a trigonometric polynomial in the
-grid indices: evaluate_grid sums it as one folded inverse FFT per theta,
-exact on the grid points; evaluate_batch sums the lattice directly at any
-points and is the grid path's oracle.
+d the theta-argument offset.  The general formula's prefactor exp(z Cz +
+zbar Czbar + t Ct) is 1 here: the C constants vanish at leading order.
+
+The spatial part of w is i(k_x x + k_y y) per handle, with (k_x, k_y) a
+wave vector of the torus lattice, so the field is exactly doubly periodic.
+On the torus grid each theta is therefore a trigonometric polynomial in
+the grid indices: evaluate_grid sums it as one folded inverse FFT per
+theta, exact on the grid points; evaluate_batch sums the lattice directly
+at any points and is the grid path's oracle.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import SpectralData
-from .errors import ConfigError, DegenerateSpectrumError, NumericError
-from .theta import ThetaParams, adaptive_radius, theta, theta_grid
-
-DENOM_FLOOR = 1e-300
+from .errors import ConfigError, NumericError
+from .theta import ZERO_FLOOR, ThetaParams, adaptive_radius, theta, theta_grid
 
 
 @dataclass
@@ -43,11 +42,6 @@ class Field:
     ny: int
     t: float
     u: np.ndarray
-
-    def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.arange(self.nx) * (self.L_x / self.nx)
-        y = np.arange(self.ny) * (self.L_y / self.ny)
-        return np.meshgrid(x, y, indexing="xy")
 
 
 def make_cauchy_field(
@@ -71,8 +65,7 @@ def default_theta_params(
     """
     t_max = max((abs(float(t)) for t in times), default=0.0)
     re = np.abs(np.real(sd.d)) + np.abs(np.real(sd.A_inf2)) + np.abs(sd.W_t) * t_max
-    z_bound = float(re.max()) if re.size else 0.0
-    M = adaptive_radius(sd.B, z_bound, tail_tol)
+    M = adaptive_radius(sd.B, float(re.max()), tail_tol)
     return ThetaParams(g=sd.g, B=sd.B, truncation_radius=M, tail_tolerance=tail_tol)
 
 
@@ -80,7 +73,7 @@ def _base_thetas(sd: SpectralData, params: ThetaParams) -> tuple[complex, comple
     """theta(d) and theta(A(inf2) + d), the time-independent factors of u."""
     theta_d = complex(theta(sd.d, params))
     theta_ad = complex(theta(sd.A_inf2 + sd.d, params))
-    if abs(theta_ad) < DENOM_FLOOR:
+    if abs(theta_ad) < ZERO_FLOOR:
         raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
     return theta_d, theta_ad
 
@@ -89,7 +82,7 @@ def _ratio(sd: SpectralData, num, den, base, coords) -> np.ndarray:
     """u from the numerator and denominator thetas; coords(i) gives the
     (x, y, t) of flat sample i for the error messages."""
     i = int(np.argmin(np.abs(den)))
-    if np.abs(den.flat[i]) < DENOM_FLOOR:
+    if np.abs(den.flat[i]) < ZERO_FLOOR:
         x, y, t = coords(i)
         raise NumericError(
             "theta-zero",
@@ -113,8 +106,6 @@ def evaluate_batch(
     """u at complex positions z = x + i y (flat array) and one time, by
     direct lattice sums (the oracle for :func:`evaluate_grid`)."""
     z = np.asarray(z, dtype=complex).ravel()
-    if sd.g == 0:
-        return np.full(z.shape, sd.u00, dtype=complex)
     if params is None:
         params = default_theta_params(sd, [t])
     base = _base_thetas(sd, params)
@@ -152,11 +143,6 @@ def evaluate_grid(
     """
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
-    if sd.g == 0:
-        return [
-            Field(sd.L_x, sd.L_y, nx, ny, float(t), np.full((ny, nx), sd.u00, complex))
-            for t in times
-        ]
     if params is None:
         params = default_theta_params(sd, times)
     base = _base_thetas(sd, params)
@@ -184,8 +170,6 @@ def first_appearance_estimate(sd: SpectralData) -> float:
     and sigma_max = max_j |W_t,j|: the time at which the fastest eps-size
     handle term reaches order one.  A scheduling hint, not certified.
     """
-    if not sd.pairs:
-        raise DegenerateSpectrumError("no-unstable-modes", "no pairs; nothing grows")
     c = max(abs(p.sqrt_alpha_beta) for p in sd.pairs)
     sigma_max = float(np.max(np.abs(sd.W_t)))
     eps_scaled = sd.eps / sd.a

@@ -69,13 +69,15 @@ def write_field_csv(field: Field, path) -> None:
 def read_field_csv(path, L_x: float, L_y: float, nx: int, ny: int, t: float) -> Field:
     """Rebuild a Field from CSV; grid shape must be supplied (CSV keeps none)."""
     try:
-        rows = Path(path).read_text().strip().splitlines()[1:]
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as err:
         raise OutputError("io", f"cannot read {path}: {err}") from err
-    if len(rows) != nx * ny:
-        raise OutputError("io", f"{path}: expected {nx * ny} samples, got {len(rows)}")
+    except ValueError as err:
+        raise OutputError("io", f"{path}: malformed CSV: {err}") from err
+    if rows.shape != (nx * ny, 5):
+        raise OutputError(
+            "io", f"{path}: expected {nx * ny} rows of 5 columns, got shape {rows.shape}"
+        )
     u = np.empty(nx * ny, dtype=complex)
-    for i, row in enumerate(rows):
-        parts = row.split(",")
-        u[i] = complex(float(parts[2]), float(parts[3]))
+    u.real, u.imag = rows[:, 2], rows[:, 3]
     return Field(L_x, L_y, nx, ny, t, u.reshape(ny, nx))

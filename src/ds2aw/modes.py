@@ -10,7 +10,6 @@ the admissible wave vectors form the lattice ``k_x = 2 pi n_x / L_x``,
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +37,16 @@ class Mode:
     @property
     def k_squared(self) -> float:
         return self.k_x * self.k_x + self.k_y * self.k_y
+
+    def to_dict(self) -> dict:
+        return {
+            "n_x": self.n_x,
+            "n_y": self.n_y,
+            "k_x": self.k_x,
+            "k_y": self.k_y,
+            "sigma": [self.sigma.real, self.sigma.imag],
+            "unstable": self.unstable,
+        }
 
 
 @dataclass
@@ -209,16 +218,3 @@ def check_genericity(
                     }
                 )
     return report
-
-
-def signed_rate(k_x: float, k_y: float, a: float) -> complex:
-    """Dispersion value with the sign of the (k_x^2 - k_y^2) prefactor kept.
-
-    Antisymmetric under the axis swap (k_x, k_y) -> (k_y, k_x); used by the
-    property tests, while :func:`growth_rate` returns the growing branch.
-    """
-    k2 = k_x * k_x + k_y * k_y
-    if k2 == 0.0:
-        raise ConfigError("zero-wavevector", "dispersion undefined at k = 0")
-    pref = (k_x * k_x - k_y * k_y) / math.sqrt(k2)
-    return pref * cmath.sqrt(complex(4.0 * a * a - k2, 0.0))

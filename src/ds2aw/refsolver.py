@@ -128,7 +128,6 @@ def evolve(
     T: float,
     dt: float,
     snapshot_times=(),
-    enforce_dt_bound: bool = True,
     max_series: list | None = None,
 ) -> list[Field]:
     """Integrate from u0.t to time T, returning snapshots at the requested
@@ -136,7 +135,8 @@ def evolve(
 
     The step size is locally shrunk (never grown) so every segment between
     snapshots is covered by uniform sub-steps landing exactly on its end.
-    Backward evolution (T < u0.t) is supported for reversibility checks.
+    Backward evolution (T < u0.t) is supported for reversibility checks;
+    |dt| must not exceed :func:`stability_bound` of u0.
     If ``max_series`` is a list, (t, max|u|) is appended after every step,
     with t = target on a segment's last step.  Inside a segment the samples
     carry the next step's opening half-phase, which leaves |u| unchanged.
@@ -151,14 +151,13 @@ def evolve(
         raise ConfigError(
             "invalid-times", "snapshot times must be monotone within the run interval"
         )
-    if enforce_dt_bound:
-        bound = stability_bound(u0)
-        if abs(dt) > bound:
-            raise ConfigError(
-                "invalid-dt",
-                f"dt = {dt} exceeds the splitting accuracy bound {bound:.3e} "
-                "for this initial data",
-            )
+    bound = stability_bound(u0)
+    if abs(dt) > bound:
+        raise ConfigError(
+            "invalid-dt",
+            f"dt = {dt} exceeds the splitting accuracy bound {bound:.3e} "
+            "for this initial data",
+        )
     _check_grid(u0.nx, u0.ny)
     if dt == 0.0:
         raise ConfigError("invalid-dt", "dt must be nonzero")

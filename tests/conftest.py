@@ -28,14 +28,14 @@ def cosine_grid(nx, ny):
 
 @pytest.fixture
 def single_mode_sd():
-    from ds2aw import build_spectral_data
+    from ds2aw.curve import build_spectral_data
 
     return build_spectral_data(SINGLE_LX, SINGLE_LY, 1e-2, cosine_grid(32, 32))
 
 
 @pytest.fixture
 def four_mode_sd():
-    from ds2aw import build_spectral_data
+    from ds2aw.curve import build_spectral_data
 
     v0 = harmonic_grid(
         32,

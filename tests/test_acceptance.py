@@ -13,22 +13,18 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ds2aw import (
-    Field,
-    ThetaParams,
-    adaptive_radius,
-    build_spectral_data,
-    evaluate_grid,
-    evolve,
-    growth_rate,
-    make_cauchy_field,
-    q_from_u,
-    quasi_periodicity_residual,
-    theta,
-)
 from ds2aw.cli import main
-from ds2aw.fieldgen import default_theta_params
-from ds2aw.refsolver import q_multiplier
+from ds2aw.curve import build_spectral_data
+from ds2aw.fieldgen import (
+    Field,
+    default_theta_params,
+    evaluate_grid,
+    evaluate_u,
+    make_cauchy_field,
+)
+from ds2aw.modes import growth_rate
+from ds2aw.refsolver import evolve, q_multiplier
+from ds2aw.theta import ThetaParams, adaptive_radius, quasi_periodicity_residual, theta
 
 from conftest import FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
 from test_refsolver import eigenvector_seed, fitted_rate, mode_coefficient, step_snapshots
@@ -295,8 +291,6 @@ def test_criterion_8_symmetry_suite():
 
         params = default_theta_params(sd, [0.0, 0.5])
         rng = np.random.default_rng(55)
-        from ds2aw import evaluate_u
-
         for _ in range(5):
             x, y, t = rng.uniform(0.1, 2.0, 3)
             u0 = evaluate_u(x, y, t, sd, params)

@@ -1,0 +1,47 @@
+"""The package's public names: what the README, the demos and the CLI use."""
+
+import ast
+import importlib
+import re
+import types
+from pathlib import Path
+
+import ds2aw
+import ds2aw.theta
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_theta_is_the_module():
+    mod = importlib.import_module("ds2aw.theta")
+    assert mod is ds2aw.theta
+    assert isinstance(ds2aw.theta, types.ModuleType)
+
+
+def test_all_names_resolve():
+    for name in ds2aw.__all__:
+        assert getattr(ds2aw, name) is not None, name
+
+
+def _demo_imports(path):
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ds2aw":
+            yield from (alias.name for alias in node.names)
+
+
+def test_user_imports_are_public():
+    used = {}
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for name in _demo_imports(path):
+            used[name] = path.name
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        for match in re.finditer(r"from ds2aw import \(?([\w\s,]+)\)?", block):
+            for name in re.findall(r"\w+", match.group(1)):
+                used[name] = "README.md"
+        for name in re.findall(r"\bds2aw\.(\w+)\(", block):
+            used[name] = "README.md"
+    assert used, "no ds2aw imports found"
+    missing = {name: where for name, where in used.items() if name not in ds2aw.__all__}
+    assert not missing

@@ -259,6 +259,18 @@ def test_compare_time_mismatch(tmp_path, capsys):
     assert err["error"] == "time-mismatch"
 
 
+def test_compare_manifest_missing_key(tmp_path, capsys):
+    path, _ = single_mode_config(tmp_path, times=[0.0])
+    out = tmp_path / "run"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["files"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["compare", str(out), str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-parse" and "'files'" in err["message"]
+
+
 def test_binary_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     u = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
@@ -281,6 +293,34 @@ def test_csv_round_trip(tmp_path):
     assert np.abs(g.u - u).max() == 0.0
     header = path.read_text().splitlines()[0]
     assert header == "x,y,re_u,im_u,abs_u"
+
+
+def test_corrupt_csv_rejected(tmp_path, capsys):
+    f = Field(2.0, 2.0, 8, 8, 0.0, np.ones((8, 8), dtype=complex))
+    good = tmp_path / "good.csv"
+    write_field_csv(f, good)
+    lines = good.read_text().splitlines()
+    short = lines[:5] + ["0.0,0.25,1.0"] + lines[6:]
+    word = lines[:5] + ["0.0,0.25,one,0.0,1.0"] + lines[6:]
+    for name, rows in [("short", short), ("word", word), ("one", ["x,y,re_u,im_u,abs_u", "0,0,1"])]:
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        n = 1 if name == "one" else 8
+        with pytest.raises(OutputError) as err:
+            read_field_csv(bad, 2.0, 2.0, n, n, 0.0)
+        assert err.value.code == "io"
+
+    # compare on a CSV run with a malformed row exits with the io code
+    path, _ = single_mode_config(tmp_path, times=[0.0])
+    out = tmp_path / "csvrun"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", "csv"]) == 0
+    csv = out / "fg_0000.csv"
+    rows = csv.read_text().splitlines()
+    rows[7] = "0,0,1"
+    csv.write_text("\n".join(rows) + "\n")
+    assert main(["compare", str(out), str(out)]) == 6
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "io" and err["exit_code"] == 6
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -14,28 +14,18 @@ import math
 import numpy as np
 import pytest
 
-from ds2aw import (
-    ConfigError,
-    DegenerateSpectrumError,
-    Field,
-    abel_infinity,
+from ds2aw.curve import (
     alpha_beta,
-    branch_points,
     build_spectral_data,
-    divisor_and_constants,
-    enumerate_modes,
-    evolve,
-    frequency_vectors,
-    growth_rate,
     order_pairs,
-    period_matrix,
     perturbation_coefficients,
     reality_residual,
-    rescale,
     resonant_pair,
-    stable_resonant_pair,
 )
-from ds2aw.modes import Mode
+from ds2aw.errors import ConfigError, DegenerateSpectrumError
+from ds2aw.fieldgen import Field
+from ds2aw.modes import Mode, enumerate_modes, growth_rate
+from ds2aw.refsolver import evolve
 
 from conftest import FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
 
@@ -50,6 +40,29 @@ def fresh_pair(c_plus=0.5, c_minus=0.5):
     mode = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
     p, _ = resonant_pair(mode)
     return alpha_beta(p, c_plus, c_minus)
+
+
+def stable_resonant_pair(mode):
+    """Resonant pair of a stable mode outside the instability disk; it lies
+    off the unit circle and opens no handle."""
+    if mode.unstable:
+        raise ConfigError("wrong-class", f"mode ({mode.n_x}, {mode.n_y}) is unstable")
+    k2 = mode.k_squared
+    assert k2 > 4.0, "mode is not outside the instability disk"
+    k = complex(mode.k_x, mode.k_y)
+    tau_1 = 0.5 * k * (-1.0 + math.sqrt((k2 - 4.0) / k2))
+    tau_2 = -1.0 / tau_1.conjugate()
+    return tau_1, tau_2
+
+
+def branch_points(pair, eps):
+    """Leading-order branch points (E_{4j-3}, ..., E_{4j}) of the pair's
+    handle: tau_1 +/- 2 tau_1 q_2 eps sqrt(ab) / (i Im(tau_2 conj tau_1))
+    and the q-swapped displacement around tau_2."""
+    denom = 1j * pair.im_cross
+    d1 = 2.0 * pair.tau_1 * pair.q_2 * eps * pair.sqrt_alpha_beta / denom
+    d2 = 2.0 * pair.tau_2 * pair.q_1 * eps * pair.sqrt_alpha_beta / denom
+    return pair.tau_1 + d1, pair.tau_1 - d1, pair.tau_2 + d2, pair.tau_2 - d2
 
 
 # ----------------------------------------------------------------- pairs
@@ -307,12 +320,11 @@ def test_sqrt_branch_fixed():
 def test_branch_point_symmetry_and_scaling():
     p = fresh_pair()
     eps = 1e-3
-    bp = branch_points(p, eps)
-    E1, E2, E3, E4 = bp.E
+    E1, E2, E3, E4 = branch_points(p, eps)
     assert (E1 - p.tau_1) == pytest.approx(-(E2 - p.tau_1), abs=1e-15)
     assert (E3 - p.tau_2) == pytest.approx(-(E4 - p.tau_2), abs=1e-15)
     bp2 = branch_points(p, 2 * eps)
-    assert (bp2.E[0] - p.tau_1) == pytest.approx(2 * (E1 - p.tau_1), rel=1e-12)
+    assert (bp2[0] - p.tau_1) == pytest.approx(2 * (E1 - p.tau_1), rel=1e-12)
     # eps -> 0 limit: linear collapse onto the resonant points
     assert abs(E1 - p.tau_1) < 1e-2 * abs(p.tau_1)
 
@@ -322,7 +334,7 @@ def test_branch_point_displacement_magnitude():
     eps = 1e-2
     bp = branch_points(p, eps)
     expect = eps * abs(2.0 * p.q_2 / p.im_cross) * abs(p.sqrt_alpha_beta)
-    assert abs(bp.E[0] - p.tau_1) == pytest.approx(expect, abs=1e-12)
+    assert abs(bp[0] - p.tau_1) == pytest.approx(expect, abs=1e-12)
 
 
 # ------------------------------------------------------- period matrix
@@ -443,17 +455,6 @@ def test_riemann_constants_composition(single_mode_sd):
 # ------------------------------------------------------------ rescaling
 
 
-def test_rescale_identity():
-    sc = rescale(1.0, SINGLE_LX, SINGLE_LY, 1e-2)
-    assert (sc.L_x, sc.L_y, sc.eps, sc.time_scale) == (SINGLE_LX, SINGLE_LY, 1e-2, 1.0)
-
-
-def test_rescale_eps_doubling():
-    assert rescale(0.5, 1.0, 1.0, 1e-2).eps == pytest.approx(2e-2)
-    assert rescale(2.0, 1.0, 1.0, 1e-2).eps == pytest.approx(5e-3)
-    assert rescale(2.0, 1.0, 1.0, 1e-2).time_scale == pytest.approx(4.0)
-
-
 def test_rescale_refsolver_oracle():
     # background a = 2: integrate directly and through the unit twin
     a = 2.0
@@ -465,10 +466,10 @@ def test_rescale_refsolver_oracle():
     u0 = Field(L_x, L_y, nx, ny, 0.0, a + eps * v0)
     direct = evolve(u0, T, 2.5e-4)[-1]
 
-    sc = rescale(a, L_x, L_y, eps, v0)
-    u0_s = Field(sc.L_x, sc.L_y, nx, ny, 0.0, 1.0 + sc.eps * sc.v0)
-    twin = evolve(u0_s, sc.to_scaled_time(T), 1e-3)[-1]
-    mapped = sc.to_original_field(twin.u)
+    # unit twin: periods L a, perturbation eps / a, time t a^2, field a u
+    u0_s = Field(L_x * a, L_y * a, nx, ny, 0.0, 1.0 + (eps / a) * v0)
+    twin = evolve(u0_s, T * a * a, 1e-3)[-1]
+    mapped = a * twin.u
     rel = np.abs(direct.u - mapped).max() / np.abs(direct.u).max()
     assert rel <= 1e-6
 
@@ -490,10 +491,6 @@ def test_build_eps_zero_degenerate():
     with pytest.raises(DegenerateSpectrumError) as err:
         build_spectral_data(SINGLE_LX, SINGLE_LY, 0.0, cosine_grid(32, 32))
     assert err.value.code == "degenerate-mode"
-
-
-def test_build_constants_zero(four_mode_sd):
-    assert four_mode_sd.C0 == four_mode_sd.Cz == four_mode_sd.Czbar == four_mode_sd.Ct == 0.0
 
 
 def test_build_attaches_mode_to_error():

@@ -6,19 +6,25 @@ import math
 import numpy as np
 import pytest
 
-from ds2aw import (
-    NumericError,
-    ThetaParams,
-    build_spectral_data,
+from ds2aw.curve import build_spectral_data
+from ds2aw.errors import NumericError
+from ds2aw.fieldgen import (
     default_theta_params,
-    empty_spectral_data,
+    evaluate_batch,
     evaluate_grid,
     evaluate_u,
     first_appearance_estimate,
 )
-from ds2aw.fieldgen import evaluate_batch
+from ds2aw.theta import ThetaParams
 
 from conftest import SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
+
+
+def grid_xy(field):
+    """Coordinates (X, Y) of the field's samples: X[iy, ix] = ix L_x / nx."""
+    x = np.arange(field.nx) * (field.L_x / field.nx)
+    y = np.arange(field.ny) * (field.L_y / field.ny)
+    return np.meshgrid(x, y, indexing="xy")
 
 
 def test_normalization_at_origin(single_mode_sd):
@@ -38,13 +44,6 @@ def test_double_periodicity(single_mode_sd, four_mode_sd):
             uy = evaluate_u(x, y + sd.L_y, t, sd, params)
             assert abs(ux - u0) <= 1e-9 * abs(u0)
             assert abs(uy - u0) <= 1e-9 * abs(u0)
-
-
-def test_eps_zero_degeneration():
-    sd = empty_spectral_data(SINGLE_LX, SINGLE_LY, a=1.0)
-    f = evaluate_grid([0.0, 0.7], 16, 16, sd)
-    for field in f:
-        assert np.abs(field.u - 1.0).max() <= 1e-12
 
 
 def test_cauchy_datum_reproduced(single_mode_sd):
@@ -69,7 +68,7 @@ def test_grid_matches_direct_sum(single_mode_sd, four_mode_sd):
     for sd, t, n in cases:
         params = default_theta_params(sd, [t])
         f = evaluate_grid([t], n, n, sd, params)[0]
-        X, Y = f.grid()
+        X, Y = grid_xy(f)
         direct = evaluate_batch(sd, (X + 1j * Y).ravel(), t, params).reshape(n, n)
         assert np.max(np.abs(f.u - direct) / np.abs(direct)) <= 1e-12
 
@@ -155,7 +154,7 @@ def test_theta_zero_reported(single_mode_sd, monkeypatch):
 
     fieldgen = importlib.import_module("ds2aw.fieldgen")
     sd = single_mode_sd
-    monkeypatch.setattr(fieldgen, "DENOM_FLOOR", 1e-2)
+    monkeypatch.setattr(fieldgen, "ZERO_FLOOR", 1e-2)
     root = np.array([1j * math.pi + sd.B[0, 0] / 2.0, 0.35 + 0.1j])
     bad = dataclasses.replace(sd, d=root)
     params = default_theta_params(sd, [0.0])

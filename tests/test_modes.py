@@ -8,15 +8,31 @@ K = k_x^2 - k_y^2, Q = K / k^2, which is the DS2 linearization restricted
 to one Fourier pair.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from ds2aw import ConfigError, check_genericity, enumerate_modes, growth_rate
-from ds2aw.modes import min_search_radius, signed_rate, unstable_classes
+from ds2aw.errors import ConfigError
+from ds2aw.modes import (
+    check_genericity,
+    enumerate_modes,
+    growth_rate,
+    min_search_radius,
+    unstable_classes,
+)
 
 from conftest import FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY
+
+
+def signed_rate(k_x, k_y, a):
+    """Dispersion value with the sign of the (k_x^2 - k_y^2) prefactor
+    kept, antisymmetric under the axis swap; growth_rate returns the
+    growing branch."""
+    k2 = k_x * k_x + k_y * k_y
+    pref = (k_x * k_x - k_y * k_y) / math.sqrt(k2)
+    return pref * cmath.sqrt(complex(4.0 * a * a - k2, 0.0))
 
 
 def harmonic_matrix(k_x, k_y, a=1.0):

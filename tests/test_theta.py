@@ -13,8 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from ds2aw import NumericError, ThetaParams, adaptive_radius, quasi_periodicity_residual, theta
-from ds2aw.theta import tail_bound
+from ds2aw.errors import NumericError
+from ds2aw.theta import (
+    ThetaParams,
+    adaptive_radius,
+    quasi_periodicity_residual,
+    tail_bound,
+    theta,
+)
 
 theta_mod = importlib.import_module("ds2aw.theta")
 
