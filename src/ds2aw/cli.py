@@ -152,6 +152,12 @@ def _load_run(path: Path) -> tuple[dict, Path]:
     except json.JSONDecodeError as err:
         raise ConfigError("config-parse", f"{mpath}: {err.msg}") from err
     _require(manifest, ("grid", "times", "files"), mpath)
+    grid, times, files = manifest["grid"], manifest["times"], manifest["files"]
+    if not (isinstance(grid, list) and len(grid) == 2
+            and all(type(n) is int and n > 0 for n in grid)):
+        raise ConfigError("config-parse", f"{mpath}: grid {grid!r} is not two positive ints")
+    if not (isinstance(times, list) and isinstance(files, list) and len(times) == len(files)):
+        raise ConfigError("config-parse", f"{mpath}: times and files are not lists of equal length")
     return manifest, mpath.parent
 
 

@@ -7,6 +7,7 @@ the run grid) or a grid_file holding v0 samples in the DS2F binary format.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -39,6 +40,13 @@ class RunConfig:
     out_format: str = "both"
 
     def validate(self) -> None:
+        numbers = [("L_x", self.L_x), ("L_y", self.L_y), ("a", self.a), ("eps", self.eps),
+                   ("dt", self.dt), ("theta tail_tol", self.theta_tail_tol)]
+        numbers += [("times", t) for t in self.times]
+        numbers += [(f"harmonic ({n_x}, {n_y}) c", c) for n_x, n_y, c in self.harmonics]
+        for name, v in numbers:
+            if not cmath.isfinite(v):
+                raise ConfigError("config-parse", f"{name} must be finite, got {v}")
         if self.L_x <= 0 or self.L_y <= 0:
             raise ConfigError("invalid-period", "periods must be positive")
         if self.a <= 0:
@@ -64,9 +72,10 @@ class RunConfig:
             raise ConfigError("config-parse", "times must be sorted non-decreasing")
         if self.dt <= 0:
             raise ConfigError("config-parse", "dt must be positive")
-        if self.theta_radius != "adaptive" and (
-            not isinstance(self.theta_radius, int) or self.theta_radius < 1
-        ):
+        if self.theta_tail_tol <= 0:
+            raise ConfigError("config-parse", "theta tail_tol must be positive")
+        M = self.theta_radius
+        if M != "adaptive" and (type(M) is not int or M < 1):
             raise ConfigError("config-parse", 'theta M must be "adaptive" or int >= 1')
         if self.out_format not in FORMATS:
             raise ConfigError("config-parse", f"format must be one of {FORMATS}")

@@ -119,13 +119,6 @@ def evaluate_batch(
     return _ratio(sd, num, den, base, coords)
 
 
-def evaluate_u(
-    x: float, y: float, t: float, sd: SpectralData, params: ThetaParams | None = None
-) -> complex:
-    """The finite-gap field at a single space-time point."""
-    return complex(evaluate_batch(sd, np.array([complex(x, y)]), t, params)[0])
-
-
 def evaluate_grid(
     times,
     nx: int,

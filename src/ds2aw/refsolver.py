@@ -84,12 +84,6 @@ def _rotate(u: np.ndarray, angle: np.ndarray, rot: np.ndarray) -> None:
     u *= rot
 
 
-def q_from_u(field: Field) -> np.ndarray:
-    """Mean-flow field q for the samples of u; real with zero mean."""
-    _check_grid(field.nx, field.ny)
-    return _mean_flow(field.u, _half_spectrum(q_multiplier(field)))
-
-
 def stability_bound(field: Field) -> float:
     """Largest dt the splitting-accuracy heuristic accepts for this data.
 

@@ -7,20 +7,22 @@ a-periods equal to 2 pi i delta_jk, so theta is exactly 2 pi i periodic in
 every component; this is the only convention supported here.
 
 Truncation is rectangular, |n_j| <= M, with a certified Gaussian tail
-bound.  The quadratic form is relaxed to the separable diagonal bound
+bound.  The quadratic form is relaxed with the smallest eigenvalue of
+-Re(B) (the ellipsoid bound of Deconinck et al., "Computing Riemann theta
+functions", Math. Comp. 73, 2004),
 
-    n . Re(B) . n <= sum_j (d_j + rho_j) n_j^2,
+    n . Re(B) . n <= -lambda_min |n|^2,
 
-d_j the diagonal of Re(B) and rho_j its off-diagonal row sum (falling back
-to the -lambda_min |n|^2 relaxation when a row is not dominant), which
-makes both the tail estimate and the in-box term pruning one-dimensional
-products.  In the leading-order finite-gap regime Re b_jj ~ 2 log(eps) is
-very negative, so the certified radius is small and, for larger genus,
-only lattice points with a few active components survive the pruning.
-Pruning runs one coordinate at a time as array filters: every kept prefix
-is extended by every candidate n_j, and the extensions whose certified
-bound (with the best case for the remaining coordinates) is below the drop
-level are filtered out, which keeps lexicographic order.
+which makes both the tail estimate and the in-box term pruning
+one-dimensional products.  In the leading-order finite-gap regime Re b_jj
+~ 2 log(eps) is very negative, so the certified radius is small and, for
+larger genus, only lattice points with a few active components survive
+the pruning.  Pruning runs one coordinate at a time as array filters:
+every kept prefix is extended by every candidate n_j, and the extensions
+whose certified bound (with the best case for the remaining coordinates)
+is below the drop level are filtered out, which keeps lexicographic
+order.  Each term set is built once per (B, M, |Re z| bound) together
+with its certificate: the exterior tail plus the pruned in-box terms.
 
 theta_grid evaluates theta(w + c) on a whole torus grid when the spatial
 part w is i(k_x x + k_y y) with lattice wave vectors: one folded inverse
@@ -87,25 +89,6 @@ def min_decay(B: np.ndarray) -> float:
     return -float(np.max(eigs))
 
 
-def _component_decay(B: np.ndarray) -> np.ndarray:
-    """a_j > 0 with n.Re(B).n <= -sum_j a_j n_j^2 (separable relaxation).
-
-    Uses d_j + rho_j (diagonal plus off-diagonal absolute row sum, an
-    AM-GM consequence) when every row is dominant, else the uniform
-    lambda_min relaxation.
-    """
-    R = np.real(np.asarray(B, dtype=complex))
-    g = R.shape[0]
-    rho = np.sum(np.abs(R), axis=1) - np.abs(np.diag(R))
-    a = -(np.diag(R) + rho)
-    if np.all(a > 0.0):
-        return a
-    lam = min_decay(B)
-    if lam <= 0.0:
-        raise NumericError("not-negative-definite", "Re(B) is not negative definite")
-    return np.full(g, lam)
-
-
 def _sum_1d(a: float, r: float, lo: int) -> float:
     """2 * sum_{n >= lo} exp(-a n^2 / 2 + r n), plus 1 if lo == 0."""
     total = 1.0 if lo == 0 else 0.0
@@ -124,37 +107,24 @@ def _sum_1d(a: float, r: float, lo: int) -> float:
             return math.inf
 
 
-def _union_bound(a: np.ndarray, r: np.ndarray, M: int) -> float:
-    """sum_j S_out_j(M) prod_{k != j} S_full_k for separable decays a."""
-    g = len(a)
-    full = np.array([_sum_1d(a[j], r[j], 0) for j in range(g)])
-    out = np.array([_sum_1d(a[j], r[j], M + 1) for j in range(g)])
-    if not np.all(np.isfinite(full)):
-        return math.inf
-    total = 0.0
-    for j in range(g):
-        rest = np.prod(np.delete(full, j)) if g > 1 else 1.0
-        total += out[j] * rest
-    return float(total)
-
-
 def tail_bound(B: np.ndarray, M: int, z_bound) -> float:
     """Certified bound on the sum of |terms| with sup-norm |n| > M.
 
-    Each term obeys |exp(n.B.n/2 + n.z)| <= prod_j exp(-a_j n_j^2 / 2 +
-    |n_j| r_j) with r_j >= |Re z_j|, for either separable relaxation of
-    the quadratic form (diagonal-dominance or lambda_min); the tail is
-    union-bounded over which coordinate exceeds M and the smaller of the
-    two certified estimates is returned.
+    With lambda = min_decay(B) and r_j >= |Re z_j|, each term obeys
+    |exp(n.B.n/2 + n.z)| <= prod_j exp(-lambda n_j^2 / 2 + |n_j| r_j); the
+    tail is union-bounded over which coordinate exceeds M:
+    sum_j S_j(|n_j| > M) prod_{k != j} S_k(all n_k).
     """
     B = np.asarray(B, dtype=complex)
-    g = B.shape[0]
-    r = np.broadcast_to(np.asarray(z_bound, dtype=float), (g,)).astype(float)
-    bound = _union_bound(_component_decay(B), r, M)
+    r = np.broadcast_to(np.asarray(z_bound, dtype=float), (B.shape[0],))
     lam = min_decay(B)
-    if lam > 0.0:
-        bound = min(bound, _union_bound(np.full(g, lam), r, M))
-    return bound
+    if lam <= 0.0:
+        raise NumericError("not-negative-definite", "Re(B) is not negative definite")
+    full = np.array([_sum_1d(lam, rj, 0) for rj in r])
+    out = np.array([_sum_1d(lam, rj, M + 1) for rj in r])
+    if not np.all(np.isfinite(full)):
+        return math.inf
+    return float(sum(out[j] * np.prod(np.delete(full, j)) for j in range(len(r))))
 
 
 def adaptive_radius(B: np.ndarray, z_domain_bound: float, tol: float) -> int:
@@ -185,32 +155,26 @@ def _pruned_box(
     """Lexicographic enumeration of the box points whose certified term
     bound exceeds log_drop.
 
-    Prefixes are filtered coordinate by coordinate with two separable
-    certificates at once (diagonal-dominance decays a_j and the uniform
-    lambda_min), then the survivors pass an exact filter Re(n.B.n)/2 +
-    sum_j |n_j| r_j, so the kept set is exactly the box points that cannot
-    be discarded."""
+    Prefixes are filtered coordinate by coordinate with the separable
+    lambda_min certificate -lambda n_j^2 / 2 + |n_j| r_j, then the
+    survivors pass the exact filter Re(n.B.n)/2 + sum_j |n_j| r_j, which
+    the certificate bounds from above, so the kept set is exactly the box
+    points that cannot be discarded."""
     cand = np.arange(-M, M + 1)
-    a_sep = _component_decay(B)
     lam = min_decay(B)
-    certs = []
-    for a in (a_sep, np.full(g, lam)):
-        L = [-0.5 * a[j] * cand**2 + r[j] * np.abs(cand) for j in range(g)]
-        max_future = np.zeros(g + 1)
-        for j in range(g - 1, -1, -1):
-            max_future[j] = max_future[j + 1] + float(L[j].max())
-        certs.append((L, max_future))
-    # kept prefixes (lexicographic) and their partial bounds per certificate
+    L = [-0.5 * lam * cand**2 + r[j] * np.abs(cand) for j in range(g)]
+    max_future = np.zeros(g + 1)
+    for j in range(g - 1, -1, -1):
+        max_future[j] = max_future[j + 1] + float(L[j].max())
+    # kept prefixes (lexicographic) and their partial bounds
     N = np.zeros((1, 0), dtype=np.int64)
-    w = [np.zeros(1) for _ in certs]
+    w = np.zeros(1)
     for j in range(g):
-        ext = [(wc[:, None] + L[j]).ravel() for wc, (L, _) in zip(w, certs)]
-        keep = np.flatnonzero(
-            np.logical_and.reduce([e + f[j + 1] >= log_drop for e, (_, f) in zip(ext, certs)])
-        )
+        ext = (w[:, None] + L[j]).ravel()
+        keep = np.flatnonzero(ext + max_future[j + 1] >= log_drop)
         parent, idx = np.divmod(keep, len(cand))
         N = np.column_stack([N[parent], cand[idx]])
-        w = [e[keep] for e in ext]
+        w = ext[keep]
     exact = 0.5 * np.einsum("ni,ij,nj->n", N, np.real(B), N) + np.abs(N) @ r
     N = N[exact >= log_drop]
     if len(N) == 0:
@@ -226,38 +190,39 @@ def _pruned_box(
 
 @lru_cache(maxsize=16)
 def _terms_cached(b_bytes: bytes, g: int, M: int, r_key: tuple, tol: float):
+    """Kept lattice points, their n.B.n/2 and the certified bound on the
+    omitted terms (exterior tail plus pruned in-box terms) for |Re z_j| <=
+    r_key[j]."""
     B = np.frombuffer(b_bytes, dtype=complex).reshape(g, g)
+    r = np.array(r_key, dtype=float)
     box = (2 * M + 1) ** g
     log_drop = math.log(max(tol, 1e-250) * 1e-6 / float(2 * M + 1) ** g)
     if box <= SMALL_BOX:
         N = _full_box(g, M)
         dropped = 0.0
     else:
-        r = np.array(r_key, dtype=float)
         N = _pruned_box(B, g, M, r, log_drop)
         dropped = (float(box) - len(N)) * math.exp(log_drop)
     quad = 0.5 * np.einsum("ni,ij,nj->n", N, B, N)
-    return N, quad, dropped
+    return N, quad, tail_bound(B, M, r) + dropped
 
 
 def _term_set(params: ThetaParams, r: np.ndarray):
-    """Kept lattice points, their n.B.n/2, the charge for pruned in-box
-    terms and the |Re z| bound, rounded up to 1/4 so calls share terms."""
+    """_terms_cached for |Re z| <= r, rounded up to 1/4 so calls share terms."""
     r = np.ceil(r * 4.0) / 4.0
     key = (params.B.tobytes(), params.g, params.truncation_radius, tuple(r.tolist()))
-    return (*_terms_cached(*key, params.tail_tolerance), r)
+    return _terms_cached(*key, params.tail_tolerance)
 
 
-def _certify(params: ThetaParams, r: np.ndarray, dropped: float, vals: np.ndarray) -> None:
-    """Raise truncation-insufficient unless the exterior tail plus the
-    pruned in-box terms stay below tail_tolerance * min |theta|; a NaN or
-    infinite bound or value fails the check."""
-    bound = tail_bound(params.B, params.truncation_radius, r) + dropped
+def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
+    """Raise truncation-insufficient unless the omitted-term bound stays
+    below tail_tolerance * min |theta|; a NaN or infinite bound or value
+    fails the check."""
     floor = float(np.min(np.abs(vals))) if vals.size else 0.0
-    if not (bound <= params.tail_tolerance * floor):
+    if not (omitted <= params.tail_tolerance * floor):
         raise NumericError(
             "truncation-insufficient",
-            f"certified truncation error {bound:.3e} exceeds "
+            f"certified truncation error {omitted:.3e} exceeds "
             f"{params.tail_tolerance:.1e} * min|theta| = {floor:.3e} at radius "
             f"{params.truncation_radius}",
         )
@@ -280,14 +245,14 @@ def theta(z, params: ThetaParams) -> complex | np.ndarray:
             f"argument has {z.shape[-1]} components, expected genus {params.g}",
         )
     zb = z.reshape(-1, params.g)
-    N, quad, dropped, r = _term_set(params, np.max(np.abs(np.real(zb)), axis=0))
+    N, quad, omitted = _term_set(params, np.max(np.abs(np.real(zb)), axis=0))
     vals = np.empty(zb.shape[0], dtype=complex)
     chunk = max(1, int(20_000_000 // max(len(N), 1)))
     NT = N.T.astype(complex)
     for lo in range(0, zb.shape[0], chunk):
         args = zb[lo : lo + chunk] @ NT + quad
         vals[lo : lo + chunk] = np.exp(args).sum(axis=1)
-    _certify(params, r, dropped, vals)
+    _certify(params, omitted, vals)
     if scalar:
         return complex(vals[0])
     return vals.reshape(z.shape[:-1])
@@ -302,7 +267,7 @@ def theta_grid(c, harmonics, nx: int, ny: int, params: ThetaParams) -> np.ndarra
     exact on the grid.  Re w = 0, so |Re c| bounds every argument.
     """
     c = np.asarray(c, dtype=complex)
-    N, quad, dropped, r = _term_set(params, np.abs(np.real(c)))
+    N, quad, omitted = _term_set(params, np.abs(np.real(c)))
     m = N @ np.asarray(harmonics, dtype=np.int64)
     bins = (m[:, 1] % ny) * nx + m[:, 0] % nx
     terms = np.exp(quad + N @ c)
@@ -310,7 +275,7 @@ def theta_grid(c, harmonics, nx: int, ny: int, params: ThetaParams) -> np.ndarra
         bins, terms.imag, nx * ny
     )
     vals = (nx * ny) * np.fft.ifft2(coef.reshape(ny, nx))
-    _certify(params, r, dropped, vals)
+    _certify(params, omitted, vals)
     return vals
 
 

@@ -19,7 +19,6 @@ from ds2aw.fieldgen import (
     Field,
     default_theta_params,
     evaluate_grid,
-    evaluate_u,
     make_cauchy_field,
 )
 from ds2aw.modes import growth_rate
@@ -27,6 +26,7 @@ from ds2aw.refsolver import evolve, q_multiplier
 from ds2aw.theta import ThetaParams, adaptive_radius, quasi_periodicity_residual, theta
 
 from conftest import FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
+from test_fieldgen import evaluate_u
 from test_refsolver import eigenvector_seed, fitted_rate, mode_coefficient, step_snapshots
 
 

@@ -102,6 +102,31 @@ def test_config_rejects_zero_harmonic(tmp_path):
         )
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"dt": NAN},
+        {"a": NAN},
+        {"L_x": INF},
+        {"times": [0.0, INF]},
+        {"eps": NAN},
+        {"perturbation": {"harmonics": [{"n_x": 1, "n_y": 0, "c": [NAN, 0.0]}]}},
+        {"theta": {"M": "adaptive", "tail_tol": 0.0}},
+        {"theta": {"M": "adaptive", "tail_tol": -1.0}},
+        {"theta": {"M": True, "tail_tol": 1e-10}},
+    ],
+    ids=["dt-nan", "a-nan", "Lx-inf", "time-inf", "eps-nan", "c-nan",
+         "tol-zero", "tol-negative", "M-bool"],
+)
+def test_config_rejects_non_finite_and_out_of_range(tmp_path, capsys, override):
+    path, _ = single_mode_config(tmp_path, **override)
+    assert main(["spectrum", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config-parse"
+
+
 def test_analyze_four_mode(tmp_path, capsys):
     path, _ = four_mode_config(tmp_path)
     assert main(["analyze", "--config", str(path)]) == 0
@@ -269,6 +294,26 @@ def test_compare_manifest_missing_key(tmp_path, capsys):
     assert main(["compare", str(out), str(out)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config-parse" and "'files'" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update(files=m["files"][:1]),
+        lambda m: m.update(grid=16),
+        lambda m: m.update(grid=[16, 0]),
+    ],
+    ids=["truncated-files", "scalar-grid", "zero-grid"],
+)
+def test_compare_manifest_bad_shape(tmp_path, capsys, edit):
+    path, _ = single_mode_config(tmp_path, grid=[16, 16], times=[0.0, 0.3])
+    out = tmp_path / "run"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", "csv"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    edit(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["compare", str(out), str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config-parse"
 
 
 def test_binary_round_trip(tmp_path):

@@ -12,12 +12,16 @@ from ds2aw.fieldgen import (
     default_theta_params,
     evaluate_batch,
     evaluate_grid,
-    evaluate_u,
     first_appearance_estimate,
 )
 from ds2aw.theta import ThetaParams
 
 from conftest import SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
+
+
+def evaluate_u(x, y, t, sd, params=None):
+    """The finite-gap field at one space-time point, by direct lattice sums."""
+    return complex(evaluate_batch(sd, np.array([complex(x, y)]), t, params)[0])
 
 
 def grid_xy(field):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ds2aw.errors import NumericError
+from ds2aw.fieldgen import default_theta_params, first_appearance_estimate
 from ds2aw.theta import (
     ThetaParams,
     adaptive_radius,
@@ -179,6 +180,39 @@ def test_pruned_path_matches_full_box(monkeypatch, four_mode_sd):
                               (sd.B, 2, r8 + 3.0, math.log(1e-16 / 5**8))):
         kept = theta_mod._pruned_box(B, B.shape[0], M, r, log_drop)
         assert np.array_equal(kept, exact_filter(B, M, r, log_drop))
+
+
+@pytest.mark.parametrize(
+    "curve, radii", [("single_mode_sd", (2, 2, 3)), ("four_mode_sd", (2, 3, 5))]
+)
+def test_radius_pinned_on_paper_curves(request, curve, radii):
+    # certified radius at t/T1 = 0, 1, 1.5 on the conftest curves (genus 2, 8)
+    sd = request.getfixturevalue(curve)
+    T1 = first_appearance_estimate(sd)
+    got = tuple(default_theta_params(sd, [f * T1]).truncation_radius for f in (0, 1, 1.5))
+    assert got == radii
+
+
+def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode_sd):
+    sd = four_mode_sd
+    T1 = first_appearance_estimate(sd)
+    p = default_theta_params(sd, [T1])
+    c = sd.d + sd.W_t * T1
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tail_bound(*args)
+
+    monkeypatch.setattr(theta_mod, "tail_bound", counted)
+    theta_mod._terms_cached.cache_clear()
+    harmonics = [(q.mode.n_x, q.mode.n_y) for q in sd.pairs]
+    for _ in range(2):
+        theta_mod.theta_grid(c, harmonics, 8, 8, p)
+    N, _, omitted = theta_mod._term_set(p, np.abs(np.real(c)))
+    theta_mod._terms_cached.cache_clear()
+    assert len(N) == 80_517
+    assert len(calls) == 1 and 0.0 < omitted < p.tail_tolerance
 
 
 def test_adaptive_radius_minimality_and_determinism():
