@@ -34,9 +34,16 @@ class DegenerateSpectrumError(DS2Error):
 
 
 class NumericError(DS2Error):
-    """Runtime numerical failure: NaNs, theta near zero, truncation."""
+    """Runtime numerical failure: NaNs, theta near zero, truncation.
+
+    ``index`` is the flat index of the failing sample of a batch, if any.
+    """
 
     exit_code = 5
+
+    def __init__(self, code: str, message: str, index: int | None = None):
+        super().__init__(code, message)
+        self.index = index
 
 
 class OutputError(DS2Error):

@@ -20,6 +20,7 @@ at any points and is the grid path's oracle.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,25 +79,39 @@ def _base_thetas(sd: SpectralData, params: ThetaParams) -> tuple[complex, comple
     return theta_d, theta_ad
 
 
+def _at(coords, i: int) -> str:
+    x, y, t = coords(i)
+    return f"(x, y, t) = ({x:.6g}, {y:.6g}, {t:.6g})"
+
+
+@contextmanager
+def _located(coords):
+    """Name the (x, y, t) of the sample a batch theta error points at."""
+    try:
+        yield
+    except NumericError as err:
+        if err.index is None:
+            raise
+        raise NumericError(
+            err.code, f"{err.message}; smallest |theta| at {_at(coords, err.index)}"
+        ) from err
+
+
 def _ratio(sd: SpectralData, num, den, base, coords) -> np.ndarray:
     """u from the numerator and denominator thetas; coords(i) gives the
     (x, y, t) of flat sample i for the error messages."""
     i = int(np.argmin(np.abs(den)))
     if np.abs(den.flat[i]) < ZERO_FLOOR:
-        x, y, t = coords(i)
         raise NumericError(
             "theta-zero",
-            f"theta denominator vanishes at (x, y, t) = ({x:.6g}, {y:.6g}, {t:.6g}); "
+            f"theta denominator vanishes at {_at(coords, i)}; "
             "the leading-order formula has a pole here",
         )
     theta_d, theta_ad = base
     u = num * (theta_d / (theta_ad * den)) * sd.u00
     if not np.all(np.isfinite(u)):
-        x, y, t = coords(int(np.argmin(np.isfinite(u))))
-        raise NumericError(
-            "nan-detected",
-            f"non-finite sample at (x, y, t) = ({x:.6g}, {y:.6g}, {t:.6g})",
-        )
+        i = int(np.argmin(np.isfinite(u)))
+        raise NumericError("nan-detected", f"non-finite sample at {_at(coords, i)}")
     return u
 
 
@@ -110,12 +125,13 @@ def evaluate_batch(
         params = default_theta_params(sd, [t])
     base = _base_thetas(sd, params)
     w = z[:, None] * sd.W_z + np.conjugate(z)[:, None] * sd.W_zbar + t * sd.W_t
-    num = theta(sd.A_inf2[None, :] + w + sd.d[None, :], params)
-    den = theta(w + sd.d[None, :], params)
 
     def coords(i):
         return z[i].real, z[i].imag, t
 
+    with _located(coords):
+        num = theta(sd.A_inf2[None, :] + w + sd.d[None, :], params)
+        den = theta(w + sd.d[None, :], params)
     return _ratio(sd, num, den, base, coords)
 
 
@@ -144,13 +160,14 @@ def evaluate_grid(
     for t in times:
         t = float(t)
         c = sd.d + sd.W_t * t
-        num = theta_grid(sd.A_inf2 + c, harmonics, nx, ny, params)
-        den = theta_grid(c, harmonics, nx, ny, params)
 
         def coords(i):
             iy, ix = divmod(i, nx)
             return ix * sd.L_x / nx, iy * sd.L_y / ny, t
 
+        with _located(coords):
+            num = theta_grid(sd.A_inf2 + c, harmonics, nx, ny, params)
+            den = theta_grid(c, harmonics, nx, ny, params)
         u = _ratio(sd, num, den, base, coords)
         fields.append(Field(sd.L_x, sd.L_y, nx, ny, t, u))
     return fields

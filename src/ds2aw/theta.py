@@ -7,22 +7,27 @@ a-periods equal to 2 pi i delta_jk, so theta is exactly 2 pi i periodic in
 every component; this is the only convention supported here.
 
 Truncation is rectangular, |n_j| <= M, with a certified Gaussian tail
-bound.  The quadratic form is relaxed with the smallest eigenvalue of
--Re(B) (the ellipsoid bound of Deconinck et al., "Computing Riemann theta
-functions", Math. Comp. 73, 2004),
+bound: the quadratic form is relaxed with the smallest eigenvalue of
+-Re(B),
 
     n . Re(B) . n <= -lambda_min |n|^2,
 
-which makes both the tail estimate and the in-box term pruning
-one-dimensional products.  In the leading-order finite-gap regime Re b_jj
-~ 2 log(eps) is very negative, so the certified radius is small and, for
-larger genus, only lattice points with a few active components survive
-the pruning.  Pruning runs one coordinate at a time as array filters:
-every kept prefix is extended by every candidate n_j, and the extensions
-whose certified bound (with the best case for the remaining coordinates)
-is below the drop level are filtered out, which keeps lexicographic
-order.  Each term set is built once per (B, M, |Re z| bound) together
-with its certificate: the exterior tail plus the pruned in-box terms.
+which makes the exterior tail a product of one-dimensional sums.  Small
+boxes are summed in full.  Inside larger boxes the terms are enumerated
+by their exact modulus (the ellipsoid enumeration of Deconinck et al.,
+"Computing Riemann theta functions", Math. Comp. 73, 2004): with -Re(B) =
+R^T R, a term's modulus is exp(C - |R(n - n*)|^2 / 2) for arguments with
+real part c, where n* and C depend only on c.  Fixing the coordinates
+from the last down to the first fixes one row of R(n - n*) at a time, and
+the terms below a fixed prefix sum to at most its fixed part times a
+product of one-dimensional Gaussian sums.  The smallest of these subtree
+bounds are dropped while their sum stays within the budget, so the
+certificate (exterior tail plus the summed drops) charges every discarded
+term at most its own bound.  In the leading-order finite-gap regime Re
+b_jj ~ 2 log(eps) is very negative, so the certified radius is small and,
+at larger genus, only lattice points near n* carry weight.  Each term set
+is built once per (B, M, centre and slack of Re z) together with its
+certificate.
 
 theta_grid evaluates theta(w + c) on a whole torus grid when the spatial
 part w is i(k_x x + k_y y) with lattice wave vectors: one folded inverse
@@ -149,93 +154,113 @@ def _full_box(g: int, M: int) -> np.ndarray:
     return np.stack([gr.ravel() for gr in grids], axis=-1)
 
 
-def _pruned_box(
-    B: np.ndarray, g: int, M: int, r: np.ndarray, log_drop: float
-) -> np.ndarray:
-    """Lexicographic enumeration of the box points whose certified term
-    bound exceeds log_drop.
+def _ellipsoid_box(
+    B: np.ndarray, M: int, centre: np.ndarray, slack: np.ndarray, budget: float
+) -> tuple[np.ndarray, float]:
+    """Box points |n_j| <= M whose terms matter for |Re z_j - centre_j| <=
+    slack_j, and the certified sum of the |terms| left out.
 
-    Prefixes are filtered coordinate by coordinate with the separable
-    lambda_min certificate -lambda n_j^2 / 2 + |n_j| r_j, then the
-    survivors pass the exact filter Re(n.B.n)/2 + sum_j |n_j| r_j, which
-    the certificate bounds from above, so the kept set is exactly the box
-    points that cannot be discarded."""
+    With P = -Re B = R^T R (R upper triangular), n* = P^-1 centre and C =
+    centre.n*/2, a term's modulus is at most exp(C - |R(n - n*)|^2 / 2 +
+    sum_j |n_j| slack_j).  Coordinates are fixed from the last down to the
+    first; fixing n_i..n_{g-1} fixes rows i..g-1 of R(n - n*), and summing
+    each open coordinate r < i over Z bounds the subtree of a prefix by its
+    fixed part times prod_{r<i} (1 + sqrt(2 pi) / R_rr) e^{M slack_r}.  At
+    each level the smallest subtree bounds are dropped while their running
+    sum stays within budget / g."""
+    g = B.shape[0]
+    P = -np.real(B)
+    R = np.linalg.cholesky(P).T
+    n_star = np.linalg.solve(P, centre)
+    C = 0.5 * float(centre @ n_star)
+    open_log = np.log1p(math.sqrt(2.0 * math.pi) / np.diag(R)) + M * slack
+    open_below = np.concatenate([[0.0], np.cumsum(open_log)])
     cand = np.arange(-M, M + 1)
-    lam = min_decay(B)
-    L = [-0.5 * lam * cand**2 + r[j] * np.abs(cand) for j in range(g)]
-    max_future = np.zeros(g + 1)
-    for j in range(g - 1, -1, -1):
-        max_future[j] = max_future[j + 1] + float(L[j].max())
-    # kept prefixes (lexicographic) and their partial bounds
-    N = np.zeros((1, 0), dtype=np.int64)
-    w = np.zeros(1)
-    for j in range(g):
-        ext = (w[:, None] + L[j]).ravel()
-        keep = np.flatnonzero(ext + max_future[j + 1] >= log_drop)
+    N = np.zeros((1, 0), dtype=np.int64)  # kept prefixes, columns n_i..n_{g-1}
+    fixed = np.full(1, C)  # C - |fixed rows|^2 / 2 + sum_j |n_j| slack_j
+    part = np.zeros((1, g))  # R(n - n*) over the fixed coordinates, open rows
+    dropped = 0.0
+    for i in range(g - 1, -1, -1):
+        step = cand - n_star[i]
+        row = part[:, i, None] + R[i, i] * step
+        ext = (fixed[:, None] - 0.5 * row * row + slack[i] * np.abs(cand)).ravel()
+        order = np.argsort(ext, kind="stable")
+        running = np.cumsum(np.exp(ext[order] + open_below[i]))
+        n_drop = int(np.searchsorted(running, budget / g, side="right"))
+        if n_drop:
+            dropped += float(running[n_drop - 1])
+        keep = np.sort(order[n_drop:])
         parent, idx = np.divmod(keep, len(cand))
-        N = np.column_stack([N[parent], cand[idx]])
-        w = ext[keep]
-    exact = 0.5 * np.einsum("ni,ij,nj->n", N, np.real(B), N) + np.abs(N) @ r
-    N = N[exact >= log_drop]
-    if len(N) == 0:
-        return np.zeros((1, g), dtype=np.int64)
+        N = np.column_stack([cand[idx], N[parent]])
+        fixed = ext[keep]
+        part = part[parent, :i] + np.outer(step[idx], R[:i, i])
     if len(N) > MAX_TERMS:
         raise NumericError(
             "radius-overflow",
             f"{len(N)} lattice points survive pruning; the period matrix is "
             "too flat for the leading-order regime",
         )
-    return N
+    return N, dropped
 
 
 @lru_cache(maxsize=16)
-def _terms_cached(b_bytes: bytes, g: int, M: int, r_key: tuple, tol: float):
+def _terms_cached(
+    b_bytes: bytes, g: int, M: int, centre_key: tuple, slack_key: tuple, tol: float
+):
     """Kept lattice points, their n.B.n/2 and the certified bound on the
-    omitted terms (exterior tail plus pruned in-box terms) for |Re z_j| <=
-    r_key[j]."""
+    omitted terms (exterior tail plus pruned in-box terms) for |Re z_j -
+    centre_key[j]| <= slack_key[j]."""
     B = np.frombuffer(b_bytes, dtype=complex).reshape(g, g)
-    r = np.array(r_key, dtype=float)
-    box = (2 * M + 1) ** g
-    log_drop = math.log(max(tol, 1e-250) * 1e-6 / float(2 * M + 1) ** g)
-    if box <= SMALL_BOX:
+    centre = np.array(centre_key, dtype=float)
+    slack = np.array(slack_key, dtype=float)
+    if (2 * M + 1) ** g <= SMALL_BOX:
         N = _full_box(g, M)
         dropped = 0.0
     else:
-        N = _pruned_box(B, g, M, r, log_drop)
-        dropped = (float(box) - len(N)) * math.exp(log_drop)
-    quad = 0.5 * np.einsum("ni,ij,nj->n", N, B, N)
-    return N, quad, tail_bound(B, M, r) + dropped
+        N, dropped = _ellipsoid_box(B, M, centre, slack, tol * 1e-6)
+    quad = 0.5 * ((N @ B) * N).sum(1)
+    return N, quad, tail_bound(B, M, np.abs(centre) + slack) + dropped
 
 
-def _term_set(params: ThetaParams, r: np.ndarray):
-    """_terms_cached for |Re z| <= r, rounded up to 1/4 so calls share terms."""
-    r = np.ceil(r * 4.0) / 4.0
-    key = (params.B.tobytes(), params.g, params.truncation_radius, tuple(r.tolist()))
+def _term_set(params: ThetaParams, centre: np.ndarray, slack: np.ndarray):
+    """_terms_cached for arguments with |Re z - centre| <= slack."""
+    key = (
+        params.B.tobytes(),
+        params.g,
+        params.truncation_radius,
+        tuple(centre.tolist()),
+        tuple(slack.tolist()),
+    )
     return _terms_cached(*key, params.tail_tolerance)
 
 
 def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
     """Raise truncation-insufficient unless the omitted-term bound stays
     below tail_tolerance * min |theta|; a NaN or infinite bound or value
-    fails the check."""
-    floor = float(np.min(np.abs(vals))) if vals.size else 0.0
+    fails the check.  The error's index is the flat index of the smallest
+    |theta| (a NaN counts as smallest)."""
+    mags = np.abs(vals).ravel()
+    i = int(np.argmin(mags)) if mags.size else None
+    floor = float(mags[i]) if mags.size else 0.0
     if not (omitted <= params.tail_tolerance * floor):
         raise NumericError(
             "truncation-insufficient",
             f"certified truncation error {omitted:.3e} exceeds "
             f"{params.tail_tolerance:.1e} * min|theta| = {floor:.3e} at radius "
             f"{params.truncation_radius}",
+            index=i,
         )
 
 
 def theta(z, params: ThetaParams) -> complex | np.ndarray:
     """Truncated theta sum at one point (shape (g,)) or a batch (..., g).
 
-    Terms are accumulated in lexicographic lattice order with pairwise
-    summation, so identical inputs give bit-identical results.  Raises
-    truncation-insufficient when the certified truncation error (exterior
-    tail plus any pruned in-box terms) exceeds tail_tolerance * |sum| for
-    some point of the batch.
+    The term set is chosen for the midpoint of the batch's Re z, with its
+    half-range as slack.  Terms are accumulated in a fixed lattice order
+    with pairwise summation, so identical inputs give bit-identical
+    results.  Raises truncation-insufficient when the certified truncation
+    error (exterior tail plus any pruned in-box terms) exceeds
+    tail_tolerance * |sum| for some point of the batch.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 1
@@ -245,7 +270,8 @@ def theta(z, params: ThetaParams) -> complex | np.ndarray:
             f"argument has {z.shape[-1]} components, expected genus {params.g}",
         )
     zb = z.reshape(-1, params.g)
-    N, quad, omitted = _term_set(params, np.max(np.abs(np.real(zb)), axis=0))
+    lo, hi = np.min(zb.real, axis=0), np.max(zb.real, axis=0)
+    N, quad, omitted = _term_set(params, 0.5 * (lo + hi), 0.5 * (hi - lo))
     vals = np.empty(zb.shape[0], dtype=complex)
     chunk = max(1, int(20_000_000 // max(len(N), 1)))
     NT = N.T.astype(complex)
@@ -264,10 +290,11 @@ def theta_grid(c, harmonics, nx: int, ny: int, params: ThetaParams) -> np.ndarra
 
     Term n is the harmonic m = sum_j n_j (n_x, n_y)_j times exp(n.B.n/2 +
     n.c), so the sum is nx ny ifft2 of the terms binned at m mod (nx, ny),
-    exact on the grid.  Re w = 0, so |Re c| bounds every argument.
+    exact on the grid.  Re w = 0, so every argument has real part Re c
+    and the term set needs no slack.
     """
     c = np.asarray(c, dtype=complex)
-    N, quad, omitted = _term_set(params, np.abs(np.real(c)))
+    N, quad, omitted = _term_set(params, c.real, np.zeros(len(c)))
     m = N @ np.asarray(harmonics, dtype=np.int64)
     bins = (m[:, 1] % ny) * nx + m[:, 0] % nx
     terms = np.exp(quad + N @ c)

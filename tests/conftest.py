@@ -7,6 +7,14 @@ import pytest
 FOURMODE_LX = 2.0 * math.pi / 1.2
 FOURMODE_LY = 2.0 * math.pi / 1.4
 
+# (n_x, n_y, coefficient) of the four-mode perturbation.
+FOURMODE_TERMS = [
+    (1, 0, 0.35), (-1, 0, 0.35),
+    (0, 1, 0.25), (0, -1, 0.25),
+    (1, 1, 0.15 + 0.1j), (-1, -1, 0.15 - 0.1j),
+    (1, -1, 0.12), (-1, 1, 0.08),
+]
+
 # Single-mode desk configuration: only (1, 0) is unstable, genus 2.
 SINGLE_LX = 2.0 * math.pi / 1.2
 SINGLE_LY = 2.0 * math.pi / 2.1
@@ -37,14 +45,5 @@ def single_mode_sd():
 def four_mode_sd():
     from ds2aw.curve import build_spectral_data
 
-    v0 = harmonic_grid(
-        32,
-        32,
-        [
-            (1, 0, 0.35), (-1, 0, 0.35),
-            (0, 1, 0.25), (0, -1, 0.25),
-            (1, 1, 0.15 + 0.1j), (-1, -1, 0.15 - 0.1j),
-            (1, -1, 0.12), (-1, 1, 0.08),
-        ],
-    )
+    v0 = harmonic_grid(32, 32, FOURMODE_TERMS)
     return build_spectral_data(FOURMODE_LX, FOURMODE_LY, 1e-2, v0)

@@ -1,7 +1,9 @@
 """Finite-gap field evaluation: normalization, periodicity, growth."""
 
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,15 @@ from ds2aw.fieldgen import (
 )
 from ds2aw.theta import ThetaParams
 
-from conftest import SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
+from conftest import (
+    FOURMODE_LX,
+    FOURMODE_LY,
+    FOURMODE_TERMS,
+    SINGLE_LX,
+    SINGLE_LY,
+    cosine_grid,
+    harmonic_grid,
+)
 
 
 def evaluate_u(x, y, t, sd, params=None):
@@ -66,15 +76,56 @@ def test_grid_matches_direct_sum(single_mode_sd, four_mode_sd):
     # point; the two paths sum in a different order, so equality is to
     # rounding, not bitwise
     rescaled = build_spectral_data(SINGLE_LX, SINGLE_LY, 1e-2, cosine_grid(32, 32), a=0.9)
-    t8 = 0.75 * first_appearance_estimate(four_mode_sd)
-    cases = [(single_mode_sd, 0.4, 8), (single_mode_sd, 3.0, 16), (rescaled, 1.7, 16),
-             (four_mode_sd, t8, 16)]
+    T8 = first_appearance_estimate(four_mode_sd)
+    cases = [(single_mode_sd, 0.4, 8), (single_mode_sd, 3.0, 16), (rescaled, 1.7, 16)]
+    cases += [(four_mode_sd, f * T8, 16) for f in (0.75, 1.0, 1.5)]
     for sd, t, n in cases:
         params = default_theta_params(sd, [t])
         f = evaluate_grid([t], n, n, sd, params)[0]
         X, Y = grid_xy(f)
         direct = evaluate_batch(sd, (X + 1j * Y).ravel(), t, params).reshape(n, n)
         assert np.max(np.abs(f.u - direct) / np.abs(direct)) <= 1e-12
+
+
+def theta_cube(c, sd, x, y):
+    """theta(w(x, y) + c) on the grid x by y (shape (len(y), len(x))) summed
+    over the 3^g lattice points |n_j| <= 1 only, by direct sums."""
+    N = np.array(list(itertools.product((-1, 0, 1), repeat=sd.g)))
+    terms = np.exp(0.5 * ((N @ sd.B) * N).sum(1) + N @ c)
+    ex = np.exp(np.outer(x, N @ (sd.W_z + sd.W_zbar)))
+    ey = np.exp(np.outer(y, N @ (1j * (sd.W_z - sd.W_zbar))))
+    return (ey * terms) @ ex.T
+
+
+@pytest.mark.parametrize(
+    "L, terms",
+    [((SINGLE_LX, SINGLE_LY), [(1, 0, 0.5), (-1, 0, 0.5)]),
+     ((FOURMODE_LX, FOURMODE_LY), FOURMODE_TERMS)],
+    ids=["genus2", "genus8"],
+)
+def test_elementary_function_form(L, terms):
+    # the paper's leading-order field reduces to elementary functions: the
+    # 3^g terms |n_j| <= 1 reproduce the certified field on [0, 1.5 T1]
+    # far below the formula's own O(eps) error, and the gap falls faster
+    # than eps (measured ratio 2.8 at genus 2, 3.7 at genus 8)
+    errs = {}
+    for eps in (1e-2, 5e-3):
+        sd = build_spectral_data(*L, eps, harmonic_grid(32, 32, terms))
+        times = np.linspace(0.0, 1.5 * first_appearance_estimate(sd), 7)
+        zero = np.zeros(1)
+        base = theta_cube(sd.d, sd, zero, zero) / theta_cube(sd.A_inf2 + sd.d, sd, zero, zero)
+        worst = 0.0
+        for f in evaluate_grid(times, 16, 16, sd):
+            x = np.arange(f.nx) * (f.L_x / f.nx)
+            y = np.arange(f.ny) * (f.L_y / f.ny)
+            c = sd.d + sd.W_t * f.t
+            cube = theta_cube(sd.A_inf2 + c, sd, x, y) / theta_cube(c, sd, x, y)
+            u = cube * base[0, 0] * sd.u00
+            worst = max(worst, np.abs(u - f.u).max() / np.abs(f.u).max())
+        errs[eps] = worst
+        assert worst <= 0.1 * eps, (eps, worst)
+    ratio = errs[1e-2] / errs[5e-3]
+    assert 2.0 <= ratio <= 8.0, errs
 
 
 def test_modulational_growth_rate(single_mode_sd):
@@ -177,8 +228,14 @@ def test_truncation_insufficient_propagates(single_mode_sd):
     with pytest.raises(NumericError) as err:
         evaluate_u(0.1, 0.2, 0.5, sd, tiny)
     assert err.value.code == "truncation-insufficient"
-    # at t = 50 the theta terms overflow: the grid fails closed instead of
-    # returning NaN samples
+    # at t = 50 the theta terms overflow: both paths fail closed instead of
+    # returning NaN samples, and name their worst sample
+    with pytest.raises(NumericError) as err:
+        evaluate_u(0.1, 0.2, 50.0, sd)
+    assert err.value.code == "truncation-insufficient"
+    assert err.value.message.endswith("smallest |theta| at (x, y, t) = (0.1, 0.2, 50)")
     with pytest.raises(NumericError) as err:
         evaluate_grid([50.0], 16, 16, sd)
     assert err.value.code == "truncation-insufficient"
+    assert re.search(r"smallest \|theta\| at \(x, y, t\) = \([^,]+, [^,]+, 50\)$",
+                     err.value.message)

@@ -8,7 +8,6 @@ against products of block evaluations.
 
 import cmath
 import importlib
-import math
 
 import numpy as np
 import pytest
@@ -146,40 +145,63 @@ def test_batch_matches_pointwise_bitwise():
         assert batch[i] == theta(zs[i], p)
 
 
-def exact_filter(B, M, r, log_drop):
-    """Full box, lexicographic, filtered by Re(n.B.n)/2 + |n|.r >= log_drop."""
-    N = theta_mod._full_box(B.shape[0], M)
-    bound = 0.5 * np.einsum("ni,ij,nj->n", N, np.real(B), N) + np.abs(N) @ r
-    return N[bound >= log_drop]
-
-
-def test_pruned_path_matches_full_box(monkeypatch, four_mode_sd):
-    # boxes above SMALL_BOX go through certified pruning; force the same
-    # evaluation through both paths and compare
-    rng = np.random.default_rng(12)
+def genus5_params(rng):
     g, M = 5, 6  # box 13^5 = 371k, above the default pruning threshold
     d = rng.uniform(-15.0, -11.0, size=g)
     off = rng.uniform(-0.3, 0.3, size=(g, g))
     B = (off + off.T) / 2.0 + np.diag(d) + 0j
     np.fill_diagonal(B, d)
-    p = ThetaParams(g=g, B=B, truncation_radius=M, tail_tolerance=1e-6)
-    zs = rng.uniform(-4, 4, (6, g)) + 1j * rng.uniform(-4, 4, (6, g))
+    return ThetaParams(g=g, B=B, truncation_radius=M, tail_tolerance=1e-6)
+
+
+def test_pruned_path_matches_full_box(monkeypatch):
+    # boxes above SMALL_BOX go through the ellipsoid enumeration; force the
+    # same evaluation through both paths and compare
+    rng = np.random.default_rng(12)
+    p = genus5_params(rng)
+    zs = rng.uniform(-4, 4, (6, 5)) + 1j * rng.uniform(-4, 4, (6, 5))
     pruned = theta(zs, p)
     theta_mod._terms_cached.cache_clear()
     monkeypatch.setattr(theta_mod, "SMALL_BOX", 1 << 22)
     full = theta(zs, p)
     theta_mod._terms_cached.cache_clear()
     assert np.max(np.abs(pruned - full) / np.abs(full)) < 1e-12
-    # the kept set is exactly the filtered full box, element for element and
-    # in order; genus 8 (four modes) at M = 2 is a 5^8 box
-    r5 = np.ceil(np.max(np.abs(zs.real), axis=0) * 4.0) / 4.0
-    sd = four_mode_sd
-    r8 = np.ceil(np.abs(np.real(sd.d)) * 4.0) / 4.0
-    for B, M, r, log_drop in ((B, M, r5, math.log(1e-12 / 13**5)),
-                              (sd.B, 2, r8, math.log(1e-16 / 5**8)),
-                              (sd.B, 2, r8 + 3.0, math.log(1e-16 / 5**8))):
-        kept = theta_mod._pruned_box(B, B.shape[0], M, r, log_drop)
-        assert np.array_equal(kept, exact_filter(B, M, r, log_drop))
+
+
+def box_term_moduli(B, M, centre, slack):
+    """Every point of the box |n_j| <= M, in row-major order of n + M, and
+    the largest |exp(n.B.n/2 + n.z)| at each over |Re z - centre| <= slack."""
+    g = B.shape[0]
+    N = np.stack(np.meshgrid(*([np.arange(-M, M + 1)] * g), indexing="ij"), -1)
+    N = N.reshape(-1, g)
+    expo = 0.5 * ((N @ np.real(B)) * N).sum(1) + N @ centre + np.abs(N) @ slack
+    return N, np.exp(expo)
+
+
+@pytest.mark.parametrize("case", ["genus5-batch", "genus8-0", "genus8-T1", "genus8-1.5T1"])
+def test_dropped_terms_within_certificate(case, four_mode_sd):
+    # brute force over the whole box: the terms the enumeration leaves out
+    # sum to at most its dropped bound, which stays within tail_tol * 1e-6
+    if case == "genus5-batch":
+        rng = np.random.default_rng(12)
+        p = genus5_params(rng)
+        re_z = rng.uniform(-4, 4, (6, 5))  # Re of the batch in the test above
+        centre = 0.5 * (re_z.max(0) + re_z.min(0))
+        slack = 0.5 * (re_z.max(0) - re_z.min(0))
+        B, M, tol = p.B, p.truncation_radius, p.tail_tolerance
+    else:
+        sd = four_mode_sd
+        f = {"genus8-0": 0.0, "genus8-T1": 1.0, "genus8-1.5T1": 1.5}[case]
+        centre = np.real(sd.d + sd.W_t * f * first_appearance_estimate(sd))
+        slack = np.zeros(8)
+        B, M, tol = sd.B, 2, 1e-10  # box 5^8
+    kept, dropped = theta_mod._ellipsoid_box(B, M, centre, slack, tol * 1e-6)
+    N, moduli = box_term_moduli(B, M, centre, slack)
+    flat = np.ravel_multi_index(tuple((kept + M).T), (2 * M + 1,) * B.shape[0])
+    assert len(np.unique(flat)) == len(kept) < len(N)
+    left_out = np.ones(len(N), dtype=bool)
+    left_out[flat] = False
+    assert 0.0 < moduli[left_out].sum() <= dropped <= tol * 1e-6
 
 
 @pytest.mark.parametrize(
@@ -209,9 +231,9 @@ def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode
     harmonics = [(q.mode.n_x, q.mode.n_y) for q in sd.pairs]
     for _ in range(2):
         theta_mod.theta_grid(c, harmonics, 8, 8, p)
-    N, _, omitted = theta_mod._term_set(p, np.abs(np.real(c)))
+    N, _, omitted = theta_mod._term_set(p, c.real, np.zeros(8))
     theta_mod._terms_cached.cache_clear()
-    assert len(N) == 80_517
+    assert len(N) == 11_237
     assert len(calls) == 1 and 0.0 < omitted < p.tail_tolerance
 
 
