@@ -25,7 +25,6 @@ from . import curve, fieldgen, fieldio, refsolver
 from .config import RunConfig, config_hash, load_config
 from .errors import ConfigError, DS2Error
 from .modes import check_genericity, enumerate_modes
-from .theta import ThetaParams
 
 
 def _emit(doc: dict, out_path: Path | None) -> None:
@@ -82,17 +81,6 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path | None) -> int:
     return 0
 
 
-def _theta_params(cfg: RunConfig, sd: curve.SpectralData) -> ThetaParams:
-    if cfg.theta_radius == "adaptive":
-        return fieldgen.default_theta_params(sd, cfg.times, cfg.theta_tail_tol)
-    return ThetaParams(
-        g=sd.g,
-        B=sd.B,
-        truncation_radius=int(cfg.theta_radius),
-        tail_tolerance=cfg.theta_tail_tol,
-    )
-
-
 def _write_run(
     cfg: RunConfig, fields: list[fieldgen.Field], out_dir: Path, prefix: str, fmt: str
 ) -> None:
@@ -128,7 +116,7 @@ def _write_run(
 
 def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
     sd = _build_sd(cfg)
-    params = _theta_params(cfg, sd)
+    params = fieldgen.default_theta_params(sd, cfg.times, cfg.theta_tail_tol)
     fields = fieldgen.evaluate_grid(cfg.times, cfg.nx, cfg.ny, sd, params)
     _write_run(cfg, fields, out_dir, "fg", fmt)
     return 0
@@ -249,13 +237,9 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, out_dir)
         fmt = args.format or cfg.out_format
-        if out_dir is None:
-            raise ConfigError("config-parse", "evolve commands need --out")
         if args.command == "evolve-fg":
             return cmd_evolve_fg(cfg, out_dir, fmt)
-        if args.command == "evolve-ref":
-            return cmd_evolve_ref(cfg, out_dir, fmt)
-        raise ConfigError("config-parse", f"unknown command {args.command}")
+        return cmd_evolve_ref(cfg, out_dir, fmt)
     except DS2Error as err:
         json.dump(
             {"error": err.code, "message": err.message, "exit_code": err.exit_code},

@@ -34,7 +34,6 @@ class RunConfig:
     ny: int = 64
     times: list[float] = field(default_factory=lambda: [0.0])
     dt: float = 1e-3
-    theta_radius: int | str = "adaptive"
     theta_tail_tol: float = 1e-10
     out_dir: str | None = None
     out_format: str = "both"
@@ -74,9 +73,6 @@ class RunConfig:
             raise ConfigError("config-parse", "dt must be positive")
         if self.theta_tail_tol <= 0:
             raise ConfigError("config-parse", "theta tail_tol must be positive")
-        M = self.theta_radius
-        if M != "adaptive" and (type(M) is not int or M < 1):
-            raise ConfigError("config-parse", 'theta M must be "adaptive" or int >= 1')
         if self.out_format not in FORMATS:
             raise ConfigError("config-parse", f"format must be one of {FORMATS}")
 
@@ -100,7 +96,7 @@ class RunConfig:
             "grid": [self.nx, self.ny],
             "times": list(self.times),
             "dt": self.dt,
-            "theta": {"M": self.theta_radius, "tail_tol": self.theta_tail_tol},
+            "theta": {"M": "adaptive", "tail_tol": self.theta_tail_tol},
             "outputs": {"directory": self.out_dir, "format": self.out_format},
         }
 
@@ -147,6 +143,8 @@ def config_from_dict(doc: dict) -> RunConfig:
         ]
         grid = doc.get("grid", [64, 64])
         theta_doc = doc.get("theta", {})
+        if theta_doc.get("M", "adaptive") != "adaptive":
+            raise ConfigError("config-parse", 'theta M must be "adaptive"')
         outputs = doc.get("outputs", {}) or {}
         cfg = RunConfig(
             L_x=float(doc["L_x"]),
@@ -159,7 +157,6 @@ def config_from_dict(doc: dict) -> RunConfig:
             ny=int(grid[1]),
             times=[float(t) for t in doc.get("times", [0.0])],
             dt=float(doc.get("dt", 1e-3)),
-            theta_radius=theta_doc.get("M", "adaptive"),
             theta_tail_tol=float(theta_doc.get("tail_tol", 1e-10)),
             out_dir=outputs.get("directory"),
             out_format=outputs.get("format", "both"),

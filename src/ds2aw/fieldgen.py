@@ -72,8 +72,7 @@ def default_theta_params(
 
 def _base_thetas(sd: SpectralData, params: ThetaParams) -> tuple[complex, complex]:
     """theta(d) and theta(A(inf2) + d), the time-independent factors of u."""
-    theta_d = complex(theta(sd.d, params))
-    theta_ad = complex(theta(sd.A_inf2 + sd.d, params))
+    theta_d, theta_ad = theta(np.stack([sd.d, sd.A_inf2 + sd.d]), params).tolist()
     if abs(theta_ad) < ZERO_FLOOR:
         raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
     return theta_d, theta_ad
@@ -86,7 +85,10 @@ def _at(coords, i: int) -> str:
 
 @contextmanager
 def _located(coords):
-    """Name the (x, y, t) of the sample a batch theta error points at."""
+    """Name the (x, y, t) of the sample a batch theta error points at.
+
+    The error's flat index runs over the stacked numerator and denominator
+    values; ``coords`` reduces it modulo the sample count."""
     try:
         yield
     except NumericError as err:
@@ -127,11 +129,11 @@ def evaluate_batch(
     w = z[:, None] * sd.W_z + np.conjugate(z)[:, None] * sd.W_zbar + t * sd.W_t
 
     def coords(i):
+        i %= len(z)
         return z[i].real, z[i].imag, t
 
     with _located(coords):
-        num = theta(sd.A_inf2[None, :] + w + sd.d[None, :], params)
-        den = theta(w + sd.d[None, :], params)
+        num, den = theta(np.stack([sd.A_inf2 + w + sd.d, w + sd.d]), params)
     return _ratio(sd, num, den, base, coords)
 
 
@@ -145,10 +147,12 @@ def evaluate_grid(
     """Sample the finite-gap field on the torus grid at each time.
 
     Per snapshot, c = d + W_t t and the two t-dependent thetas, theta(A +
-    w + c) and theta(w + c), are each one folded inverse FFT over the grid
-    (:func:`.theta.theta_grid`): handle j's spatial phase w_j is 2 pi i
-    (n_x ix / nx + n_y iy / ny) for its mode's integer harmonic, so the
-    lattice sum is a trigonometric polynomial sampled exactly on the grid.
+    w + c) and theta(w + c), come from one :func:`.theta.theta_grid` call:
+    A is purely imaginary, so both share one term set, and each is one
+    folded inverse FFT over the grid.  Handle j's spatial phase w_j is
+    2 pi i (n_x ix / nx + n_y iy / ny) for its mode's integer harmonic, so
+    the lattice sum is a trigonometric polynomial sampled exactly on the
+    grid.  The base thetas theta(d), theta(A + d) share one more set.
     """
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
@@ -162,12 +166,11 @@ def evaluate_grid(
         c = sd.d + sd.W_t * t
 
         def coords(i):
-            iy, ix = divmod(i, nx)
+            iy, ix = divmod(i % (nx * ny), nx)
             return ix * sd.L_x / nx, iy * sd.L_y / ny, t
 
         with _located(coords):
-            num = theta_grid(sd.A_inf2 + c, harmonics, nx, ny, params)
-            den = theta_grid(c, harmonics, nx, ny, params)
+            num, den = theta_grid(np.stack([sd.A_inf2 + c, c]), harmonics, nx, ny, params)
         u = _ratio(sd, num, den, base, coords)
         fields.append(Field(sd.L_x, sd.L_y, nx, ny, t, u))
     return fields

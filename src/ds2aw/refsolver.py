@@ -42,14 +42,6 @@ def _wavenumbers(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(kx, ky, indexing="xy")
 
 
-def _check_grid(nx: int, ny: int) -> None:
-    for n in (nx, ny):
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ConfigError(
-                "invalid-grid", f"solver grid sizes must be powers of two >= 16, got {nx}x{ny}"
-            )
-
-
 def q_multiplier(field: Field) -> np.ndarray:
     """Fourier multiplier Q(k) with the zero mode gauged to 0."""
     KX, KY = _wavenumbers(field)
@@ -152,7 +144,6 @@ def evolve(
             f"dt = {dt} exceeds the splitting accuracy bound {bound:.3e} "
             "for this initial data",
         )
-    _check_grid(u0.nx, u0.ny)
     if dt == 0.0:
         raise ConfigError("invalid-dt", "dt must be nonzero")
     KX, KY = _wavenumbers(u0)

@@ -25,20 +25,24 @@ bounds are dropped while their sum stays within the budget, so the
 certificate (exterior tail plus the summed drops) charges every discarded
 term at most its own bound.  In the leading-order finite-gap regime Re
 b_jj ~ 2 log(eps) is very negative, so the certified radius is small and,
-at larger genus, only lattice points near n* carry weight.  Each term set
-is built once per (B, M, centre and slack of Re z) together with its
-certificate.
+at larger genus, only lattice points near n* carry weight.
+
+Each call builds one term set, with its certificate, for the real parts
+of all the arguments it is given, and nothing is kept between calls.
+Arguments that differ by an imaginary shift have the same term moduli and
+share the set exactly: the field's numerator and denominator thetas
+differ by A(inf_2), which is purely imaginary, so each pair is passed in
+one call.
 
 theta_grid evaluates theta(w + c) on a whole torus grid when the spatial
 part w is i(k_x x + k_y y) with lattice wave vectors: one folded inverse
-FFT of the term values.
+FFT of the term values per offset c.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -203,35 +207,22 @@ def _ellipsoid_box(
     return N, dropped
 
 
-@lru_cache(maxsize=16)
-def _terms_cached(
-    b_bytes: bytes, g: int, M: int, centre_key: tuple, slack_key: tuple, tol: float
-):
+def _term_set(params: ThetaParams, re_z: np.ndarray):
     """Kept lattice points, their n.B.n/2 and the certified bound on the
-    omitted terms (exterior tail plus pruned in-box terms) for |Re z_j -
-    centre_key[j]| <= slack_key[j]."""
-    B = np.frombuffer(b_bytes, dtype=complex).reshape(g, g)
-    centre = np.array(centre_key, dtype=float)
-    slack = np.array(slack_key, dtype=float)
-    if (2 * M + 1) ** g <= SMALL_BOX:
-        N = _full_box(g, M)
+    omitted terms (exterior tail plus pruned in-box terms) for arguments
+    whose real parts are the rows of ``re_z``: the set is built for their
+    midpoint, with their half-range as slack."""
+    re_z = np.asarray(re_z, dtype=float).reshape(-1, params.g)
+    lo, hi = re_z.min(axis=0), re_z.max(axis=0)
+    centre, slack = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    B, M = params.B, params.truncation_radius
+    if (2 * M + 1) ** params.g <= SMALL_BOX:
+        N = _full_box(params.g, M)
         dropped = 0.0
     else:
-        N, dropped = _ellipsoid_box(B, M, centre, slack, tol * 1e-6)
+        N, dropped = _ellipsoid_box(B, M, centre, slack, params.tail_tolerance * 1e-6)
     quad = 0.5 * ((N @ B) * N).sum(1)
     return N, quad, tail_bound(B, M, np.abs(centre) + slack) + dropped
-
-
-def _term_set(params: ThetaParams, centre: np.ndarray, slack: np.ndarray):
-    """_terms_cached for arguments with |Re z - centre| <= slack."""
-    key = (
-        params.B.tobytes(),
-        params.g,
-        params.truncation_radius,
-        tuple(centre.tolist()),
-        tuple(slack.tolist()),
-    )
-    return _terms_cached(*key, params.tail_tolerance)
 
 
 def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
@@ -255,12 +246,13 @@ def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
 def theta(z, params: ThetaParams) -> complex | np.ndarray:
     """Truncated theta sum at one point (shape (g,)) or a batch (..., g).
 
-    The term set is chosen for the midpoint of the batch's Re z, with its
-    half-range as slack.  Terms are accumulated in a fixed lattice order
-    with pairwise summation, so identical inputs give bit-identical
-    results.  Raises truncation-insufficient when the certified truncation
-    error (exterior tail plus any pruned in-box terms) exceeds
-    tail_tolerance * |sum| for some point of the batch.
+    One term set serves the whole batch, built for the midpoint of its Re z
+    with the half-range as slack, so arguments that differ by an imaginary
+    shift share it.  Terms are accumulated in a fixed lattice order with
+    pairwise summation, so identical inputs give bit-identical results.
+    Raises truncation-insufficient when the certified truncation error
+    (exterior tail plus any pruned in-box terms) exceeds tail_tolerance *
+    |sum| for some point of the batch.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 1
@@ -270,8 +262,7 @@ def theta(z, params: ThetaParams) -> complex | np.ndarray:
             f"argument has {z.shape[-1]} components, expected genus {params.g}",
         )
     zb = z.reshape(-1, params.g)
-    lo, hi = np.min(zb.real, axis=0), np.max(zb.real, axis=0)
-    N, quad, omitted = _term_set(params, 0.5 * (lo + hi), 0.5 * (hi - lo))
+    N, quad, omitted = _term_set(params, zb.real)
     vals = np.empty(zb.shape[0], dtype=complex)
     chunk = max(1, int(20_000_000 // max(len(N), 1)))
     NT = N.T.astype(complex)
@@ -284,24 +275,27 @@ def theta(z, params: ThetaParams) -> complex | np.ndarray:
     return vals.reshape(z.shape[:-1])
 
 
-def theta_grid(c, harmonics, nx: int, ny: int, params: ThetaParams) -> np.ndarray:
-    """theta(w + c) at grid points (ix, iy), shape (ny, nx), where
-    w_j = 2 pi i (n_x ix / nx + n_y iy / ny) for row j of ``harmonics``.
+def theta_grid(offsets, harmonics, nx: int, ny: int, params: ThetaParams) -> np.ndarray:
+    """theta(w + c) for each row c of the (k, g) ``offsets`` at grid points
+    (ix, iy), shape (k, ny, nx), where w_j = 2 pi i (n_x ix / nx + n_y iy /
+    ny) for row j of ``harmonics``.
 
     Term n is the harmonic m = sum_j n_j (n_x, n_y)_j times exp(n.B.n/2 +
-    n.c), so the sum is nx ny ifft2 of the terms binned at m mod (nx, ny),
-    exact on the grid.  Re w = 0, so every argument has real part Re c
-    and the term set needs no slack.
+    n.c), so each sum is nx ny ifft2 of the terms binned at m mod (nx, ny),
+    exact on the grid.  Re w = 0, so the arguments' real parts are the
+    rows of Re c: one term set and one binning serve every offset.
     """
-    c = np.asarray(c, dtype=complex)
-    N, quad, omitted = _term_set(params, c.real, np.zeros(len(c)))
+    offsets = np.asarray(offsets, dtype=complex)
+    N, quad, omitted = _term_set(params, offsets.real)
     m = N @ np.asarray(harmonics, dtype=np.int64)
     bins = (m[:, 1] % ny) * nx + m[:, 0] % nx
-    terms = np.exp(quad + N @ c)
-    coef = np.bincount(bins, terms.real, nx * ny) + 1j * np.bincount(
-        bins, terms.imag, nx * ny
-    )
-    vals = (nx * ny) * np.fft.ifft2(coef.reshape(ny, nx))
+    coef = np.empty((len(offsets), nx * ny), dtype=complex)
+    for k, c in enumerate(offsets):
+        terms = np.exp(quad + N @ c)
+        coef[k] = np.bincount(bins, terms.real, nx * ny) + 1j * np.bincount(
+            bins, terms.imag, nx * ny
+        )
+    vals = (nx * ny) * np.fft.ifft2(coef.reshape(-1, ny, nx))
     _certify(params, omitted, vals)
     return vals
 

@@ -117,9 +117,10 @@ NAN, INF = float("nan"), float("inf")
         {"theta": {"M": "adaptive", "tail_tol": 0.0}},
         {"theta": {"M": "adaptive", "tail_tol": -1.0}},
         {"theta": {"M": True, "tail_tol": 1e-10}},
+        {"theta": {"M": 3, "tail_tol": 1e-10}},
     ],
     ids=["dt-nan", "a-nan", "Lx-inf", "time-inf", "eps-nan", "c-nan",
-         "tol-zero", "tol-negative", "M-bool"],
+         "tol-zero", "tol-negative", "M-bool", "M-int"],
 )
 def test_config_rejects_non_finite_and_out_of_range(tmp_path, capsys, override):
     path, _ = single_mode_config(tmp_path, **override)
@@ -230,6 +231,13 @@ def test_evolve_ref_nan_exits_numeric(tmp_path, capsys):
     assert err["error"] == "nan-detected" and err["exit_code"] == 5
     assert "t = 0.001 " in err["message"]
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_evolve_ref_any_grid_size(tmp_path):
+    # the solver takes any grid the config accepts, as evolve-fg does
+    path, _ = single_mode_config(tmp_path, grid=[48, 48])
+    for cmd in ("evolve-fg", "evolve-ref"):
+        assert main([cmd, "--config", str(path), "--out", str(tmp_path / cmd)]) == 0
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from ds2aw.errors import ConfigError, NumericError
-from ds2aw.fieldgen import Field
+from ds2aw.fieldgen import Field, make_cauchy_field
 from ds2aw.modes import growth_rate
 from ds2aw.refsolver import _half_spectrum, _mean_flow, evolve, q_multiplier, stability_bound
 
+from conftest import FOURMODE_LX, FOURMODE_LY, FOURMODE_TERMS, harmonic_grid
 from test_modes import harmonic_matrix
 
 
@@ -227,9 +228,19 @@ def test_nan_detected():
     assert err.value.code == "nan-detected"
 
 
-def test_grid_must_be_power_of_two():
-    u = np.ones((24, 24), dtype=complex)
-    f = Field(2 * math.pi, 2 * math.pi, 24, 24, 0.0, u)
-    with pytest.raises(ConfigError) as err:
-        evolve(f, 0.1, 1e-2)
-    assert err.value.code == "invalid-grid"
+def test_any_grid_size_agrees_with_finer_grid():
+    # the scheme needs no power-of-two grid: on the four-mode datum to t = 2,
+    # 48^2 and odd 45^2 runs match 96^2 at the shared points to rounding
+    # (2000 steps; measured 8.0e-14 and 1.1e-12, L2 drift <= 4.1e-13)
+    def run(n):
+        v0 = harmonic_grid(n, n, FOURMODE_TERMS)
+        u0 = make_cauchy_field(FOURMODE_LX, FOURMODE_LY, 1.0, 1e-2, v0)
+        u = evolve(u0, 2.0, 1e-3)[-1].u
+        assert abs(np.mean(np.abs(u) ** 2) / np.mean(np.abs(u0.u) ** 2) - 1) < 1e-12
+        return u
+
+    fine = run(96)
+    for n in (48, 45):
+        a, b = n // math.gcd(n, 96), 96 // math.gcd(n, 96)
+        err = np.abs(run(n)[::a, ::a] - fine[::b, ::b]).max()
+        assert err < 1e-11 * np.abs(fine).max()

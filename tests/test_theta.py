@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 from ds2aw.errors import NumericError
-from ds2aw.fieldgen import default_theta_params, first_appearance_estimate
+from ds2aw.fieldgen import (
+    default_theta_params,
+    evaluate_grid,
+    first_appearance_estimate,
+)
 from ds2aw.theta import (
     ThetaParams,
     adaptive_radius,
@@ -161,10 +165,8 @@ def test_pruned_path_matches_full_box(monkeypatch):
     p = genus5_params(rng)
     zs = rng.uniform(-4, 4, (6, 5)) + 1j * rng.uniform(-4, 4, (6, 5))
     pruned = theta(zs, p)
-    theta_mod._terms_cached.cache_clear()
     monkeypatch.setattr(theta_mod, "SMALL_BOX", 1 << 22)
     full = theta(zs, p)
-    theta_mod._terms_cached.cache_clear()
     assert np.max(np.abs(pruned - full) / np.abs(full)) < 1e-12
 
 
@@ -216,10 +218,13 @@ def test_radius_pinned_on_paper_curves(request, curve, radii):
 
 
 def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode_sd):
+    # the numerator and denominator offsets differ by the imaginary A(inf2):
+    # one grid call builds one set for both and bounds its tail once
     sd = four_mode_sd
     T1 = first_appearance_estimate(sd)
     p = default_theta_params(sd, [T1])
     c = sd.d + sd.W_t * T1
+    offsets = [sd.A_inf2 + c, c]
     calls = []
 
     def counted(*args):
@@ -227,14 +232,27 @@ def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode
         return tail_bound(*args)
 
     monkeypatch.setattr(theta_mod, "tail_bound", counted)
-    theta_mod._terms_cached.cache_clear()
     harmonics = [(q.mode.n_x, q.mode.n_y) for q in sd.pairs]
-    for _ in range(2):
-        theta_mod.theta_grid(c, harmonics, 8, 8, p)
-    N, _, omitted = theta_mod._term_set(p, c.real, np.zeros(8))
-    theta_mod._terms_cached.cache_clear()
-    assert len(N) == 11_237
-    assert len(calls) == 1 and 0.0 < omitted < p.tail_tolerance
+    theta_mod.theta_grid(offsets, harmonics, 8, 8, p)
+    assert len(calls) == 1
+    N, _, omitted = theta_mod._term_set(p, np.real(offsets))
+    assert len(N) == 11_237 and 0.0 < omitted < p.tail_tolerance
+
+
+def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_sd):
+    # one set for the base thetas theta(d), theta(A + d), then one per
+    # snapshot for its numerator and denominator
+    sd = four_mode_sd
+    T1 = first_appearance_estimate(sd)
+    built = []
+    for name in ("_full_box", "_ellipsoid_box"):
+        def counted(*args, _fn=getattr(theta_mod, name)):
+            built.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(theta_mod, name, counted)
+    evaluate_grid([0.0, 0.375 * T1, 0.75 * T1], 8, 8, sd)
+    assert len(built) == 1 + 3
 
 
 def test_adaptive_radius_minimality_and_determinism():
