@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 config, 3 genericity, 4 degenerate spectrum,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,8 +28,19 @@ from .errors import ConfigError, DS2Error
 from .modes import check_genericity, enumerate_modes
 
 
+def _encode(obj):
+    """JSON of a dataclass (its fields), an array (a list), a complex ([re, im])."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def _emit(doc: dict, out_path: Path | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_encode)
     if out_path is None:
         print(text)
     else:
@@ -41,7 +53,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path | None) -> int:
     report = check_genericity(cfg.L_x, cfg.L_y, cfg.a)
     doc = {
         "config_hash": config_hash(cfg),
-        "modes": [m.to_dict() for m in modes],
+        "modes": modes,
         "unstable_count": sum(1 for m in modes if m.unstable),
         "genericity": report.to_dict(),
     }
@@ -74,9 +86,7 @@ def _build_sd(cfg: RunConfig) -> curve.SpectralData:
 
 def cmd_spectrum(cfg: RunConfig, out_dir: Path | None) -> int:
     sd = _build_sd(cfg)
-    doc = sd.to_dict()
-    doc["config_hash"] = config_hash(cfg)
-    doc["diagnostics"] = _diagnostics(sd)
+    doc = {**_encode(sd), "config_hash": config_hash(cfg), "diagnostics": _diagnostics(sd)}
     _emit(doc, out_dir / "spectrum.json" if out_dir else None)
     return 0
 

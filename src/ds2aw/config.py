@@ -130,22 +130,32 @@ def _parse_complex(v) -> complex:
     raise ConfigError("config-parse", f"complex values must be [re, im], got {v!r}")
 
 
+def _object(value, where: str) -> dict:
+    """A config object; null stands for an empty one."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError("config-parse", f"{where} must be an object, got {value!r}")
+    return value
+
+
 def config_from_dict(doc: dict) -> RunConfig:
+    doc = _object(doc, "config")
     try:
         if doc.get("schema") != SCHEMA_VERSION:
             raise ConfigError(
                 "config-parse", f"unsupported schema {doc.get('schema')!r}"
             )
-        pert = doc.get("perturbation", {})
+        pert = _object(doc.get("perturbation"), "perturbation")
         harmonics = [
             (int(h["n_x"]), int(h["n_y"]), _parse_complex(h["c"]))
             for h in pert.get("harmonics", [])
         ]
         grid = doc.get("grid", [64, 64])
-        theta_doc = doc.get("theta", {})
+        theta_doc = _object(doc.get("theta"), "theta")
         if theta_doc.get("M", "adaptive") != "adaptive":
             raise ConfigError("config-parse", 'theta M must be "adaptive"')
-        outputs = doc.get("outputs", {}) or {}
+        outputs = _object(doc.get("outputs"), "outputs")
         cfg = RunConfig(
             L_x=float(doc["L_x"]),
             L_y=float(doc["L_y"]),

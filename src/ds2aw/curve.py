@@ -12,6 +12,11 @@ degenerate curve and are assembled here.
 Everything is computed on the unit-background problem (a = 1); inputs with
 a != 1 are rescaled first and the frequency vectors are mapped back, so
 consumers never see the rescaling.
+
+Genericity (no mode on the instability circle, no point shared by two mode
+classes) is checked once, by :func:`.modes.check_genericity` on the same
+a = 1 census, before anything is built; the formulas here rely on it.
+Pair j + N = -pair j follows from how the pairs are built (order_pairs).
 """
 
 from __future__ import annotations
@@ -34,9 +39,6 @@ DEGENERATE_IM_TOL = 1e-9
 
 # Genericity condition of the main theorem: alpha_j beta_j != 0.
 DEGENERATE_AB_TOL = 1e-14
-
-# Two resonant points closer than this belong to a non-generic collision.
-DUPLICATE_TOL = 1e-9
 
 
 @dataclass
@@ -99,46 +101,6 @@ class SpectralData:
     L_y: float = 0.0
     a: float = 1.0
 
-    def to_dict(self) -> dict:
-        c = _c2l
-        return {
-            "g": self.g,
-            "pairs": [
-                {
-                    "j": p.j,
-                    "tau_1": c(p.tau_1),
-                    "tau_2": c(p.tau_2),
-                    "theta_angle": p.theta_angle,
-                    "phi_angle": p.phi_angle,
-                    "mode": p.mode.to_dict(),
-                    "alpha": c(p.alpha),
-                    "beta": c(p.beta),
-                    "sqrt_alpha_beta": c(p.sqrt_alpha_beta),
-                }
-                for p in self.pairs
-            ],
-            "B": [[c(v) for v in row] for row in self.B],
-            "W_z": [c(v) for v in self.W_z],
-            "W_zbar": [c(v) for v in self.W_zbar],
-            "W_t": [c(v) for v in self.W_t],
-            "A_inf2": [c(v) for v in self.A_inf2],
-            "A_div": [c(v) for v in self.A_div],
-            "K": [c(v) for v in self.K],
-            "d": [c(v) for v in self.d],
-            "eps": self.eps,
-            "u00": c(self.u00),
-            "L_x": self.L_x,
-            "L_y": self.L_y,
-            "a": self.a,
-        }
-
-
-def _c2l(v) -> list[float] | None:
-    if v is None:
-        return None
-    v = complex(v)
-    return [v.real, v.imag]
-
 
 def resonant_pair(mode: Mode) -> tuple[ResonantPair, ResonantPair]:
     """Both resonant pairs of an unstable mode: (tau_1, tau_2) and its negative.
@@ -171,26 +133,12 @@ def resonant_pair(mode: Mode) -> tuple[ResonantPair, ResonantPair]:
 def order_pairs(pairs: list[ResonantPair]) -> list[ResonantPair]:
     """Assign pair indices: odd points tau_1, tau_3, ... run clockwise.
 
-    The sweep starts just below polar angle pi.  Because the point set is
-    antipodally symmetric (every mode contributes a pair and its negative),
-    this automatically places mirror pairs N apart: pair j+N = -pair j.
+    The sweep starts just below polar angle pi.  Each class adds a pair
+    and its negative, no tau_1 is real (:func:`resonant_pair`) and no two
+    classes share a point (:func:`.modes.check_genericity`), so the sweep
+    places mirror pairs N apart: pair j+N = -pair j.
     """
     ordered = sorted(pairs, key=lambda p: cmath.phase(p.tau_1), reverse=True)
-    pts = [(i, t) for i, p in enumerate(ordered) for t in (p.tau_1, p.tau_2)]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i][0] != pts[j][0] and abs(pts[i][1] - pts[j][1]) < DUPLICATE_TOL:
-                raise DegenerateSpectrumError(
-                    "duplicate-point",
-                    "two resonant pairs share a point; periods are non-generic",
-                )
-    n = len(ordered) // 2
-    for j in range(n):
-        if abs(ordered[j].tau_1 + ordered[j + n].tau_1) > DUPLICATE_TOL:
-            raise DegenerateSpectrumError(
-                "duplicate-point",
-                "pair set is not antipodally symmetric; expected 2 pairs per mode",
-            )
     return [dataclasses.replace(p, j=i + 1) for i, p in enumerate(ordered)]
 
 
@@ -199,19 +147,12 @@ def perturbation_coefficients(v0_grid: np.ndarray, mode: Mode) -> tuple[complex,
     v0(x, y) = sum_n c_n exp(i(k_x x + k_y y)).
 
     v0 must be sampled on a uniform grid v0[iy, ix] = v0(ix Lx/nx, iy Ly/ny)
-    with zero mean; the grid must oversample the requested harmonic by 4x.
+    with zero mean; :func:`build_spectral_data` rules out aliasing.
     """
     v0 = np.asarray(v0_grid, dtype=complex)
     if v0.ndim != 2:
         raise ConfigError("aliasing", "perturbation grid must be 2-d")
     ny, nx = v0.shape
-    need = 4 * max(abs(mode.n_x), abs(mode.n_y), 1)
-    if min(nx, ny) < need:
-        raise ConfigError(
-            "aliasing",
-            f"grid {nx}x{ny} too small for harmonic ({mode.n_x}, {mode.n_y}); "
-            f"need at least {need} points per direction",
-        )
     mean = complex(v0.mean())
     if abs(mean) > 1e-10:
         raise ConfigError(
@@ -233,10 +174,6 @@ def alpha_beta(pair: ResonantPair, c_j: complex, c_minus_j: complex) -> Resonant
     Im >= 0; all downstream formulas use this value.
     """
     q1, q2 = pair.q_1, pair.q_2
-    if abs(q1) < DEGENERATE_IM_TOL or abs(q2) < DEGENERATE_IM_TOL:
-        raise DegenerateSpectrumError(
-            "degenerate-pair", f"pair {pair.j}: resonant point on the real axis"
-        )
     alpha = -(c_j.conjugate() + pair.tau_1.conjugate() * pair.tau_2 * c_minus_j) / (2.0 * q1)
     beta = (c_minus_j.conjugate() + pair.tau_2.conjugate() * pair.tau_1 * c_j) / (2.0 * q2)
     ab = alpha * beta
@@ -264,10 +201,6 @@ def period_matrix(pairs: list[ResonantPair], eps: float) -> np.ndarray:
     g = len(pairs)
     B = np.zeros((g, g), dtype=complex)
     for idx, p in enumerate(pairs):
-        if p.alpha is None or p.beta is None:
-            raise DegenerateSpectrumError(
-                "degenerate-mode", f"pair {p.j}: matrix elements not computed"
-            )
         arg = (
             p.tau_1
             * p.tau_2
@@ -285,11 +218,6 @@ def period_matrix(pairs: list[ResonantPair], eps: float) -> np.ndarray:
             pj, pk = pairs[j], pairs[k]
             num = (pj.tau_2 - pk.tau_2) * (pj.tau_1 - pk.tau_1)
             den = (pj.tau_2 - pk.tau_1) * (pj.tau_1 - pk.tau_2)
-            if abs(den) < DUPLICATE_TOL * DUPLICATE_TOL or abs(num) < DUPLICATE_TOL**2:
-                raise DegenerateSpectrumError(
-                    "cross-ratio-degenerate",
-                    f"pairs {pj.j} and {pk.j} share a resonant point",
-                )
             r = num / den
             # cross ratio of concyclic points is real; keep Im(b) in {0, pi}
             rr = r.real
@@ -332,10 +260,6 @@ def divisor_and_constants(
     A_div = np.zeros(g, dtype=complex)
     K = np.zeros(g, dtype=complex)
     for idx, p in enumerate(pairs):
-        if p.sqrt_alpha_beta is None:
-            raise DegenerateSpectrumError(
-                "degenerate-mode", f"pair {p.j}: matrix elements not computed"
-            )
         A_div[idx] = cmath.log(p.alpha / p.sqrt_alpha_beta)
         a_e = -cmath.log(
             p.tau_2
@@ -373,7 +297,6 @@ def build_spectral_data(
     eps: float,
     v0_grid: np.ndarray,
     a: float = 1.0,
-    search_radius: int | None = None,
 ) -> SpectralData:
     """Assemble the full leading-order spectral data for the Cauchy datum
     u(x, y, 0) = a + eps v0(x, y).
@@ -392,7 +315,7 @@ def build_spectral_data(
     # Unit-background twin: u(x/a, y/a, t/a^2)/a solves DS2 with background
     # 1 on the stretched torus; the grid samples of v0 are reused verbatim.
     Lx1, Ly1, eps1 = L_x * a, L_y * a, eps / a
-    report = check_genericity(Lx1, Ly1, 1.0, search_radius)
+    report = check_genericity(Lx1, Ly1, 1.0)
     if not report.ok:
         raise GenericityError(
             "genericity",
@@ -401,16 +324,13 @@ def build_spectral_data(
             f"{len(report.multiplicity_violations)} collisions, "
             f"{len(report.marginal_modes)} marginal modes",
         )
-    modes = enumerate_modes(Lx1, Ly1, 1.0, search_radius)
+    modes = enumerate_modes(Lx1, Ly1, 1.0)
     classes = unstable_classes(modes)
     if not classes:
         raise DegenerateSpectrumError(
             "no-unstable-modes", "the instability disk contains no lattice mode"
         )
-    grid_radius = max(
-        min_search_radius(Lx1, Ly1, 1.0),
-        search_radius or 0,
-    )
+    grid_radius = min_search_radius(Lx1, Ly1, 1.0)
     if min(v0_grid.shape) < 4 * grid_radius:
         raise ConfigError(
             "aliasing",

@@ -7,6 +7,7 @@ f64 L_x, f64 L_y, f64 t, then nx*ny complex128 samples row-major
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -54,13 +55,16 @@ def write_field_csv(field: Field, path) -> None:
     try:
         with open(path, "w", newline="") as fh:
             fh.write("x,y,re_u,im_u,abs_u\n")
-            dx = field.L_x / field.nx
-            dy = field.L_y / field.ny
+            # plain floats: a numpy scalar's repr is not a number
+            dx = float(field.L_x) / field.nx
+            dy = float(field.L_y) / field.ny
             for iy in range(field.ny):
                 for ix in range(field.nx):
                     v = complex(field.u[iy, ix])
+                    # hypot gives inf where abs(complex) raises on overflow
+                    mod = math.hypot(v.real, v.imag)
                     fh.write(
-                        f"{ix * dx!r},{iy * dy!r},{v.real!r},{v.imag!r},{abs(v)!r}\n"
+                        f"{ix * dx!r},{iy * dy!r},{v.real!r},{v.imag!r},{mod!r}\n"
                     )
     except OSError as err:
         raise OutputError("io", f"cannot write {path}: {err}") from err

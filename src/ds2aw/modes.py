@@ -38,16 +38,6 @@ class Mode:
     def k_squared(self) -> float:
         return self.k_x * self.k_x + self.k_y * self.k_y
 
-    def to_dict(self) -> dict:
-        return {
-            "n_x": self.n_x,
-            "n_y": self.n_y,
-            "k_x": self.k_x,
-            "k_y": self.k_y,
-            "sigma": [self.sigma.real, self.sigma.imag],
-            "unstable": self.unstable,
-        }
-
 
 @dataclass
 class GenericityReport:
@@ -112,10 +102,8 @@ def min_search_radius(L_x: float, L_y: float, a: float) -> int:
     return max(1, math.ceil(max(L_x, L_y) * a / math.pi))
 
 
-def enumerate_modes(
-    L_x: float, L_y: float, a: float, search_radius: int | None = None
-) -> list[Mode]:
-    """All lattice harmonics with |n_x|, |n_y| <= search_radius, classified.
+def enumerate_modes(L_x: float, L_y: float, a: float) -> list[Mode]:
+    """All lattice harmonics with |n_x|, |n_y| <= min_search_radius, classified.
 
     Modes are returned sorted lexicographically by (n_x, n_y), each with its
     linearized eigenvalue.  A mode is flagged unstable iff its wave vector
@@ -125,19 +113,11 @@ def enumerate_modes(
     if L_x <= 0.0 or L_y <= 0.0:
         raise ConfigError("invalid-period", f"periods must be positive, got ({L_x}, {L_y})")
     radius = min_search_radius(L_x, L_y, a)
-    if search_radius is None:
-        search_radius = radius
-    elif search_radius < radius:
-        raise ConfigError(
-            "invalid-search-radius",
-            f"search_radius {search_radius} does not cover the instability disk "
-            f"(need >= {radius})",
-        )
     dkx = 2.0 * math.pi / L_x
     dky = 2.0 * math.pi / L_y
     out = []
-    for n_x in range(-search_radius, search_radius + 1):
-        for n_y in range(-search_radius, search_radius + 1):
+    for n_x in range(-radius, radius + 1):
+        for n_y in range(-radius, radius + 1):
             if n_x == 0 and n_y == 0:
                 continue
             k_x = n_x * dkx
@@ -174,17 +154,17 @@ def resonant_points(k_x: float, k_y: float) -> tuple[complex, complex]:
     return 0.5 * k * (-1.0 + 1j * s), 0.5 * k * (1.0 + 1j * s)
 
 
-def check_genericity(
-    L_x: float, L_y: float, a: float, search_radius: int | None = None
-) -> GenericityReport:
+def check_genericity(L_x: float, L_y: float, a: float) -> GenericityReport:
     """Report near-violations of the genericity hypotheses.
 
     Flags (i) lattice modes within GENERICITY_TOL of the instability circle
     k^2 = 4 a^2, (ii) collisions of resonant points belonging to distinct
     unstable modes in the Bloch-multiplier plane (multiple points of order
-    higher than two), and (iii) marginal in-disk modes.  Report-only.
+    higher than two), and (iii) marginal in-disk modes.  Report-only; this
+    is the one place these conditions are tested, and
+    :func:`.curve.build_spectral_data` refuses periods that fail it.
     """
-    modes = enumerate_modes(L_x, L_y, a, search_radius)
+    modes = enumerate_modes(L_x, L_y, a)
     report = GenericityReport()
     for m in modes:
         if abs(m.k_squared - 4.0 * a * a) < GENERICITY_TOL * a * a:

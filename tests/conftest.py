@@ -20,6 +20,11 @@ SINGLE_LX = 2.0 * math.pi / 1.2
 SINGLE_LY = 2.0 * math.pi / 2.1
 
 
+# With L_x = 4 these periods are non-generic: three unstable classes share
+# resonant points (6 collisions); at L_y (1 + 1e-6) they are generic.
+COLLIDE_LY = 7.652233521084404
+
+
 def harmonic_grid(nx, ny, terms):
     """v0 = sum c * exp(2 pi i (n_x ix / nx + n_y iy / ny)) sampled on the grid."""
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")

@@ -9,10 +9,11 @@ import pytest
 from ds2aw.cli import main
 from ds2aw.config import RunConfig, config_from_dict, config_hash
 from ds2aw.errors import ConfigError, OutputError
-from ds2aw.fieldgen import Field
+from ds2aw.curve import build_spectral_data
+from ds2aw.fieldgen import Field, evaluate_grid, make_cauchy_field
 from ds2aw.fieldio import read_field_bin, read_field_csv, write_field_bin, write_field_csv
 
-from conftest import FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY
+from conftest import COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid
 
 
 _CONFIG_SEQ = iter(range(10_000))
@@ -128,6 +129,21 @@ def test_config_rejects_non_finite_and_out_of_range(tmp_path, capsys, override):
     assert json.loads(capsys.readouterr().err)["error"] == "config-parse"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"theta": 3}, {"perturbation": []}, {"outputs": [1]}, [1, 2]],
+    ids=["theta-int", "perturbation-list", "outputs-list", "top-level-list"],
+)
+def test_config_non_object_section_rejected(tmp_path, capsys, doc):
+    if isinstance(doc, dict):
+        path, _ = single_mode_config(tmp_path, **doc)
+    else:
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(doc))
+    assert main(["spectrum", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config-parse"
+
+
 def test_analyze_four_mode(tmp_path, capsys):
     path, _ = four_mode_config(tmp_path)
     assert main(["analyze", "--config", str(path)]) == 0
@@ -143,6 +159,15 @@ def test_analyze_nongeneric_exit_code(tmp_path, capsys):
     assert main(["analyze", "--config", str(path)]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["genericity"]["ok"] is False
+
+
+def test_collision_exits_genericity(tmp_path, capsys):
+    path, _ = single_mode_config(tmp_path, L_x=4.0, L_y=COLLIDE_LY)
+    assert main(["analyze", "--config", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)["genericity"]
+    assert len(report["multiplicity_violations"]) == 6
+    assert main(["spectrum", "--config", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "genericity"
 
 
 def test_missing_perturbation_is_config_error(tmp_path, capsys):
@@ -346,6 +371,32 @@ def test_csv_round_trip(tmp_path):
     assert np.abs(g.u - u).max() == 0.0
     header = path.read_text().splitlines()[0]
     assert header == "x,y,re_u,im_u,abs_u"
+
+
+def test_csv_numpy_typed_periods(tmp_path):
+    # numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
+    L_x, L_y = np.float64(SINGLE_LX), np.float64(SINGLE_LY)
+    v0 = cosine_grid(16, 16)
+    sd = build_spectral_data(L_x, L_y, 1e-2, v0)
+    fields = evaluate_grid([0.0], 16, 16, sd) + [make_cauchy_field(L_x, L_y, 1.0, 1e-2, v0)]
+    for i, f in enumerate(fields):
+        path = tmp_path / f"f{i}.csv"
+        write_field_csv(f, path)
+        g = read_field_csv(path, L_x, L_y, 16, 16, f.t)
+        assert np.array_equal(g.u, f.u)
+        x = np.loadtxt(path, delimiter=",", skiprows=1)[:2, 0]
+        assert x.tolist() == [0.0, float(L_x) / 16]
+
+
+def test_csv_modulus_overflow(tmp_path):
+    # |u| overflows though both parts are finite: abs_u reads inf, u stays exact
+    big = np.finfo(float).max
+    u = np.array([[big + 1j * big, 1e300 + 1j * big]])
+    path = tmp_path / "f.csv"
+    write_field_csv(Field(1.0, 1.0, 2, 1, 0.0, u), path)
+    g = read_field_csv(path, 1.0, 1.0, 2, 1, 0.0)
+    assert g.u.tobytes() == u.tobytes()
+    assert np.loadtxt(path, delimiter=",", skiprows=1)[:, 4].tolist() == [np.inf, big]
 
 
 def test_corrupt_csv_rejected(tmp_path, capsys):

@@ -22,18 +22,22 @@ from ds2aw.curve import (
     reality_residual,
     resonant_pair,
 )
-from ds2aw.errors import ConfigError, DegenerateSpectrumError
+from ds2aw.errors import ConfigError, DegenerateSpectrumError, GenericityError
 from ds2aw.fieldgen import Field
-from ds2aw.modes import Mode, enumerate_modes, growth_rate
+from ds2aw.modes import Mode, growth_rate
 from ds2aw.refsolver import evolve
 
-from conftest import FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
+from conftest import (
+    COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
+)
 
 
 def lattice_mode(L_x, L_y, n_x, n_y, a=1.0):
-    radius = max(abs(n_x), abs(n_y), 2)
-    modes = enumerate_modes(L_x, L_y, a, radius)
-    return next(m for m in modes if (m.n_x, m.n_y) == (n_x, n_y))
+    """The harmonic (n_x, n_y) of the torus, also outside the census radius."""
+    k_x = n_x * (2.0 * math.pi / L_x)
+    k_y = n_y * (2.0 * math.pi / L_y)
+    unstable = k_x * k_x + k_y * k_y < 4.0 * a * a and k_x * k_x != k_y * k_y
+    return Mode(n_x, n_y, k_x, k_y, growth_rate(k_x, k_y, a), unstable)
 
 
 def fresh_pair(c_plus=0.5, c_minus=0.5):
@@ -155,14 +159,6 @@ def test_order_pairs_clockwise_and_mirror(four_mode_sd):
         )
 
 
-def test_order_pairs_duplicate_rejected():
-    mode = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
-    p, n = resonant_pair(mode)
-    with pytest.raises(DegenerateSpectrumError) as err:
-        order_pairs([p, n, p, n])
-    assert err.value.code == "duplicate-point"
-
-
 # ------------------------------------------------- Fourier coefficients
 
 
@@ -212,11 +208,12 @@ def test_coefficients_nonzero_mean():
 
 
 def test_coefficients_aliasing():
-    v0 = cosine_grid(8, 8)
-    mode = Mode(3, 0, 3.6, 0.0, 0.0, False)
-    with pytest.raises(ConfigError) as err:
-        perturbation_coefficients(v0, mode)
-    assert err.value.code == "aliasing"
+    # the census radius of the single-mode torus is 2: grids need >= 8 points
+    build_spectral_data(SINGLE_LX, SINGLE_LY, 1e-2, cosine_grid(8, 8))
+    for nx, ny in [(6, 8), (8, 7)]:
+        with pytest.raises(ConfigError) as err:
+            build_spectral_data(SINGLE_LX, SINGLE_LY, 1e-2, cosine_grid(nx, ny))
+        assert err.value.code == "aliasing"
 
 
 # --------------------------------------------------------- alpha / beta
@@ -485,6 +482,14 @@ def test_build_four_mode_genus(four_mode_sd):
 def test_build_single_mode_genus(single_mode_sd):
     assert single_mode_sd.g == 2
     assert single_mode_sd.u00 == pytest.approx(1.0 + 1e-2, abs=1e-15)
+
+
+def test_build_rejects_collision():
+    # classes (0, 2), (1, 1) and (1, -1) share resonant points
+    with pytest.raises(GenericityError) as err:
+        build_spectral_data(4.0, COLLIDE_LY, 1e-2, cosine_grid(32, 32))
+    assert err.value.code == "genericity"
+    assert "6 collisions" in err.value.message
 
 
 def test_build_eps_zero_degenerate():

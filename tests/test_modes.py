@@ -23,7 +23,7 @@ from ds2aw.modes import (
     unstable_classes,
 )
 
-from conftest import FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY
+from conftest import COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY
 
 
 def signed_rate(k_x, k_y, a):
@@ -100,10 +100,10 @@ def test_single_mode_census_against_brute_force():
     ],
 )
 def test_unstable_set_equals_brute_force(L_x, L_y, a):
-    radius = min_search_radius(L_x, L_y, a) + 2
-    modes = enumerate_modes(L_x, L_y, a, radius)
-    got = {(m.n_x, m.n_y) for m in modes if m.unstable}
-    assert got == brute_force_unstable(L_x, L_y, a, radius + 1)
+    # the census radius covers the disk: a wider brute-force box adds nothing
+    radius = min_search_radius(L_x, L_y, a) + 3
+    got = {(m.n_x, m.n_y) for m in enumerate_modes(L_x, L_y, a) if m.unstable}
+    assert got == brute_force_unstable(L_x, L_y, a, radius)
 
 
 def test_marginal_mode_pi_pi():
@@ -194,6 +194,16 @@ def test_genericity_pi_pi():
     report = check_genericity(math.pi, math.pi, 1.0)
     assert report.on_circle_violations  # (1,0) and (0,1) at k^2 = 4
     assert report.marginal_modes == []  # (1,1) lies outside the disk
+
+
+def test_genericity_collision():
+    report = check_genericity(4.0, COLLIDE_LY, 1.0)
+    assert report.on_circle_violations == [] and report.marginal_modes == []
+    assert len(report.multiplicity_violations) == 6
+    shared = {tuple(sorted((tuple(v["mode_a"]), tuple(v["mode_b"]))))
+              for v in report.multiplicity_violations}
+    assert shared == {((0, 2), (1, -1)), ((0, 2), (1, 1)), ((1, -1), (1, 1))}
+    assert check_genericity(4.0, COLLIDE_LY * (1 + 1e-6), 1.0).ok
 
 
 def test_genericity_marginal_square_torus():
