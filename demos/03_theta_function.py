@@ -12,7 +12,7 @@ from ds2aw import ThetaParams, adaptive_radius, quasi_periodicity_residual
 from ds2aw.theta import theta
 
 # genus 1 reference value: B = [-2], z = 0
-p1 = ThetaParams(g=1, B=np.array([[-2.0 + 0j]]), truncation_radius=6)
+p1 = ThetaParams(B=np.array([[-2.0 + 0j]]), truncation_radius=6)
 print("theta(0 | -2) =", theta(np.zeros(1, dtype=complex), p1))
 print("series by hand:", 1 + 2 * sum(np.exp(-(n * n)) for n in range(1, 8)))
 
@@ -29,7 +29,7 @@ rng = np.random.default_rng(1)
 B = np.diag([-12.0, -13.5]) + 0j
 B[0, 1] = B[1, 0] = 0.3
 M = adaptive_radius(B, 6.0 + 14.0, 1e-13)
-params = ThetaParams(g=2, B=B, truncation_radius=M, tail_tolerance=1e-6)
+params = ThetaParams(B=B, truncation_radius=M, tail_tolerance=1e-6)
 print(f"\nquasi-periodicity residuals at M = {M}:")
 for trial in range(4):
     z = rng.uniform(-3, 3, 2) + 1j * rng.uniform(-3, 3, 2)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curve, fieldgen, fieldio, refsolver
-from .config import RunConfig, config_hash, load_config
+from .config import FORMATS, RunConfig, config_hash, load_config
 from .errors import ConfigError, DS2Error
 from .modes import check_genericity, enumerate_modes
 
@@ -134,9 +134,7 @@ def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
 
 def cmd_evolve_ref(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
     u0 = fieldgen.make_cauchy_field(cfg.L_x, cfg.L_y, cfg.a, cfg.eps, cfg.v0_grid())
-    T = max(cfg.times) if cfg.times else 0.0
-    fields = refsolver.evolve(u0, T, cfg.dt, snapshot_times=cfg.times)
-    fields = fields[: len(cfg.times)]
+    fields = refsolver.evolve(u0, cfg.times, cfg.dt)
     _write_run(cfg, fields, out_dir, "ref", fmt)
     return 0
 
@@ -213,18 +211,19 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ds2aw", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_out=False):
+    def common(sp, evolve=False):
         sp.add_argument("--config", required=True, help="JSON run configuration")
-        sp.add_argument("--out", required=needs_out, help="output directory")
-        sp.add_argument(
-            "--format", choices=["csv", "bin", "both"], default=None,
-            help="field file format (default: config outputs.format)",
-        )
+        sp.add_argument("--out", required=evolve, help="output directory")
+        if evolve:
+            sp.add_argument(
+                "--format", choices=FORMATS, default=None,
+                help="field file format (default: config outputs.format)",
+            )
 
     common(sub.add_parser("analyze", help="mode census and genericity report"))
     common(sub.add_parser("spectrum", help="spectral data JSON"))
-    common(sub.add_parser("evolve-fg", help="finite-gap snapshots"), needs_out=True)
-    common(sub.add_parser("evolve-ref", help="reference-solver snapshots"), needs_out=True)
+    common(sub.add_parser("evolve-fg", help="finite-gap snapshots"), evolve=True)
+    common(sub.add_parser("evolve-ref", help="reference-solver snapshots"), evolve=True)
     cp = sub.add_parser("compare", help="error metrics between two runs")
     cp.add_argument("run_a", help="manifest (dir or file) of the first run")
     cp.add_argument("run_b", help="manifest (dir or file) of the second run")

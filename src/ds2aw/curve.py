@@ -342,13 +342,8 @@ def build_spectral_data(
     for m in classes:
         c_plus, c_minus = perturbation_coefficients(v0_grid, m)
         p_pos, p_neg = resonant_pair(m)
-        try:
-            pairs.append(alpha_beta(p_pos, c_plus, c_minus))
-            pairs.append(alpha_beta(p_neg, c_minus, c_plus))
-        except DegenerateSpectrumError as err:
-            raise DegenerateSpectrumError(
-                err.code, f"mode ({m.n_x}, {m.n_y}): {err.message}"
-            ) from err
+        pairs.append(alpha_beta(p_pos, c_plus, c_minus))
+        pairs.append(alpha_beta(p_neg, c_minus, c_plus))
     pairs = order_pairs(pairs)
 
     B = period_matrix(pairs, eps1)

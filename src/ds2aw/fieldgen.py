@@ -34,24 +34,29 @@ from .theta import ZERO_FLOOR, ThetaParams, adaptive_radius, theta, theta_grid
 class Field:
     """Doubly-periodic complex samples of u at one time.
 
-    u[iy, ix] = u(ix * L_x / nx, iy * L_y / ny, t)
+    u[iy, ix] = u(ix * L_x / nx, iy * L_y / ny, t), with (ny, nx) the
+    shape of u.
     """
 
     L_x: float
     L_y: float
-    nx: int
-    ny: int
     t: float
     u: np.ndarray
+
+    @property
+    def nx(self) -> int:
+        return self.u.shape[1]
+
+    @property
+    def ny(self) -> int:
+        return self.u.shape[0]
 
 
 def make_cauchy_field(
     L_x: float, L_y: float, a: float, eps: float, v0_grid: np.ndarray
 ) -> Field:
     """Sample the Cauchy datum a + eps v0 as a t = 0 Field."""
-    u = a + eps * np.asarray(v0_grid, dtype=complex)
-    ny, nx = u.shape
-    return Field(L_x, L_y, nx, ny, 0.0, u)
+    return Field(L_x, L_y, 0.0, a + eps * np.asarray(v0_grid, dtype=complex))
 
 
 def default_theta_params(
@@ -67,7 +72,7 @@ def default_theta_params(
     t_max = max((abs(float(t)) for t in times), default=0.0)
     re = np.abs(np.real(sd.d)) + np.abs(np.real(sd.A_inf2)) + np.abs(sd.W_t) * t_max
     M = adaptive_radius(sd.B, float(re.max()), tail_tol)
-    return ThetaParams(g=sd.g, B=sd.B, truncation_radius=M, tail_tolerance=tail_tol)
+    return ThetaParams(B=sd.B, truncation_radius=M, tail_tolerance=tail_tol)
 
 
 def _base_thetas(sd: SpectralData, params: ThetaParams) -> tuple[complex, complex]:
@@ -172,7 +177,7 @@ def evaluate_grid(
         with _located(coords):
             num, den = theta_grid(np.stack([sd.A_inf2 + c, c]), harmonics, nx, ny, params)
         u = _ratio(sd, num, den, base, coords)
-        fields.append(Field(sd.L_x, sd.L_y, nx, ny, t, u))
+        fields.append(Field(sd.L_x, sd.L_y, t, u))
     return fields
 
 

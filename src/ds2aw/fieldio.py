@@ -48,7 +48,7 @@ def read_field_bin(path) -> Field:
     if len(raw) != expect:
         raise OutputError("io", f"{path}: expected {expect} bytes, got {len(raw)}")
     u = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size).reshape(ny, nx)
-    return Field(L_x, L_y, nx, ny, t, u.astype(complex))
+    return Field(L_x, L_y, t, u.astype(complex))
 
 
 def write_field_csv(field: Field, path) -> None:
@@ -84,4 +84,4 @@ def read_field_csv(path, L_x: float, L_y: float, nx: int, ny: int, t: float) -> 
         )
     u = np.empty(nx * ny, dtype=complex)
     u.real, u.imag = rows[:, 2], rows[:, 3]
-    return Field(L_x, L_y, nx, ny, t, u.reshape(ny, nx))
+    return Field(L_x, L_y, t, u.reshape(ny, nx))

@@ -67,17 +67,15 @@ MAX_TERMS = 4_000_000
 class ThetaParams:
     """Validated evaluation parameters: period matrix and truncation."""
 
-    g: int
     B: np.ndarray
     truncation_radius: int
     tail_tolerance: float = 1e-10
 
     def __post_init__(self):
         self.B = np.asarray(self.B, dtype=complex)
-        if self.g < 1 or self.B.shape != (self.g, self.g):
+        if self.B.ndim != 2 or not 0 < self.B.shape[0] == self.B.shape[1]:
             raise NumericError(
-                "not-negative-definite",
-                f"period matrix shape {self.B.shape} does not match genus {self.g}",
+                "not-negative-definite", f"period matrix shape {self.B.shape} is not square"
             )
         if self.truncation_radius < 1:
             raise NumericError("radius-overflow", "truncation radius must be >= 1")
@@ -90,6 +88,11 @@ class ThetaParams:
             raise NumericError(
                 "not-negative-definite", "Re(B) is not negative definite"
             )
+
+    @property
+    def g(self) -> int:
+        """The genus, the order of B."""
+        return self.B.shape[0]
 
 
 def min_decay(B: np.ndarray) -> float:
@@ -171,7 +174,9 @@ def _ellipsoid_box(
     each open coordinate r < i over Z bounds the subtree of a prefix by its
     fixed part times prod_{r<i} (1 + sqrt(2 pi) / R_rr) e^{M slack_r}.  At
     each level the smallest subtree bounds are dropped while their running
-    sum stays within budget / g."""
+    sum stays within budget e^C / g.  The budget is relative to e^C, the
+    largest term modulus at zero slack, so the kept set does not grow as
+    the terms do past the wave's peak."""
     g = B.shape[0]
     P = -np.real(B)
     R = np.linalg.cholesky(P).T
@@ -183,6 +188,7 @@ def _ellipsoid_box(
     N = np.zeros((1, 0), dtype=np.int64)  # kept prefixes, columns n_i..n_{g-1}
     fixed = np.full(1, C)  # C - |fixed rows|^2 / 2 + sum_j |n_j| slack_j
     part = np.zeros((1, g))  # R(n - n*) over the fixed coordinates, open rows
+    limit = budget * np.exp(C) / g
     dropped = 0.0
     for i in range(g - 1, -1, -1):
         step = cand - n_star[i]
@@ -190,7 +196,7 @@ def _ellipsoid_box(
         ext = (fixed[:, None] - 0.5 * row * row + slack[i] * np.abs(cand)).ravel()
         order = np.argsort(ext, kind="stable")
         running = np.cumsum(np.exp(ext[order] + open_below[i]))
-        n_drop = int(np.searchsorted(running, budget / g, side="right"))
+        n_drop = int(np.searchsorted(running, limit, side="right"))
         if n_drop:
             dropped += float(running[n_drop - 1])
         keep = np.sort(order[n_drop:])

@@ -209,6 +209,15 @@ def test_spectrum_degenerate_harmonic_exit_code(tmp_path, capsys):
     assert err["error"] == "degenerate-mode"
 
 
+def test_degenerate_mode_named_once(tmp_path, capsys):
+    # the four-mode torus excited on (1, 0) only: (0, 1) gets no perturbation
+    path, _ = single_mode_config(tmp_path, L_x=FOURMODE_LX, L_y=FOURMODE_LY)
+    assert main(["spectrum", "--config", str(path)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "degenerate-mode"
+    assert err["message"].count("mode") == 1 and "mode (0, 1)" in err["message"]
+
+
 def test_evolve_fg_t0_matches_cauchy_data(tmp_path):
     path, _ = single_mode_config(tmp_path, times=[0.0])
     out = tmp_path / "fg"
@@ -233,6 +242,7 @@ def test_evolve_determinism_bitwise(tmp_path):
             assert b1 == b2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # t = 50 overflows on purpose
 def test_evolve_fg_nan_exits_numeric(tmp_path, capsys):
     # theta overflows at t = 50: a coded numeric failure, not NaN files
     path, _ = single_mode_config(tmp_path, times=[50.0], grid=[16, 16])
@@ -248,7 +258,7 @@ def test_evolve_ref_nan_exits_numeric(tmp_path, capsys):
     v0 = np.zeros((32, 32), dtype=complex)
     v0[3, 4] = np.nan
     grid = tmp_path / "v0.bin"
-    write_field_bin(Field(SINGLE_LX, SINGLE_LY, 32, 32, 0.0, v0), grid)
+    write_field_bin(Field(SINGLE_LX, SINGLE_LY, 0.0, v0), grid)
     path, _ = single_mode_config(tmp_path, perturbation={"grid_file": str(grid)})
     out = tmp_path / "ref"
     assert main(["evolve-ref", "--config", str(path), "--out", str(out)]) == 5
@@ -270,6 +280,15 @@ def test_removed_flags_rejected(tmp_path, flag):
     path, _ = single_mode_config(tmp_path)
     with pytest.raises(SystemExit) as err:
         main(["evolve-fg", "--config", str(path), "--out", str(tmp_path / "o"), flag, "1"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "spectrum"])
+def test_format_only_on_evolve_commands(tmp_path, cmd):
+    # analyze and spectrum write no field files, so they take no --format
+    path, _ = single_mode_config(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main([cmd, "--config", str(path), "--format", "csv"])
     assert err.value.code == 2
 
 
@@ -352,7 +371,7 @@ def test_compare_manifest_bad_shape(tmp_path, capsys, edit):
 def test_binary_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     u = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
-    f = Field(2.5, 3.5, 8, 16, 0.7, u)
+    f = Field(2.5, 3.5, 0.7, u)
     path = tmp_path / "f.bin"
     write_field_bin(f, path)
     g = read_field_bin(path)
@@ -361,10 +380,23 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(g.u, u)
 
 
+def test_field_shape_is_the_sample_shape(tmp_path):
+    # no shape argument to disagree with u: all 256 samples round-trip
+    u = np.arange(256.0).reshape(16, 16) + 1j
+    f = Field(2.0, 2.0, 0.0, u)
+    assert (f.nx, f.ny) == (16, 16)
+    with pytest.raises(AttributeError):
+        f.nx = 8
+    write_field_bin(f, tmp_path / "f.bin")
+    write_field_csv(f, tmp_path / "f.csv")
+    assert np.array_equal(read_field_bin(tmp_path / "f.bin").u, u)
+    assert np.array_equal(read_field_csv(tmp_path / "f.csv", 2.0, 2.0, 16, 16, 0.0).u, u)
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(32)
     u = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    f = Field(2.0, 2.0, 8, 8, 0.1, u)
+    f = Field(2.0, 2.0, 0.1, u)
     path = tmp_path / "f.csv"
     write_field_csv(f, path)
     g = read_field_csv(path, 2.0, 2.0, 8, 8, 0.1)
@@ -393,14 +425,14 @@ def test_csv_modulus_overflow(tmp_path):
     big = np.finfo(float).max
     u = np.array([[big + 1j * big, 1e300 + 1j * big]])
     path = tmp_path / "f.csv"
-    write_field_csv(Field(1.0, 1.0, 2, 1, 0.0, u), path)
+    write_field_csv(Field(1.0, 1.0, 0.0, u), path)
     g = read_field_csv(path, 1.0, 1.0, 2, 1, 0.0)
     assert g.u.tobytes() == u.tobytes()
     assert np.loadtxt(path, delimiter=",", skiprows=1)[:, 4].tolist() == [np.inf, big]
 
 
 def test_corrupt_csv_rejected(tmp_path, capsys):
-    f = Field(2.0, 2.0, 8, 8, 0.0, np.ones((8, 8), dtype=complex))
+    f = Field(2.0, 2.0, 0.0, np.ones((8, 8), dtype=complex))
     good = tmp_path / "good.csv"
     write_field_csv(f, good)
     lines = good.read_text().splitlines()

@@ -460,12 +460,12 @@ def test_rescale_refsolver_oracle():
     eps = 1e-2
     v0 = cosine_grid(nx, ny)
     T = 0.2
-    u0 = Field(L_x, L_y, nx, ny, 0.0, a + eps * v0)
-    direct = evolve(u0, T, 2.5e-4)[-1]
+    u0 = Field(L_x, L_y, 0.0, a + eps * v0)
+    [direct] = evolve(u0, [T], 2.5e-4)
 
     # unit twin: periods L a, perturbation eps / a, time t a^2, field a u
-    u0_s = Field(L_x * a, L_y * a, nx, ny, 0.0, 1.0 + (eps / a) * v0)
-    twin = evolve(u0_s, T * a * a, 1e-3)[-1]
+    u0_s = Field(L_x * a, L_y * a, 0.0, 1.0 + (eps / a) * v0)
+    [twin] = evolve(u0_s, [T * a * a], 1e-3)
     mapped = a * twin.u
     rel = np.abs(direct.u - mapped).max() / np.abs(direct.u).max()
     assert rel <= 1e-6

@@ -57,12 +57,12 @@ def strang_reference(field, targets, dt):
 def step_snapshots(field, dt, nsteps):
     """``evolve`` with a snapshot after each of nsteps steps of size dt."""
     times = [k * dt for k in range(1, nsteps + 1)]
-    return evolve(field, times[-1], dt, snapshot_times=times)
+    return evolve(field, times, dt)
 
 
 def flat_field(L_x=2 * math.pi, L_y=2 * math.pi, n=32, value=1.0 + 0j):
     u = np.full((n, n), value, dtype=complex)
-    return Field(L_x, L_y, n, n, 0.0, u)
+    return Field(L_x, L_y, 0.0, u)
 
 
 def eigenvector_seed(L_x, L_y, n, n_x, n_y, eps, which="grow"):
@@ -84,7 +84,7 @@ def eigenvector_seed(L_x, L_y, n, n_x, n_y, eps, which="grow"):
     v = u1 * np.exp(1j * (k_x * X + k_y * Y)) + np.conjugate(u_minus1_bar) * np.exp(
         -1j * (k_x * X + k_y * Y)
     )
-    return Field(L_x, L_y, n, n, 0.0, 1.0 + eps * v), k_x, k_y, lam
+    return Field(L_x, L_y, 0.0, 1.0 + eps * v), k_x, k_y, lam
 
 
 def mode_coefficient(field, n_x, n_y):
@@ -102,7 +102,7 @@ def fitted_rate(fields, n_x, n_y):
 
 def test_constant_background_stationary():
     f = flat_field()
-    out = evolve(f, 10.0, 1e-2)[-1]
+    [out] = evolve(f, [10.0], 1e-2)
     assert np.abs(out.u - 1.0).max() <= 1e-13
 
 
@@ -116,10 +116,10 @@ def test_q_pure_x_and_y_harmonics():
     x = np.arange(n) * (L / n)
     X, Y = np.meshgrid(x, x, indexing="xy")
     # |u|^2 = 1 + 0.5 cos(k_x x): Q = +1 on k_y = 0 modes
-    ux = Field(L, L, n, n, 0.0, np.sqrt(1.0 + 0.5 * np.cos(2 * X)) + 0j)
+    ux = Field(L, L, 0.0, np.sqrt(1.0 + 0.5 * np.cos(2 * X)) + 0j)
     assert np.abs(q_from_u(ux) - 0.5 * np.cos(2 * X)).max() < 1e-12
     # |u|^2 = 1 + 0.5 cos(k_y y): Q = -1 on k_x = 0 modes
-    uy = Field(L, L, n, n, 0.0, np.sqrt(1.0 + 0.5 * np.cos(3 * Y)) + 0j)
+    uy = Field(L, L, 0.0, np.sqrt(1.0 + 0.5 * np.cos(3 * Y)) + 0j)
     assert np.abs(q_from_u(uy) + 0.5 * np.cos(3 * Y)).max() < 1e-12
 
 
@@ -158,7 +158,7 @@ def test_l2_conservation():
 def test_linearized_rates(L_x, L_y, n_x, n_y, which):
     f, k_x, k_y, lam = eigenvector_seed(L_x, L_y, 64, n_x, n_y, 1e-4, which)
     times = list(np.linspace(0.0, 1.0, 11))
-    fields = evolve(f, 1.0, 1e-3, snapshot_times=times)[: len(times)]
+    fields = evolve(f, times, 1e-3)
     rate = fitted_rate(fields, n_x, n_y)
     sigma = growth_rate(k_x, k_y, 1.0)
     assert abs(rate - lam) <= 0.01 * abs(lam)
@@ -167,18 +167,18 @@ def test_linearized_rates(L_x, L_y, n_x, n_y, which):
 
 def test_time_reversibility():
     f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 32, 1, 0, 1e-2)
-    fwd = evolve(f, 0.5, 1e-3)[-1]
-    back = evolve(fwd, 0.0, -1e-3)[-1]
+    [fwd] = evolve(f, [0.5], 1e-3)
+    [back] = evolve(fwd, [0.0], 1e-3)
     assert np.abs(back.u - f.u).max() <= 1e-8
 
 
 def test_second_order_convergence():
     f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 32, 1, 0, 0.1)
     T = 0.5
-    ref = evolve(f, T, 1e-3 / 8)[-1]
+    [ref] = evolve(f, [T], 1e-3 / 8)
     errs = []
     for dt in (2e-3, 1e-3):
-        out = evolve(f, T, dt)[-1]
+        [out] = evolve(f, [T], dt)
         errs.append(np.linalg.norm(out.u - ref.u))
     order = math.log2(errs[0] / errs[1])
     assert 1.8 <= order <= 2.2
@@ -186,29 +186,47 @@ def test_second_order_convergence():
 
 def test_snapshots_land_exactly():
     f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 16, 1, 0, 1e-2)
-    times = [0.1, 0.25, 0.4]
-    fields = evolve(f, 0.5, 7e-3, snapshot_times=times)
-    assert [g.t for g in fields] == times + [0.5]
-    only_final = evolve(f, 0.5, 7e-3)
-    assert len(only_final) == 1 and only_final[0].t == 0.5
+    # one Field per requested time, landing exactly on it; a time equal to
+    # the start returns the datum
+    times = [0.0, 0.1, 0.25, 0.4, 0.5]
+    fields = evolve(f, times, 7e-3)
+    assert [g.t for g in fields] == times
+    assert np.array_equal(fields[0].u, f.u) and fields[0].u is not f.u
+    assert evolve(f, [], 7e-3) == []
+
+
+@pytest.mark.parametrize("times", [[0.2, 0.1], [-0.1, 0.1], [0.1, -0.1]])
+def test_times_must_be_monotone(times):
+    f = flat_field(n=16)
+    with pytest.raises(ConfigError) as err:
+        evolve(f, times, 1e-2)
+    assert err.value.code == "invalid-times"
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_dt_must_be_positive(dt):
+    f = flat_field(n=16)
+    with pytest.raises(ConfigError) as err:
+        evolve(f, [-0.1], dt)
+    assert err.value.code == "invalid-dt"
 
 
 @pytest.mark.parametrize("T,times", [(0.3, [0.05, 0.22]), (-0.3, [-0.05, -0.22])])
 def test_fused_matches_strang_reference(T, times):
     f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 64, 1, 0, 0.1)
     dt = 7e-3
+    times = times + [T]
     series = []
-    fields = evolve(f, T, dt, snapshot_times=times, max_series=series)
-    targets = times + [T]
-    ref = strang_reference(f, targets, dt)
-    assert [g.t for g in fields] == targets
+    fields = evolve(f, times, dt, max_series=series)
+    ref = strang_reference(f, times, dt)
+    assert [g.t for g in fields] == times
     for g, r in zip(fields, ref):
         assert np.abs(g.u - r).max() <= 1e-12 * np.abs(r).max()
     # one entry per step; each segment's last entry lands on its target
-    counts = [math.ceil(abs(b - a) / dt - 1e-12) for a, b in zip([0.0] + targets, targets)]
+    counts = [math.ceil(abs(b - a) / dt - 1e-12) for a, b in zip([0.0] + times, times)]
     assert len(series) == sum(counts)
     ends = np.cumsum(counts) - 1
-    assert [series[i][0] for i in ends] == targets
+    assert [series[i][0] for i in ends] == times
     assert series[-1][1] == np.abs(fields[-1].u).max()
 
 
@@ -216,7 +234,7 @@ def test_dt_bound_enforced():
     f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 32, 1, 0, 1e-2)
     bound = stability_bound(f)
     with pytest.raises(ConfigError) as err:
-        evolve(f, 0.1, 2 * bound)
+        evolve(f, [0.1], 2 * bound)
     assert err.value.code == "invalid-dt"
 
 
@@ -224,7 +242,7 @@ def test_nan_detected():
     f = flat_field(n=16)
     f.u[3, 4] = np.nan
     with pytest.raises(NumericError) as err:
-        evolve(f, 0.1, 1e-2)
+        evolve(f, [0.1], 1e-2)
     assert err.value.code == "nan-detected"
 
 
@@ -235,7 +253,7 @@ def test_any_grid_size_agrees_with_finer_grid():
     def run(n):
         v0 = harmonic_grid(n, n, FOURMODE_TERMS)
         u0 = make_cauchy_field(FOURMODE_LX, FOURMODE_LY, 1.0, 1e-2, v0)
-        u = evolve(u0, 2.0, 1e-3)[-1].u
+        u = evolve(u0, [2.0], 1e-3)[0].u
         assert abs(np.mean(np.abs(u) ** 2) / np.mean(np.abs(u0.u) ** 2) - 1) < 1e-12
         return u
 

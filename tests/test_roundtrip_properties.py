@@ -27,7 +27,7 @@ def fields(draw, allow_non_finite):
     nx, ny = draw(st.integers(1, 16)), draw(st.integers(1, 16))
     u = draw(hnp.arrays(complex, (ny, nx), elements=st.complex_numbers(
         allow_nan=allow_non_finite, allow_infinity=allow_non_finite)))
-    return Field(draw(real), draw(real), nx, ny, draw(real), u)
+    return Field(draw(real), draw(real), draw(real), u)
 
 
 @FAST

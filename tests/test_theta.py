@@ -34,7 +34,7 @@ GENUS1_VALUE = 1.0 + 2.0 * sum(np.exp(-(n * n)) for n in range(1, 12))
 
 
 def params_1d(M=6, B=-2.0, tol=1e-12):
-    return ThetaParams(g=1, B=np.array([[B]], dtype=complex), truncation_radius=M,
+    return ThetaParams(B=np.array([[B]], dtype=complex), truncation_radius=M,
                        tail_tolerance=tol)
 
 
@@ -45,7 +45,7 @@ def random_params(rng, g, diag_lo=-16.0, diag_hi=-11.0, M=None, tol=1e-9):
     np.fill_diagonal(B, d)
     if M is None:
         M = adaptive_radius(B, 5.0 * np.sqrt(g) + float(np.abs(d).max()), 1e-13)
-    return ThetaParams(g=g, B=B, truncation_radius=M, tail_tolerance=tol)
+    return ThetaParams(B=B, truncation_radius=M, tail_tolerance=tol)
 
 
 def test_genus1_frozen_value():
@@ -79,11 +79,11 @@ def test_quasi_periodicity_genus1():
 
 def test_quasi_periodicity_genus2_diagonal_product_oracle():
     B = np.diag([-3.0 + 0j, -2.5 + 0j])
-    p = ThetaParams(g=2, B=B, truncation_radius=8, tail_tolerance=1e-9)
+    p = ThetaParams(B=B, truncation_radius=8, tail_tolerance=1e-9)
     z = np.array([0.2 + 0.4j, -0.1 + 0.9j])
     # product of two genus-1 values reproduces the genus-2 value
-    p1 = ThetaParams(g=1, B=B[:1, :1], truncation_radius=8, tail_tolerance=1e-9)
-    p2 = ThetaParams(g=1, B=B[1:, 1:], truncation_radius=8, tail_tolerance=1e-9)
+    p1 = ThetaParams(B=B[:1, :1], truncation_radius=8, tail_tolerance=1e-9)
+    p2 = ThetaParams(B=B[1:, 1:], truncation_radius=8, tail_tolerance=1e-9)
     prod = theta(z[:1], p1) * theta(z[1:], p2)
     assert theta(z, p) == pytest.approx(prod, rel=1e-13)
     for k in range(2):
@@ -108,11 +108,11 @@ def test_block_diagonal_factorization():
     B[:2, :2] = pa.B
     B[2:, 2:] = pb.B
     M = max(pa.truncation_radius, pb.truncation_radius)
-    p4 = ThetaParams(g=4, B=B, truncation_radius=M, tail_tolerance=1e-8)
+    p4 = ThetaParams(B=B, truncation_radius=M, tail_tolerance=1e-8)
     for _ in range(5):
         z = rng.normal(0, 2, 4) + 1j * rng.normal(0, 2, 4)
-        blocks = theta(z[:2], ThetaParams(g=2, B=pa.B, truncation_radius=M)) * theta(
-            z[2:], ThetaParams(g=2, B=pb.B, truncation_radius=M)
+        blocks = theta(z[:2], ThetaParams(B=pa.B, truncation_radius=M)) * theta(
+            z[2:], ThetaParams(B=pb.B, truncation_radius=M)
         )
         assert theta(z, p4) == pytest.approx(blocks, rel=1e-12)
 
@@ -121,7 +121,7 @@ def test_truncation_monotonicity():
     B = np.array([[-2.0 + 0j]])
     z = np.array([0.7 + 0.3j])
     vals = [
-        theta(z, ThetaParams(g=1, B=B, truncation_radius=M, tail_tolerance=1.0))
+        theta(z, ThetaParams(B=B, truncation_radius=M, tail_tolerance=1.0))
         for M in (4, 6, 8, 10)
     ]
     d1 = abs(vals[0] - vals[1])
@@ -136,7 +136,7 @@ def test_relabeling_invariance():
     z = rng.normal(0, 2, 3) + 1j * rng.normal(0, 2, 3)
     perm = np.array([2, 0, 1])
     Bp = p.B[np.ix_(perm, perm)]
-    pp = ThetaParams(g=3, B=Bp, truncation_radius=p.truncation_radius)
+    pp = ThetaParams(B=Bp, truncation_radius=p.truncation_radius)
     assert theta(z[perm], pp) == pytest.approx(theta(z, p), rel=1e-13)
 
 
@@ -155,7 +155,7 @@ def genus5_params(rng):
     off = rng.uniform(-0.3, 0.3, size=(g, g))
     B = (off + off.T) / 2.0 + np.diag(d) + 0j
     np.fill_diagonal(B, d)
-    return ThetaParams(g=g, B=B, truncation_radius=M, tail_tolerance=1e-6)
+    return ThetaParams(B=B, truncation_radius=M, tail_tolerance=1e-6)
 
 
 def test_pruned_path_matches_full_box(monkeypatch):
@@ -184,6 +184,7 @@ def box_term_moduli(B, M, centre, slack):
 def test_dropped_terms_within_certificate(case, four_mode_sd):
     # brute force over the whole box: the terms the enumeration leaves out
     # sum to at most its dropped bound, which stays within tail_tol * 1e-6
+    # of e^C, the largest term modulus at the centre
     if case == "genus5-batch":
         rng = np.random.default_rng(12)
         p = genus5_params(rng)
@@ -203,7 +204,8 @@ def test_dropped_terms_within_certificate(case, four_mode_sd):
     assert len(np.unique(flat)) == len(kept) < len(N)
     left_out = np.ones(len(N), dtype=bool)
     left_out[flat] = False
-    assert 0.0 < moduli[left_out].sum() <= dropped <= tol * 1e-6
+    C = 0.5 * centre @ np.linalg.solve(-np.real(B), centre)
+    assert 0.0 < moduli[left_out].sum() <= dropped <= tol * 1e-6 * np.exp(C)
 
 
 @pytest.mark.parametrize(
@@ -236,7 +238,21 @@ def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode
     theta_mod.theta_grid(offsets, harmonics, 8, 8, p)
     assert len(calls) == 1
     N, _, omitted = theta_mod._term_set(p, np.real(offsets))
-    assert len(N) == 11_237 and 0.0 < omitted < p.tail_tolerance
+    assert len(N) == 8_033 and 0.0 < omitted < p.tail_tolerance
+
+
+def test_genus8_term_set_stays_small_past_peak(four_mode_sd):
+    # the drop budget scales with the largest term, so past the peak the set
+    # stays near its size at T1 (289,425 terms at 4 T1 with an absolute budget)
+    sd = four_mode_sd
+    t = 4.0 * first_appearance_estimate(sd)
+    p = default_theta_params(sd, [t])
+    c = sd.d + sd.W_t * t
+    offsets = [sd.A_inf2 + c, c]
+    assert len(theta_mod._term_set(p, np.real(offsets))[0]) < 20_000
+    harmonics = [(q.mode.n_x, q.mode.n_y) for q in sd.pairs]
+    vals = theta_mod.theta_grid(offsets, harmonics, 16, 16, p)  # certified
+    assert np.all(np.isfinite(vals))
 
 
 def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_sd):
@@ -279,19 +295,19 @@ def test_adaptive_radius_overflow():
 
 def test_not_negative_definite_rejected():
     with pytest.raises(NumericError) as err:
-        ThetaParams(g=1, B=np.array([[0.5 + 0j]]), truncation_radius=4)
+        ThetaParams(B=np.array([[0.5 + 0j]]), truncation_radius=4)
     assert err.value.code == "not-negative-definite"
     with pytest.raises(NumericError):
-        ThetaParams(
-            g=2,
-            B=np.array([[-2.0, 0.3], [0.1, -2.0]], dtype=complex),
-            truncation_radius=4,
-        )
+        ThetaParams(B=np.array([[-2.0, 0.3], [0.1, -2.0]], dtype=complex), truncation_radius=4)
+    for B in (np.full((2, 3), -2.0 + 0j), np.array([-2.0 + 0j]), np.zeros((0, 0), complex)):
+        with pytest.raises(NumericError) as err:
+            ThetaParams(B=B, truncation_radius=4)
+        assert "not square" in err.value.message
 
 
 def test_truncation_insufficient_raised():
     # radius 1 cannot support a large real argument at tolerance 1e-10
-    p = ThetaParams(g=1, B=np.array([[-2.0 + 0j]]), truncation_radius=1,
+    p = ThetaParams(B=np.array([[-2.0 + 0j]]), truncation_radius=1,
                     tail_tolerance=1e-10)
     with pytest.raises(NumericError) as err:
         theta(np.array([4.0 + 0j]), p)
@@ -303,7 +319,7 @@ def test_division_by_zero_theta_guard(monkeypatch):
     # residue of order e^{3b/2} there, far above the 1e-300 hard floor, so
     # raise the floor to make the guard reachable and hit the exact root.
     B = np.array([[-6.0 + 0j]])
-    p = ThetaParams(g=1, B=B, truncation_radius=12, tail_tolerance=1.0)
+    p = ThetaParams(B=B, truncation_radius=12, tail_tolerance=1.0)
     z0 = np.array([1j * np.pi + B[0, 0] / 2.0])
     assert abs(theta(z0, p)) < 1e-3  # near-root sanity
     monkeypatch.setattr(theta_mod, "ZERO_FLOOR", 1e-2)

@@ -24,7 +24,7 @@ B2 = np.array([[-2.0 + 0.3j, 0.5 - 0.2j], [0.5 - 0.2j, -3.0 + 0.1j]])
 def certified(B, re_bound):
     """Theta parameters whose certified truncation error is far below REL."""
     M = adaptive_radius(B, re_bound, 1e-16)
-    return ThetaParams(g=len(B), B=B, truncation_radius=M, tail_tolerance=1e-13)
+    return ThetaParams(B=B, truncation_radius=M, tail_tolerance=1e-13)
 
 
 def mp_theta_1(z, b):
