@@ -18,7 +18,6 @@ from ds2aw import (
     first_appearance_estimate,
     make_cauchy_field,
 )
-from ds2aw.fieldgen import default_theta_params
 
 L_x, L_y = 2 * math.pi / 1.2, 2 * math.pi / 2.1
 nx = ny = 64
@@ -31,8 +30,7 @@ t1 = first_appearance_estimate(sd)
 times = list(np.arange(0.0, 1.5 * t1, 0.25))
 
 print("sampling the finite-gap formula ...")
-params = default_theta_params(sd, times)
-fg = evaluate_grid(times, nx, ny, sd, params)
+fg = evaluate_grid(times, nx, ny, sd)
 
 print("integrating the DS2 system (split-step, dt = 1e-3) ...")
 u0 = make_cauchy_field(L_x, L_y, 1.0, eps, v0)

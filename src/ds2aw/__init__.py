@@ -20,7 +20,7 @@ from .errors import (
 from .fieldgen import Field, evaluate_grid, first_appearance_estimate, make_cauchy_field
 from .modes import check_genericity, enumerate_modes
 from .refsolver import evolve
-from .theta import ThetaParams, adaptive_radius, quasi_periodicity_residual
+from .theta import ThetaParams, quasi_periodicity_residual
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "OutputError",
     "SpectralData",
     "ThetaParams",
-    "adaptive_radius",
     "build_spectral_data",
     "check_genericity",
     "enumerate_modes",

@@ -26,6 +26,7 @@ from . import curve, fieldgen, fieldio, refsolver
 from .config import FORMATS, RunConfig, config_hash, load_config
 from .errors import ConfigError, DS2Error
 from .modes import check_genericity, enumerate_modes
+from .theta import ThetaParams
 
 
 def _encode(obj):
@@ -126,7 +127,7 @@ def _write_run(
 
 def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
     sd = _build_sd(cfg)
-    params = fieldgen.default_theta_params(sd, cfg.times, cfg.theta_tail_tol)
+    params = ThetaParams(sd.B, cfg.theta_tail_tol)
     fields = fieldgen.evaluate_grid(cfg.times, cfg.nx, cfg.ny, sd, params)
     _write_run(cfg, fields, out_dir, "fg", fmt)
     return 0

@@ -13,8 +13,16 @@ The spatial part of w is i(k_x x + k_y y) per handle, with (k_x, k_y) a
 wave vector of the torus lattice, so the field is exactly doubly periodic.
 On the torus grid each theta is therefore a trigonometric polynomial in
 the grid indices: evaluate_grid sums it as one folded inverse FFT per
-theta, exact on the grid points; evaluate_batch sums the lattice directly
-at any points and is the grid path's oracle.
+theta, exact on the grid points.
+
+Re(w + d) grows linearly in t, so per snapshot the offset c = d + W_t t is
+moved into the lattice's fundamental cell, c' = c + B m.  By
+quasi-periodicity the numerator and denominator thetas gain the same
+factor exp(m.B.m/2 + m.(w + c)) and the numerator also exp(m.A), so
+
+    u = exp(m.A) theta(A + w + c') theta(d) / (theta(A + d) theta(w + c')) * u00
+
+exactly, with |exp(m.A)| = 1 since A is purely imaginary.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from .curve import SpectralData
 from .errors import ConfigError, NumericError
-from .theta import ZERO_FLOOR, ThetaParams, adaptive_radius, theta, theta_grid
+from .theta import ZERO_FLOOR, ThetaParams, theta, theta_grid
 
 
 @dataclass
@@ -59,22 +67,6 @@ def make_cauchy_field(
     return Field(L_x, L_y, 0.0, a + eps * np.asarray(v0_grid, dtype=complex))
 
 
-def default_theta_params(
-    sd: SpectralData, times, tail_tol: float = 1e-10
-) -> ThetaParams:
-    """Theta truncation certified for all arguments the formula visits.
-
-    The spatial part of every theta argument is purely imaginary; the real
-    parts are bounded component-wise by |Re d_j| + |Re A_j| + |W_t,j|
-    max|t|, whose largest entry is the domain bound for the adaptive
-    radius.
-    """
-    t_max = max((abs(float(t)) for t in times), default=0.0)
-    re = np.abs(np.real(sd.d)) + np.abs(np.real(sd.A_inf2)) + np.abs(sd.W_t) * t_max
-    M = adaptive_radius(sd.B, float(re.max()), tail_tol)
-    return ThetaParams(B=sd.B, truncation_radius=M, tail_tolerance=tail_tol)
-
-
 def _base_thetas(sd: SpectralData, params: ThetaParams) -> tuple[complex, complex]:
     """theta(d) and theta(A(inf2) + d), the time-independent factors of u."""
     theta_d, theta_ad = theta(np.stack([sd.d, sd.A_inf2 + sd.d]), params).tolist()
@@ -104,9 +96,10 @@ def _located(coords):
         ) from err
 
 
-def _ratio(sd: SpectralData, num, den, base, coords) -> np.ndarray:
-    """u from the numerator and denominator thetas; coords(i) gives the
-    (x, y, t) of flat sample i for the error messages."""
+def _ratio(num, den, base, u00, coords) -> np.ndarray:
+    """u from the numerator and denominator thetas, the base thetas and
+    the normalization; coords(i) gives the (x, y, t) of flat sample i for
+    the error messages."""
     i = int(np.argmin(np.abs(den)))
     if np.abs(den.flat[i]) < ZERO_FLOOR:
         raise NumericError(
@@ -115,31 +108,11 @@ def _ratio(sd: SpectralData, num, den, base, coords) -> np.ndarray:
             "the leading-order formula has a pole here",
         )
     theta_d, theta_ad = base
-    u = num * (theta_d / (theta_ad * den)) * sd.u00
+    u = num * (theta_d / (theta_ad * den)) * u00
     if not np.all(np.isfinite(u)):
         i = int(np.argmin(np.isfinite(u)))
         raise NumericError("nan-detected", f"non-finite sample at {_at(coords, i)}")
     return u
-
-
-def evaluate_batch(
-    sd: SpectralData, z: np.ndarray, t: float, params: ThetaParams | None
-) -> np.ndarray:
-    """u at complex positions z = x + i y (flat array) and one time, by
-    direct lattice sums (the oracle for :func:`evaluate_grid`)."""
-    z = np.asarray(z, dtype=complex).ravel()
-    if params is None:
-        params = default_theta_params(sd, [t])
-    base = _base_thetas(sd, params)
-    w = z[:, None] * sd.W_z + np.conjugate(z)[:, None] * sd.W_zbar + t * sd.W_t
-
-    def coords(i):
-        i %= len(z)
-        return z[i].real, z[i].imag, t
-
-    with _located(coords):
-        num, den = theta(np.stack([sd.A_inf2 + w + sd.d, w + sd.d]), params)
-    return _ratio(sd, num, den, base, coords)
 
 
 def evaluate_grid(
@@ -151,10 +124,11 @@ def evaluate_grid(
 ) -> list[Field]:
     """Sample the finite-gap field on the torus grid at each time.
 
-    Per snapshot, c = d + W_t t and the two t-dependent thetas, theta(A +
-    w + c) and theta(w + c), come from one :func:`.theta.theta_grid` call:
-    A is purely imaginary, so both share one term set, and each is one
-    folded inverse FFT over the grid.  Handle j's spatial phase w_j is
+    Per snapshot, c = d + W_t t is reduced to c' = c + B m (module
+    docstring) and the two t-dependent thetas, theta(A + w + c') and
+    theta(w + c'), come from one :func:`.theta.theta_grid` call: A is
+    purely imaginary, so both share one term set, and each is one folded
+    inverse FFT over the grid.  Handle j's spatial phase w_j is
     2 pi i (n_x ix / nx + n_y iy / ny) for its mode's integer harmonic, so
     the lattice sum is a trigonometric polynomial sampled exactly on the
     grid.  The base thetas theta(d), theta(A + d) share one more set.
@@ -162,13 +136,13 @@ def evaluate_grid(
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
     if params is None:
-        params = default_theta_params(sd, times)
+        params = ThetaParams(sd.B)
     base = _base_thetas(sd, params)
     harmonics = [(p.mode.n_x, p.mode.n_y) for p in sd.pairs]
     fields = []
     for t in times:
         t = float(t)
-        c = sd.d + sd.W_t * t
+        m, c = params.reduce(sd.d + sd.W_t * t)
 
         def coords(i):
             iy, ix = divmod(i % (nx * ny), nx)
@@ -176,7 +150,7 @@ def evaluate_grid(
 
         with _located(coords):
             num, den = theta_grid(np.stack([sd.A_inf2 + c, c]), harmonics, nx, ny, params)
-        u = _ratio(sd, num, den, base, coords)
+        u = _ratio(num, den, base, sd.u00 * np.exp(m @ sd.A_inf2), coords)
         fields.append(Field(sd.L_x, sd.L_y, t, u))
     return fields
 

@@ -6,26 +6,25 @@ with B symmetric and Re(B) negative definite.  The normalization matches
 a-periods equal to 2 pi i delta_jk, so theta is exactly 2 pi i periodic in
 every component; this is the only convention supported here.
 
+Each argument is first moved into the fundamental cell of the lattice B
+Z^g (the exponential/oscillatory split of Deconinck et al., "Computing
+Riemann theta functions", Math. Comp. 73, 2004): with P = -Re(B) and m =
+round(P^-1 Re z), theta(z) = exp(m.B.m/2 + m.z) theta(z + B m), and z + B
+m has real part P delta with delta in [-1/2, 1/2]^g.  There a term's
+modulus is exp(C - (n - delta).P.(n - delta)/2) with C = delta.P.delta/2.
+
 Truncation is rectangular, |n_j| <= M, with a certified Gaussian tail
-bound: the quadratic form is relaxed with the smallest eigenvalue of
--Re(B),
-
-    n . Re(B) . n <= -lambda_min |n|^2,
-
-which makes the exterior tail a product of one-dimensional sums.  Small
-boxes are summed in full.  Inside larger boxes the terms are enumerated
-by their exact modulus (the ellipsoid enumeration of Deconinck et al.,
-"Computing Riemann theta functions", Math. Comp. 73, 2004): with -Re(B) =
-R^T R, a term's modulus is exp(C - |R(n - n*)|^2 / 2) for arguments with
-real part c, where n* and C depend only on c.  Fixing the coordinates
-from the last down to the first fixes one row of R(n - n*) at a time, and
-the terms below a fixed prefix sum to at most its fixed part times a
-product of one-dimensional Gaussian sums.  The smallest of these subtree
-bounds are dropped while their sum stays within the budget, so the
-certificate (exterior tail plus the summed drops) charges every discarded
-term at most its own bound.  In the leading-order finite-gap regime Re
-b_jj ~ 2 log(eps) is very negative, so the certified radius is small and,
-at larger genus, only lattice points near n* carry weight.
+bound relative to e^C: relaxing P to its smallest eigenvalue makes the
+exterior tail a product of one-dimensional sums, so one radius, fixed by
+B and the tolerance, certifies the whole cell.  Small boxes are summed in
+full.  Inside larger boxes the terms are enumerated by their exact
+modulus (the ellipsoid enumeration of the same paper): with P = R^T R,
+fixing the coordinates from the last down to the first fixes one row of
+R(n - delta) at a time, and the terms below a fixed prefix sum to at most
+its fixed part times a product of one-dimensional Gaussian sums.  The
+smallest of these subtree bounds are dropped while their sum stays within
+the budget, so the certificate (exterior tail plus the summed drops)
+charges every discarded term at most its own bound.
 
 Each call builds one term set, with its certificate, for the real parts
 of all the arguments it is given, and nothing is kept between calls.
@@ -36,7 +35,7 @@ one call.
 
 theta_grid evaluates theta(w + c) on a whole torus grid when the spatial
 part w is i(k_x x + k_y y) with lattice wave vectors: one folded inverse
-FFT of the term values per offset c.
+FFT of the term values per offset c, which the caller has reduced.
 """
 
 from __future__ import annotations
@@ -62,13 +61,16 @@ SMALL_BOX = 1 << 18
 # Hard cap on kept lattice points after pruning.
 MAX_TERMS = 4_000_000
 
+# Share of tail_tolerance times e^C for the exterior tail and for the drops.
+DROP_SHARE = 1e-6
+
 
 @dataclass
 class ThetaParams:
-    """Validated evaluation parameters: period matrix and truncation."""
+    """Validated evaluation parameters: the period matrix and the tail
+    tolerance.  The truncation radius follows from them."""
 
     B: np.ndarray
-    truncation_radius: int
     tail_tolerance: float = 1e-10
 
     def __post_init__(self):
@@ -77,22 +79,35 @@ class ThetaParams:
             raise NumericError(
                 "not-negative-definite", f"period matrix shape {self.B.shape} is not square"
             )
-        if self.truncation_radius < 1:
-            raise NumericError("radius-overflow", "truncation radius must be >= 1")
         asym = np.max(np.abs(self.B - self.B.T))
         if asym > SYMMETRY_TOL:
             raise NumericError(
                 "not-negative-definite", f"period matrix asymmetry {asym:.3e}"
             )
-        if min_decay(self.B) <= 0.0:
+        self._decay = min_decay(self.B)
+        if self._decay <= 0.0:
             raise NumericError(
                 "not-negative-definite", "Re(B) is not negative definite"
             )
+        self._radius = adaptive_radius(self._decay, self.g, self.tail_tolerance)
 
     @property
     def g(self) -> int:
         """The genus, the order of B."""
         return self.B.shape[0]
+
+    @property
+    def truncation_radius(self) -> int:
+        """The radius M that certifies the whole cell (adaptive_radius)."""
+        return self._radius
+
+    def reduce(self, z):
+        """m = round(P^-1 Re z) and z + B m for each argument (the last axis
+        of z), P = -Re B: P^-1 Re(z + B m) lies in [-1/2, 1/2]^g, and
+        theta(z) = exp(m.B.m/2 + m.z) theta(z + B m)."""
+        z = np.asarray(z, dtype=complex)
+        m = np.rint(np.linalg.solve(-self.B.real, z.real.T).T)
+        return m, z + m @ self.B
 
 
 def min_decay(B: np.ndarray) -> float:
@@ -119,34 +134,32 @@ def _sum_1d(a: float, r: float, lo: int) -> float:
             return math.inf
 
 
-def tail_bound(B: np.ndarray, M: int, z_bound) -> float:
-    """Certified bound on the sum of |terms| with sup-norm |n| > M.
+def tail_bound(decay: float, M: int, delta, slack) -> float:
+    """Certified bound, relative to e^C, on the sum of |terms| with sup-norm
+    |n| > M for real parts within ``slack`` of P delta (P = -Re B, C =
+    delta.P.delta/2, ``decay`` = lambda_min of P).
 
-    With lambda = min_decay(B) and r_j >= |Re z_j|, each term obeys
-    |exp(n.B.n/2 + n.z)| <= prod_j exp(-lambda n_j^2 / 2 + |n_j| r_j); the
-    tail is union-bounded over which coordinate exceeds M:
-    sum_j S_j(|n_j| > M) prod_{k != j} S_k(all n_k).
+    A term is at most e^C prod_j exp(-decay (n_j - delta_j)^2/2 + |n_j|
+    slack_j) <= e^C prod_j exp(-decay delta_j^2/2) exp(-decay n_j^2/2 +
+    |n_j| r_j), r_j = decay |delta_j| + slack_j; the tail is union-bounded,
+    sum_j S_j(|n_j| > M) prod_{k != j} S_k(all n_k), with the first factor
+    kept for j only.  In the cell it grows with each |delta_j| and slack_j.
     """
-    B = np.asarray(B, dtype=complex)
-    r = np.broadcast_to(np.asarray(z_bound, dtype=float), (B.shape[0],))
-    lam = min_decay(B)
-    if lam <= 0.0:
-        raise NumericError("not-negative-definite", "Re(B) is not negative definite")
-    full = np.array([_sum_1d(lam, rj, 0) for rj in r])
-    out = np.array([_sum_1d(lam, rj, M + 1) for rj in r])
+    delta = np.abs(np.asarray(delta, dtype=float))
+    r = decay * delta + np.broadcast_to(np.asarray(slack, dtype=float), delta.shape)
+    full = np.array([_sum_1d(decay, rj, 0) for rj in r])
+    out = np.exp(-0.5 * decay * delta**2) * [_sum_1d(decay, rj, M + 1) for rj in r]
     if not np.all(np.isfinite(full)):
         return math.inf
     return float(sum(out[j] * np.prod(np.delete(full, j)) for j in range(len(r))))
 
 
-def adaptive_radius(B: np.ndarray, z_domain_bound: float, tol: float) -> int:
-    """Smallest truncation radius M whose certified tail bound is < tol.
-
-    ``z_domain_bound`` bounds |Re z_j| for every component of the
-    arguments the caller will evaluate at.
-    """
+def adaptive_radius(decay: float, g: int, tol: float) -> int:
+    """Smallest radius M whose relative tail bound is at most tol *
+    DROP_SHARE in the whole cell, i.e. at its corner |delta_j| = 1/2."""
+    corner = np.full(g, 0.5)
     for M in range(1, MAX_RADIUS + 1):
-        if tail_bound(B, M, z_domain_bound) < tol:
+        if tail_bound(decay, M, corner, 0.0) <= tol * DROP_SHARE:
             return M
     raise NumericError(
         "radius-overflow",
@@ -226,9 +239,12 @@ def _term_set(params: ThetaParams, re_z: np.ndarray):
         N = _full_box(params.g, M)
         dropped = 0.0
     else:
-        N, dropped = _ellipsoid_box(B, M, centre, slack, params.tail_tolerance * 1e-6)
+        N, dropped = _ellipsoid_box(B, M, centre, slack, params.tail_tolerance * DROP_SHARE)
     quad = 0.5 * ((N @ B) * N).sum(1)
-    return N, quad, tail_bound(B, M, np.abs(centre) + slack) + dropped
+    delta = np.linalg.solve(-B.real, centre)
+    C = 0.5 * float(centre @ delta)
+    scale = math.exp(C) if C < 700.0 else math.inf  # far outside the cell
+    return N, quad, scale * tail_bound(params._decay, M, delta, slack) + dropped
 
 
 def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
@@ -250,15 +266,16 @@ def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
 
 
 def theta(z, params: ThetaParams) -> complex | np.ndarray:
-    """Truncated theta sum at one point (shape (g,)) or a batch (..., g).
+    """Theta at one point (shape (g,)) or a batch (..., g), at any Re z.
 
-    One term set serves the whole batch, built for the midpoint of its Re z
-    with the half-range as slack, so arguments that differ by an imaginary
-    shift share it.  Terms are accumulated in a fixed lattice order with
-    pairwise summation, so identical inputs give bit-identical results.
-    Raises truncation-insufficient when the certified truncation error
-    (exterior tail plus any pruned in-box terms) exceeds tail_tolerance *
-    |sum| for some point of the batch.
+    Each argument is reduced into the cell and its sum there scaled by
+    exp(m.B.m/2 + m.z).  One term set serves the whole batch, built for the
+    midpoint of its reduced Re z with the half-range as slack, so arguments
+    that differ by an imaginary shift share it.  Terms are accumulated in a
+    fixed lattice order with pairwise summation, so identical inputs give
+    bit-identical results.  Raises truncation-insufficient when the
+    certified truncation error exceeds tail_tolerance * |sum| at some
+    reduced point, and theta-overflow when a value exceeds the float range.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 1
@@ -268,14 +285,15 @@ def theta(z, params: ThetaParams) -> complex | np.ndarray:
             f"argument has {z.shape[-1]} components, expected genus {params.g}",
         )
     zb = z.reshape(-1, params.g)
-    N, quad, omitted = _term_set(params, zb.real)
-    vals = np.empty(zb.shape[0], dtype=complex)
-    chunk = max(1, int(20_000_000 // max(len(N), 1)))
-    NT = N.T.astype(complex)
-    for lo in range(0, zb.shape[0], chunk):
-        args = zb[lo : lo + chunk] @ NT + quad
-        vals[lo : lo + chunk] = np.exp(args).sum(axis=1)
+    m, zr = params.reduce(zb)
+    N, quad, omitted = _term_set(params, zr.real)
+    vals = np.exp(zr @ N.T.astype(complex) + quad).sum(axis=1)
     _certify(params, omitted, vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals *= np.exp(0.5 * ((m @ params.B) * m).sum(1) + (m * zb).sum(1))
+    if not np.all(np.isfinite(vals)):
+        z_bad = zb[np.argmin(np.isfinite(vals))]
+        raise NumericError("theta-overflow", f"theta exceeds the float range at z = {z_bad}")
     if scalar:
         return complex(vals[0])
     return vals.reshape(z.shape[:-1])

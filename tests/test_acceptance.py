@@ -15,15 +15,10 @@ import pytest
 
 from ds2aw.cli import main
 from ds2aw.curve import build_spectral_data
-from ds2aw.fieldgen import (
-    Field,
-    default_theta_params,
-    evaluate_grid,
-    make_cauchy_field,
-)
+from ds2aw.fieldgen import Field, evaluate_grid, make_cauchy_field
 from ds2aw.modes import growth_rate
 from ds2aw.refsolver import evolve, q_multiplier
-from ds2aw.theta import ThetaParams, adaptive_radius, quasi_periodicity_residual, theta
+from ds2aw.theta import ThetaParams, quasi_periodicity_residual, theta
 
 from conftest import FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
 from test_fieldgen import evaluate_u
@@ -167,7 +162,7 @@ def test_criterion_4_theta_correctness():
     """Frozen genus-1 value, quasi-periodicity, block factorization."""
     with criterion(4, "theta value 1e-9, quasi-periodicity 1e-9, blocks 1e-12"):
         start = time.perf_counter()
-        p1 = ThetaParams(B=np.array([[-2.0 + 0j]]), truncation_radius=6)
+        p1 = ThetaParams(B=np.array([[-2.0 + 0j]]))
         assert abs(theta(np.zeros(1, dtype=complex), p1) - 1.7726372048) < 1e-9
 
         rng = np.random.default_rng(2024)
@@ -179,9 +174,7 @@ def test_criterion_4_theta_correctness():
             np.fill_diagonal(B, d)
             z = rng.uniform(-5, 5, g) + 1j * rng.uniform(-5, 5, g)
             k = int(rng.integers(0, g))
-            bound = 5.0 + float(np.abs(np.real(B)).max())
-            M = adaptive_radius(B, bound, 1e-13)
-            params = ThetaParams(B=B, truncation_radius=M, tail_tolerance=1e-6)
+            params = ThetaParams(B=B, tail_tolerance=1e-6)
             assert quasi_periodicity_residual(z, k, params) <= 1e-9
 
         for _ in range(5):
@@ -189,9 +182,9 @@ def test_criterion_4_theta_correctness():
             B = np.diag(d) + 0j
             B[0, 1] = B[1, 0] = 0.3
             B[2, 3] = B[3, 2] = -0.2
-            pfull = ThetaParams(B=B, truncation_radius=6, tail_tolerance=1e-6)
-            pa = ThetaParams(B=B[:2, :2], truncation_radius=6, tail_tolerance=1e-6)
-            pb = ThetaParams(B=B[2:, 2:], truncation_radius=6, tail_tolerance=1e-6)
+            pfull = ThetaParams(B=B, tail_tolerance=1e-6)
+            pa = ThetaParams(B=B[:2, :2], tail_tolerance=1e-6)
+            pb = ThetaParams(B=B[2:, 2:], tail_tolerance=1e-6)
             z = rng.uniform(-3, 3, 4) + 1j * rng.uniform(-3, 3, 4)
             whole = theta(z, pfull)
             parts = theta(z[:2], pa) * theta(z[2:], pb)
@@ -227,8 +220,7 @@ def test_criterion_6_finite_gap_vs_direct():
         scan = list(np.arange(0.0, 1.6 * T1, 0.05))
         v0 = cosine_grid(nx, ny)
         sd = build_spectral_data(SINGLE_LX, SINGLE_LY, eps, v0)
-        params = default_theta_params(sd, scan)
-        fg = evaluate_grid(scan, nx, ny, sd, params)
+        fg = evaluate_grid(scan, nx, ny, sd)
         u0 = make_cauchy_field(SINGLE_LX, SINGLE_LY, 1.0, eps, v0)
         ref = evolve(u0, scan, 1e-3)
 
@@ -289,7 +281,7 @@ def test_criterion_8_symmetry_suite():
             (np.abs(off.imag) <= 1e-10) | (np.abs(off.imag - math.pi) <= 1e-10)
         )
 
-        params = default_theta_params(sd, [0.0, 0.5])
+        params = ThetaParams(sd.B)
         rng = np.random.default_rng(55)
         for _ in range(5):
             x, y, t = rng.uniform(0.1, 2.0, 3)

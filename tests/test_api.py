@@ -45,3 +45,15 @@ def test_user_imports_are_public():
     assert used, "no ds2aw imports found"
     missing = {name: where for name, where in used.items() if name not in ds2aw.__all__}
     assert not missing
+
+
+def test_export_list():
+    # the truncation radius is derived inside ThetaParams, so adaptive_radius
+    # is no longer a package-root name
+    assert sorted(ds2aw.__all__) == [
+        "ConfigError", "DS2Error", "DegenerateSpectrumError", "Field",
+        "GenericityError", "NumericError", "OutputError", "SpectralData",
+        "ThetaParams", "build_spectral_data", "check_genericity",
+        "enumerate_modes", "evaluate_grid", "evolve", "first_appearance_estimate",
+        "make_cauchy_field", "quasi_periodicity_residual", "reality_residual",
+    ]

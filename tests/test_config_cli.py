@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,19 @@ from ds2aw.cli import main
 from ds2aw.config import RunConfig, config_from_dict, config_hash
 from ds2aw.errors import ConfigError, OutputError
 from ds2aw.curve import build_spectral_data
-from ds2aw.fieldgen import Field, evaluate_grid, make_cauchy_field
+from ds2aw.fieldgen import Field, evaluate_grid, first_appearance_estimate, make_cauchy_field
 from ds2aw.fieldio import read_field_bin, read_field_csv, write_field_bin, write_field_csv
 
-from conftest import COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid
+from conftest import (
+    COLLIDE_LY,
+    FOURMODE_LX,
+    FOURMODE_LY,
+    FOURMODE_TERMS,
+    SINGLE_LX,
+    SINGLE_LY,
+    cosine_grid,
+    harmonic_grid,
+)
 
 
 _CONFIG_SEQ = iter(range(10_000))
@@ -242,15 +252,38 @@ def test_evolve_determinism_bitwise(tmp_path):
             assert b1 == b2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # t = 50 overflows on purpose
 def test_evolve_fg_nan_exits_numeric(tmp_path, capsys):
-    # theta overflows at t = 50: a coded numeric failure, not NaN files
-    path, _ = single_mode_config(tmp_path, times=[50.0], grid=[16, 16])
+    # at 40 T1 the four-mode 128^2 grid passes within 6.8e-7 e^C of a theta
+    # zero, where the dropped in-box terms exceed tail_tol * min|theta| (by a
+    # factor 1.15): a coded numeric failure naming its sample, not a
+    # field file
+    v0 = harmonic_grid(32, 32, FOURMODE_TERMS)
+    t = 40.0 * first_appearance_estimate(build_spectral_data(FOURMODE_LX, FOURMODE_LY, 1e-2, v0))
+    path, _ = four_mode_config(tmp_path, times=[t], grid=[128, 128])
     out = tmp_path / "fg"
     assert main(["evolve-fg", "--config", str(path), "--out", str(out)]) == 5
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["exit_code"] == 5
+    assert err["error"] == "truncation-insufficient" and err["exit_code"] == 5
+    assert re.search(rf"at \(x, y, t\) = \([^,]+, [^,]+, {t:.6g}\)$", err["message"])
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "config, L, terms",
+    [(single_mode_config, (SINGLE_LX, SINGLE_LY), [(1, 0, 0.5), (-1, 0, 0.5)]),
+     (four_mode_config, (FOURMODE_LX, FOURMODE_LY), FOURMODE_TERMS)],
+    ids=["genus2", "genus8"],
+)
+def test_evolve_fg_late_times(tmp_path, config, L, terms):
+    # offsets reduced into the lattice cell: 20 and 40 T1 are computable and
+    # certified (the field failed from 20 T1 at genus 2 and 8 T1 at genus 8)
+    T1 = first_appearance_estimate(build_spectral_data(*L, 1e-2, harmonic_grid(32, 32, terms)))
+    path, _ = config(tmp_path, grid=[16, 16], times=[20.0 * T1, 40.0 * T1])
+    out = tmp_path / "fg"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", "bin"]) == 0
+    for i in range(2):
+        f = read_field_bin(out / f"fg_{i:04d}.bin")
+        assert np.all(np.isfinite(f.u)) and 0.5 < np.abs(f.u).max() < 40.0
 
 
 def test_evolve_ref_nan_exits_numeric(tmp_path, capsys):

@@ -11,12 +11,13 @@ import pytest
 from ds2aw.curve import build_spectral_data
 from ds2aw.errors import NumericError
 from ds2aw.fieldgen import (
-    default_theta_params,
-    evaluate_batch,
+    _base_thetas,
+    _located,
+    _ratio,
     evaluate_grid,
     first_appearance_estimate,
 )
-from ds2aw.theta import ThetaParams
+from ds2aw.theta import ThetaParams, theta
 
 from conftest import (
     FOURMODE_LX,
@@ -27,6 +28,32 @@ from conftest import (
     cosine_grid,
     harmonic_grid,
 )
+
+
+def evaluate_batch(sd, z, t, params=None):
+    """u at complex positions z = x + i y (flat array) and one time, by
+    direct lattice sums: the oracle for evaluate_grid.
+
+    Late in a run the theta values themselves overflow, so the offset c =
+    d + W_t t is first shifted by B m with the oracle's own m = floor(P^-1
+    Re c), not the grid's rounding; theta() reduces each argument again
+    from there, and the ratio gains exp(m.A)."""
+    z = np.asarray(z, dtype=complex).ravel()
+    if params is None:
+        params = ThetaParams(sd.B)
+    base = _base_thetas(sd, params)
+    c = sd.d + t * sd.W_t
+    m = np.floor(np.linalg.solve(-sd.B.real, c.real))
+    c = c + m @ sd.B
+    w = z[:, None] * sd.W_z + np.conjugate(z)[:, None] * sd.W_zbar
+
+    def coords(i):
+        i %= len(z)
+        return z[i].real, z[i].imag, t
+
+    with _located(coords):
+        num, den = theta(np.stack([sd.A_inf2 + w + c, w + c]), params)
+    return _ratio(num, den, base, sd.u00 * np.exp(m @ sd.A_inf2), coords)
 
 
 def evaluate_u(x, y, t, sd, params=None):
@@ -49,7 +76,7 @@ def test_normalization_at_origin(single_mode_sd):
 def test_double_periodicity(single_mode_sd, four_mode_sd):
     rng = np.random.default_rng(17)
     for sd in (single_mode_sd, four_mode_sd):
-        params = default_theta_params(sd, [0.0, 1.0])
+        params = ThetaParams(sd.B)
         for _ in range(5):
             x, y = rng.uniform(0, 3, size=2)
             t = rng.uniform(0, 1)
@@ -74,13 +101,15 @@ def test_cauchy_datum_reproduced(single_mode_sd):
 def test_grid_matches_direct_sum(single_mode_sd, four_mode_sd):
     # the folded-FFT grid path against the direct lattice sum at every grid
     # point; the two paths sum in a different order, so equality is to
-    # rounding, not bitwise
+    # rounding, not bitwise.  From 1.5 T1 on the offsets are reduced (m != 0)
     rescaled = build_spectral_data(SINGLE_LX, SINGLE_LY, 1e-2, cosine_grid(32, 32), a=0.9)
+    T2 = first_appearance_estimate(single_mode_sd)
     T8 = first_appearance_estimate(four_mode_sd)
     cases = [(single_mode_sd, 0.4, 8), (single_mode_sd, 3.0, 16), (rescaled, 1.7, 16)]
-    cases += [(four_mode_sd, f * T8, 16) for f in (0.75, 1.0, 1.5)]
+    cases += [(single_mode_sd, f * T2, 16) for f in (1.5, 20.0, 40.0)]
+    cases += [(four_mode_sd, f * T8, 16) for f in (0.75, 1.0, 1.5, 20.0, 40.0)]
     for sd, t, n in cases:
-        params = default_theta_params(sd, [t])
+        params = ThetaParams(sd.B)
         f = evaluate_grid([t], n, n, sd, params)[0]
         X, Y = grid_xy(f)
         direct = evaluate_batch(sd, (X + 1j * Y).ravel(), t, params).reshape(n, n)
@@ -212,7 +241,7 @@ def test_theta_zero_reported(single_mode_sd, monkeypatch):
     monkeypatch.setattr(fieldgen, "ZERO_FLOOR", 1e-2)
     root = np.array([1j * math.pi + sd.B[0, 0] / 2.0, 0.35 + 0.1j])
     bad = dataclasses.replace(sd, d=root)
-    params = default_theta_params(sd, [0.0])
+    params = ThetaParams(sd.B)
     with pytest.raises(NumericError) as err:
         evaluate_u(0.0, 0.0, 0.0, bad, params)
     assert err.value.code == "theta-zero"
@@ -222,21 +251,27 @@ def test_theta_zero_reported(single_mode_sd, monkeypatch):
     assert "(x, y, t) = (0, 0, 0)" in err.value.message
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # t = 50 overflows on purpose
-def test_truncation_insufficient_propagates(single_mode_sd):
-    sd = single_mode_sd
-    tiny = ThetaParams(B=sd.B, truncation_radius=1, tail_tolerance=1e-30)
+def test_truncation_insufficient_propagates(four_mode_sd):
+    # theta vanishes at the odd half-period i pi e_1 + B e_1 / 2 and at its
+    # lattice translates, where its sum cancels to rounding, below
+    # tail_tolerance times the certified truncation error.  Aim the offset
+    # d (kept in the cell) so that w + d hits a translate at a grid point
+    # late in the run: both paths fail closed instead of returning a wrong
+    # ratio, and name the sample
+    sd = four_mode_sd
+    n = 16
+    t = 20.0 * first_appearance_estimate(sd)
+    ix, iy = 3, 5
+    x, y = ix * sd.L_x / n, iy * sd.L_y / n
+    root = 1j * np.pi * np.eye(sd.g)[0] + sd.B[:, 0] / 2.0
+    w = complex(x, y) * sd.W_z + complex(x, -y) * sd.W_zbar + t * sd.W_t
+    bad = dataclasses.replace(sd, d=ThetaParams(sd.B).reduce(root - w)[1])
+    named = rf"smallest \|theta\| at \(x, y, t\) = \({x:.6g}, {y:.6g}, {t:.6g}\)$"
     with pytest.raises(NumericError) as err:
-        evaluate_u(0.1, 0.2, 0.5, sd, tiny)
+        evaluate_u(x, y, t, bad)
     assert err.value.code == "truncation-insufficient"
-    # at t = 50 the theta terms overflow: both paths fail closed instead of
-    # returning NaN samples, and name their worst sample
+    assert re.search(named, err.value.message)
     with pytest.raises(NumericError) as err:
-        evaluate_u(0.1, 0.2, 50.0, sd)
+        evaluate_grid([t], n, n, bad)
     assert err.value.code == "truncation-insufficient"
-    assert err.value.message.endswith("smallest |theta| at (x, y, t) = (0.1, 0.2, 50)")
-    with pytest.raises(NumericError) as err:
-        evaluate_grid([50.0], 16, 16, sd)
-    assert err.value.code == "truncation-insufficient"
-    assert re.search(r"smallest \|theta\| at \(x, y, t\) = \([^,]+, [^,]+, 50\)$",
-                     err.value.message)
+    assert re.search(named, err.value.message)

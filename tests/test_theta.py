@@ -13,12 +13,9 @@ import numpy as np
 import pytest
 
 from ds2aw.errors import NumericError
-from ds2aw.fieldgen import (
-    default_theta_params,
-    evaluate_grid,
-    first_appearance_estimate,
-)
+from ds2aw.fieldgen import evaluate_grid, first_appearance_estimate
 from ds2aw.theta import (
+    DROP_SHARE,
     ThetaParams,
     adaptive_radius,
     quasi_periodicity_residual,
@@ -33,19 +30,16 @@ theta_mod = importlib.import_module("ds2aw.theta")
 GENUS1_VALUE = 1.0 + 2.0 * sum(np.exp(-(n * n)) for n in range(1, 12))
 
 
-def params_1d(M=6, B=-2.0, tol=1e-12):
-    return ThetaParams(B=np.array([[B]], dtype=complex), truncation_radius=M,
-                       tail_tolerance=tol)
+def params_1d(B=-2.0, tol=1e-12):
+    return ThetaParams(B=np.array([[B]], dtype=complex), tail_tolerance=tol)
 
 
-def random_params(rng, g, diag_lo=-16.0, diag_hi=-11.0, M=None, tol=1e-9):
+def random_params(rng, g, diag_lo=-16.0, diag_hi=-11.0, tol=1e-9):
     d = rng.uniform(diag_lo, diag_hi, size=g)
     off = rng.uniform(-0.4, 0.4, size=(g, g))
     B = (off + off.T) / 2.0 + np.diag(d) + 0j
     np.fill_diagonal(B, d)
-    if M is None:
-        M = adaptive_radius(B, 5.0 * np.sqrt(g) + float(np.abs(d).max()), 1e-13)
-    return ThetaParams(B=B, truncation_radius=M, tail_tolerance=tol)
+    return ThetaParams(B=B, tail_tolerance=tol)
 
 
 def test_genus1_frozen_value():
@@ -73,17 +67,17 @@ def test_2pi_i_periodicity():
 
 
 def test_quasi_periodicity_genus1():
-    p = params_1d(M=6)
+    p = params_1d()
     assert quasi_periodicity_residual(np.array([0.3 + 0.1j]), 0, p) < 1e-10
 
 
 def test_quasi_periodicity_genus2_diagonal_product_oracle():
     B = np.diag([-3.0 + 0j, -2.5 + 0j])
-    p = ThetaParams(B=B, truncation_radius=8, tail_tolerance=1e-9)
+    p = ThetaParams(B=B, tail_tolerance=1e-9)
     z = np.array([0.2 + 0.4j, -0.1 + 0.9j])
     # product of two genus-1 values reproduces the genus-2 value
-    p1 = ThetaParams(B=B[:1, :1], truncation_radius=8, tail_tolerance=1e-9)
-    p2 = ThetaParams(B=B[1:, 1:], truncation_radius=8, tail_tolerance=1e-9)
+    p1 = ThetaParams(B=B[:1, :1], tail_tolerance=1e-9)
+    p2 = ThetaParams(B=B[1:, 1:], tail_tolerance=1e-9)
     prod = theta(z[:1], p1) * theta(z[1:], p2)
     assert theta(z, p) == pytest.approx(prod, rel=1e-13)
     for k in range(2):
@@ -107,27 +101,31 @@ def test_block_diagonal_factorization():
     B = np.zeros((4, 4), dtype=complex)
     B[:2, :2] = pa.B
     B[2:, 2:] = pb.B
-    M = max(pa.truncation_radius, pb.truncation_radius)
-    p4 = ThetaParams(B=B, truncation_radius=M, tail_tolerance=1e-8)
+    p4 = ThetaParams(B=B, tail_tolerance=1e-8)
     for _ in range(5):
         z = rng.normal(0, 2, 4) + 1j * rng.normal(0, 2, 4)
-        blocks = theta(z[:2], ThetaParams(B=pa.B, truncation_radius=M)) * theta(
-            z[2:], ThetaParams(B=pb.B, truncation_radius=M)
-        )
+        blocks = theta(z[:2], ThetaParams(B=pa.B)) * theta(z[2:], ThetaParams(B=pb.B))
         assert theta(z, p4) == pytest.approx(blocks, rel=1e-12)
 
 
 def test_truncation_monotonicity():
+    # sums over the boxes |n| <= M converge monotonically, and each box's
+    # error stays within its certified tail bound e^C tail_bound(M)
     B = np.array([[-2.0 + 0j]])
     z = np.array([0.7 + 0.3j])
+    delta = 0.35  # P^-1 Re z, inside the cell
+    exact = theta(z, params_1d())
+    Ms = (1, 2, 3, 4)
     vals = [
-        theta(z, ThetaParams(B=B, truncation_radius=M, tail_tolerance=1.0))
-        for M in (4, 6, 8, 10)
+        np.exp(0.5 * ((N @ B) * N).sum(1) + N @ z).sum()
+        for N in (theta_mod._full_box(1, M) for M in Ms)
     ]
     d1 = abs(vals[0] - vals[1])
     d2 = abs(vals[1] - vals[2])
     d3 = abs(vals[2] - vals[3])
     assert d1 >= d2 >= d3
+    for M, v in zip(Ms, vals):
+        assert abs(v - exact) <= np.exp(0.5 * 0.7 * delta) * tail_bound(2.0, M, [delta], 0.0)
 
 
 def test_relabeling_invariance():
@@ -136,7 +134,7 @@ def test_relabeling_invariance():
     z = rng.normal(0, 2, 3) + 1j * rng.normal(0, 2, 3)
     perm = np.array([2, 0, 1])
     Bp = p.B[np.ix_(perm, perm)]
-    pp = ThetaParams(B=Bp, truncation_radius=p.truncation_radius)
+    pp = ThetaParams(B=Bp)
     assert theta(z[perm], pp) == pytest.approx(theta(z, p), rel=1e-13)
 
 
@@ -150,12 +148,12 @@ def test_batch_matches_pointwise_bitwise():
 
 
 def genus5_params(rng):
-    g, M = 5, 6  # box 13^5 = 371k, above the default pruning threshold
+    g = 5
     d = rng.uniform(-15.0, -11.0, size=g)
     off = rng.uniform(-0.3, 0.3, size=(g, g))
     B = (off + off.T) / 2.0 + np.diag(d) + 0j
     np.fill_diagonal(B, d)
-    return ThetaParams(B=B, truncation_radius=M, tail_tolerance=1e-6)
+    return ThetaParams(B=B, tail_tolerance=1e-6)
 
 
 def test_pruned_path_matches_full_box(monkeypatch):
@@ -164,9 +162,9 @@ def test_pruned_path_matches_full_box(monkeypatch):
     rng = np.random.default_rng(12)
     p = genus5_params(rng)
     zs = rng.uniform(-4, 4, (6, 5)) + 1j * rng.uniform(-4, 4, (6, 5))
-    pruned = theta(zs, p)
-    monkeypatch.setattr(theta_mod, "SMALL_BOX", 1 << 22)
     full = theta(zs, p)
+    monkeypatch.setattr(theta_mod, "SMALL_BOX", 0)
+    pruned = theta(zs, p)
     assert np.max(np.abs(pruned - full) / np.abs(full)) < 1e-12
 
 
@@ -198,24 +196,25 @@ def test_dropped_terms_within_certificate(case, four_mode_sd):
         centre = np.real(sd.d + sd.W_t * f * first_appearance_estimate(sd))
         slack = np.zeros(8)
         B, M, tol = sd.B, 2, 1e-10  # box 5^8
-    kept, dropped = theta_mod._ellipsoid_box(B, M, centre, slack, tol * 1e-6)
+    kept, dropped = theta_mod._ellipsoid_box(B, M, centre, slack, tol * DROP_SHARE)
     N, moduli = box_term_moduli(B, M, centre, slack)
     flat = np.ravel_multi_index(tuple((kept + M).T), (2 * M + 1,) * B.shape[0])
     assert len(np.unique(flat)) == len(kept) < len(N)
     left_out = np.ones(len(N), dtype=bool)
     left_out[flat] = False
     C = 0.5 * centre @ np.linalg.solve(-np.real(B), centre)
-    assert 0.0 < moduli[left_out].sum() <= dropped <= tol * 1e-6 * np.exp(C)
+    assert 0.0 < moduli[left_out].sum() <= dropped <= tol * DROP_SHARE * np.exp(C)
 
 
 @pytest.mark.parametrize(
-    "curve, radii", [("single_mode_sd", (2, 2, 3)), ("four_mode_sd", (2, 3, 5))]
+    "curve, radii", [("single_mode_sd", (2, 3, 3)), ("four_mode_sd", (3, 3, 4))]
 )
 def test_radius_pinned_on_paper_curves(request, curve, radii):
-    # certified radius at t/T1 = 0, 1, 1.5 on the conftest curves (genus 2, 8)
+    # the radius is a property of B and the tolerance alone, pinned at tail
+    # tolerances 1e-6, 1e-10 (the default) and 1e-14 on the conftest curves
+    # (genus 2 and 8); it certifies every time of the run
     sd = request.getfixturevalue(curve)
-    T1 = first_appearance_estimate(sd)
-    got = tuple(default_theta_params(sd, [f * T1]).truncation_radius for f in (0, 1, 1.5))
+    got = tuple(ThetaParams(sd.B, tol).truncation_radius for tol in (1e-6, 1e-10, 1e-14))
     assert got == radii
 
 
@@ -224,7 +223,7 @@ def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode
     # one grid call builds one set for both and bounds its tail once
     sd = four_mode_sd
     T1 = first_appearance_estimate(sd)
-    p = default_theta_params(sd, [T1])
+    p = ThetaParams(sd.B)
     c = sd.d + sd.W_t * T1
     offsets = [sd.A_inf2 + c, c]
     calls = []
@@ -242,17 +241,19 @@ def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode
 
 
 def test_genus8_term_set_stays_small_past_peak(four_mode_sd):
-    # the drop budget scales with the largest term, so past the peak the set
-    # stays near its size at T1 (289,425 terms at 4 T1 with an absolute budget)
+    # in the reduced frame the drop budget and the tail scale with the
+    # largest term, so past the peak the set stays near its size at T1
+    # (289,425 terms at 4 T1 with an absolute budget and no reduction)
     sd = four_mode_sd
-    t = 4.0 * first_appearance_estimate(sd)
-    p = default_theta_params(sd, [t])
-    c = sd.d + sd.W_t * t
-    offsets = [sd.A_inf2 + c, c]
-    assert len(theta_mod._term_set(p, np.real(offsets))[0]) < 20_000
+    p = ThetaParams(sd.B)
     harmonics = [(q.mode.n_x, q.mode.n_y) for q in sd.pairs]
-    vals = theta_mod.theta_grid(offsets, harmonics, 16, 16, p)  # certified
-    assert np.all(np.isfinite(vals))
+    for f in (4.0, 40.0):
+        m, c = p.reduce(sd.d + sd.W_t * f * first_appearance_estimate(sd))
+        assert np.any(m != 0)
+        offsets = [sd.A_inf2 + c, c]
+        assert len(theta_mod._term_set(p, np.real(offsets))[0]) < 20_000
+        vals = theta_mod.theta_grid(offsets, harmonics, 16, 16, p)  # certified
+        assert np.all(np.isfinite(vals))
 
 
 def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_sd):
@@ -273,54 +274,80 @@ def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_s
 
 def test_adaptive_radius_minimality_and_determinism():
     B = np.array([[-2.0 + 0j]])
-    M = adaptive_radius(B, 0.0, 1e-12)
-    assert M == adaptive_radius(B, 0.0, 1e-12)  # deterministic
-    # minimality against the same certified bound, swept independently
-    assert tail_bound(B, M, 0.0) < 1e-12
-    assert all(tail_bound(B, m, 0.0) >= 1e-12 for m in range(1, M))
+    M = ThetaParams(B, 1e-6).truncation_radius
+    assert M == adaptive_radius(2.0, 1, 1e-6)  # deterministic
+    # minimality against the same certified bound at the cell's corner,
+    # swept independently
+    budget = 1e-6 * DROP_SHARE
+    assert tail_bound(2.0, M, [0.5], 0.0) <= budget
+    assert all(tail_bound(2.0, m, [0.5], 0.0) > budget for m in range(1, M))
     assert 3 <= M <= 6
 
 
+def test_tail_bound_largest_at_cell_corner():
+    # the radius certifies the whole cell because the bound grows with
+    # |delta_j| and the slack
+    lam, M = 8.0, 2
+    corner = tail_bound(lam, M, [0.5, -0.5, 0.5], 0.0)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        delta = rng.uniform(-0.5, 0.5, 3)
+        assert tail_bound(lam, M, delta, 0.0) <= corner
+        assert tail_bound(lam, M, delta, 0.0) <= tail_bound(lam, M, delta, 0.1)
+
+
 def test_adaptive_radius_strong_diagonal():
-    B = np.diag([-10.0 + 0j, -10.0 + 0j])
-    assert adaptive_radius(B, 0.0, 1e-2) == 1
+    B = np.diag([-40.0 + 0j, -40.0 + 0j])
+    assert ThetaParams(B, 1e-2).truncation_radius == 1
 
 
 def test_adaptive_radius_overflow():
     B = np.array([[-0.01 + 0j]])
     with pytest.raises(NumericError) as err:
-        adaptive_radius(B, 0.0, 1e-12)
+        ThetaParams(B, 1e-12)
     assert err.value.code == "radius-overflow"
 
 
 def test_not_negative_definite_rejected():
     with pytest.raises(NumericError) as err:
-        ThetaParams(B=np.array([[0.5 + 0j]]), truncation_radius=4)
+        ThetaParams(B=np.array([[0.5 + 0j]]))
     assert err.value.code == "not-negative-definite"
     with pytest.raises(NumericError):
-        ThetaParams(B=np.array([[-2.0, 0.3], [0.1, -2.0]], dtype=complex), truncation_radius=4)
+        ThetaParams(B=np.array([[-2.0, 0.3], [0.1, -2.0]], dtype=complex))
     for B in (np.full((2, 3), -2.0 + 0j), np.array([-2.0 + 0j]), np.zeros((0, 0), complex)):
         with pytest.raises(NumericError) as err:
-            ThetaParams(B=B, truncation_radius=4)
+            ThetaParams(B=B)
         assert "not square" in err.value.message
 
 
 def test_truncation_insufficient_raised():
-    # radius 1 cannot support a large real argument at tolerance 1e-10
-    p = ThetaParams(B=np.array([[-2.0 + 0j]]), truncation_radius=1,
-                    tail_tolerance=1e-10)
+    # at a zero of theta (z = i pi + b/2 at genus 1) the sum cancels to
+    # rounding, below tail_tolerance times any truncation error
+    B = np.array([[-2.0 + 0j]])
+    p = ThetaParams(B=B, tail_tolerance=1e-10)
     with pytest.raises(NumericError) as err:
-        theta(np.array([4.0 + 0j]), p)
+        theta(np.array([1j * np.pi + B[0, 0] / 2.0]), p)
     assert err.value.code == "truncation-insufficient"
 
 
+@pytest.mark.parametrize("re_z", [200.0, -210.0])
+def test_theta_overflow_raised(single_mode_sd, re_z):
+    # theta itself exceeds the float range: a coded error, not inf
+    p = ThetaParams(single_mode_sd.B)
+    with pytest.raises(NumericError) as err:
+        theta(np.array([re_z + 0.3j, 0.5]), p)
+    assert err.value.code == "theta-overflow"
+    assert np.isfinite(theta(np.array([20.0 + 0.3j, 0.5]), p))
+
+
 def test_division_by_zero_theta_guard(monkeypatch):
-    # genus-1 theta vanishes at z = i pi + b/2; floating point leaves a
-    # residue of order e^{3b/2} there, far above the 1e-300 hard floor, so
-    # raise the floor to make the guard reachable and hit the exact root.
+    # genus-1 theta vanishes at z = i pi + b/2.  Right at the root the sum
+    # cancels to rounding and fails its certificate, so aim 1e-4 beside
+    # it, where |theta| is far above the truncation error, and raise the
+    # 1e-300 hard floor to make the guard reachable.
     B = np.array([[-6.0 + 0j]])
-    p = ThetaParams(B=B, truncation_radius=12, tail_tolerance=1.0)
-    z0 = np.array([1j * np.pi + B[0, 0] / 2.0])
+    p = ThetaParams(B=B, tail_tolerance=1e-10)
+    z0 = np.array([1j * np.pi + B[0, 0] / 2.0 + 1e-4])
     assert abs(theta(z0, p)) < 1e-3  # near-root sanity
     monkeypatch.setattr(theta_mod, "ZERO_FLOOR", 1e-2)
     with pytest.raises(NumericError) as err:

@@ -4,6 +4,8 @@ Genus 1 uses Jacobi's theta_3:  theta(z | b) = jtheta(3, z / 2i, exp(b / 2)),
 since exp(b n^2 / 2 + n z) = q^(n^2) e^(2 i n w) with q = exp(b / 2) and
 w = z / 2i.  Genus 2 with a non-diagonal B is a 40-digit lattice sum over
 |n_j| <= 10, where every dropped term is below exp(-40) of the largest.
+Some arguments lie outside the fundamental cell (|P^-1 Re z| > 1/2 with
+P = -Re B), where theta() reduces them and scales the sum back.
 """
 
 import itertools
@@ -12,8 +14,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from ds2aw.fieldgen import _base_thetas, default_theta_params
-from ds2aw.theta import ThetaParams, adaptive_radius, theta, theta_grid
+from ds2aw.fieldgen import _base_thetas
+from ds2aw.theta import ThetaParams, theta, theta_grid
 
 REL = 1e-12
 
@@ -21,10 +23,9 @@ B1 = np.array([[-2.0 + 0.3j]])
 B2 = np.array([[-2.0 + 0.3j, 0.5 - 0.2j], [0.5 - 0.2j, -3.0 + 0.1j]])
 
 
-def certified(B, re_bound):
+def certified(B):
     """Theta parameters whose certified truncation error is far below REL."""
-    M = adaptive_radius(B, re_bound, 1e-16)
-    return ThetaParams(B=B, truncation_radius=M, tail_tolerance=1e-13)
+    return ThetaParams(B=B, tail_tolerance=1e-13)
 
 
 def mp_theta_1(z, b):
@@ -56,15 +57,17 @@ def test_jtheta_oracle_matches_lattice_sum(b):
 
 
 def test_theta_genus_1_against_jtheta():
-    zs = np.array([[0.0], [0.4 - 0.7j], [-1.1 + 2.5j], [0.9 + 0.1j]])
-    vals = theta(zs, certified(B1, 1.1))
+    zs = np.array([[0.0], [0.4 - 0.7j], [-1.1 + 2.5j], [0.9 + 0.1j],
+                   [5.3 + 0.4j], [-7.9 - 2.0j]])
+    vals = theta(zs, certified(B1))
     for z, v in zip(zs[:, 0], vals):
         assert_close(v, mp_theta_1(z, B1[0, 0]))
 
 
 def test_theta_genus_2_against_lattice_sum():
-    zs = np.array([[0.0, 0.0], [0.3 - 0.5j, -0.8 + 1.2j], [-0.9 + 2.0j, 0.6 - 0.4j]])
-    vals = theta(zs, certified(B2, 0.9))
+    zs = np.array([[0.0, 0.0], [0.3 - 0.5j, -0.8 + 1.2j], [-0.9 + 2.0j, 0.6 - 0.4j],
+                   [4.1 + 0.3j, -3.7 + 1.0j], [-5.0 - 0.2j, 6.5 + 0.7j]])
+    vals = theta(zs, certified(B2))
     for z, v in zip(zs, vals):
         assert_close(v, mp_theta(z, B2))
 
@@ -73,7 +76,7 @@ def test_theta_grid_genus_2_against_lattice_sum():
     nx, ny = 8, 6
     harmonics = np.array([(1, 0), (1, 2)])
     offsets = np.array([[0.2 + 0.1j, -0.5 + 0.3j], [-0.4 + 1.0j, 0.1 - 0.2j]])
-    grids = theta_grid(offsets, harmonics, nx, ny, certified(B2, 0.5))
+    grids = theta_grid(offsets, harmonics, nx, ny, certified(B2))
     for (ix, iy) in [(0, 0), (3, 1), (7, 5), (5, 2)]:
         w = 2j * np.pi * (harmonics[:, 0] * ix / nx + harmonics[:, 1] * iy / ny)
         for k, c in enumerate(offsets):
@@ -82,7 +85,7 @@ def test_theta_grid_genus_2_against_lattice_sum():
 
 def test_base_thetas_single_mode_against_lattice_sum(single_mode_sd):
     sd = single_mode_sd
-    params = default_theta_params(sd, [0.0], tail_tol=1e-13)
+    params = ThetaParams(sd.B, tail_tolerance=1e-13)
     theta_d, theta_ad = _base_thetas(sd, params)
     assert_close(theta_d, mp_theta(sd.d, sd.B))
     assert_close(theta_ad, mp_theta(sd.A_inf2 + sd.d, sd.B))
