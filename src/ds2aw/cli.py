@@ -26,7 +26,6 @@ from . import curve, fieldgen, fieldio, refsolver
 from .config import FORMATS, RunConfig, config_hash, load_config
 from .errors import ConfigError, DS2Error
 from .modes import check_genericity, enumerate_modes
-from .theta import ThetaParams
 
 
 def _encode(obj):
@@ -127,8 +126,7 @@ def _write_run(
 
 def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
     sd = _build_sd(cfg)
-    params = ThetaParams(sd.B, cfg.theta_tail_tol)
-    fields = fieldgen.evaluate_grid(cfg.times, cfg.nx, cfg.ny, sd, params)
+    fields = fieldgen.evaluate_grid(cfg.times, cfg.nx, cfg.ny, sd, cfg.theta_tail_tol)
     _write_run(cfg, fields, out_dir, "fg", fmt)
     return 0
 
@@ -165,15 +163,21 @@ def _require(doc, keys, where) -> None:
         raise ConfigError("config-parse", f"{where}: manifest lacks key {missing[0]!r}")
 
 
-def _load_field(entry: dict, base: Path, manifest: dict) -> fieldgen.Field:
-    if "bin" in entry:
-        return fieldio.read_field_bin(base / entry["bin"])
-    _require(entry, ("csv", "t"), base)
-    _require(manifest, ("L_x", "L_y"), base)
+def _load_field(entry: dict, base: Path, manifest: dict, t: float) -> fieldgen.Field:
     nx, ny = manifest["grid"]
-    return fieldio.read_field_csv(
-        base / entry["csv"], manifest["L_x"], manifest["L_y"], nx, ny, entry["t"]
-    )
+    if "bin" in entry:
+        path = base / entry["bin"]
+        field = fieldio.read_field_bin(path)
+    else:
+        _require(entry, ("csv", "t"), base)
+        _require(manifest, ("L_x", "L_y"), base)
+        path = base / entry["csv"]
+        field = fieldio.read_field_csv(path, manifest["L_x"], manifest["L_y"], nx, ny, entry["t"])
+    if field.u.shape != (ny, nx):
+        raise ConfigError("grid-mismatch", f"{path}: {field.nx}x{field.ny} field, grid {nx}x{ny}")
+    if abs(field.t - t) > 1e-9:
+        raise ConfigError("time-mismatch", f"{path}: field t = {field.t}, manifest t = {t}")
+    return field
 
 
 def cmd_compare(run_a: Path, run_b: Path, out_path: Path | None) -> int:
@@ -187,9 +191,9 @@ def cmd_compare(run_a: Path, run_b: Path, out_path: Path | None) -> int:
     if len(ta) != len(tb) or any(abs(x - y) > 1e-9 for x, y in zip(ta, tb)):
         raise ConfigError("time-mismatch", "snapshot times differ between runs")
     times, rel_l2, rel_linf, max_a, max_b = [], [], [], [], []
-    for ea, eb in zip(man_a["files"], man_b["files"]):
-        fa = _load_field(ea, base_a, man_a)
-        fb = _load_field(eb, base_b, man_b)
+    for ea, eb, t_a, t_b in zip(man_a["files"], man_b["files"], ta, tb):
+        fa = _load_field(ea, base_a, man_a, t_a)
+        fb = _load_field(eb, base_b, man_b, t_b)
         diff = fa.u - fb.u
         nb = np.linalg.norm(fb.u)
         times.append(fa.t)

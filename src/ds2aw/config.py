@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .theta import TAIL_TOLERANCE
 
 SCHEMA_VERSION = 1
 
@@ -34,7 +35,7 @@ class RunConfig:
     ny: int = 64
     times: list[float] = field(default_factory=lambda: [0.0])
     dt: float = 1e-3
-    theta_tail_tol: float = 1e-10
+    theta_tail_tol: float = TAIL_TOLERANCE
     out_dir: str | None = None
     out_format: str = "both"
 
@@ -167,7 +168,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             ny=int(grid[1]),
             times=[float(t) for t in doc.get("times", [0.0])],
             dt=float(doc.get("dt", 1e-3)),
-            theta_tail_tol=float(theta_doc.get("tail_tol", 1e-10)),
+            theta_tail_tol=float(theta_doc.get("tail_tol", TAIL_TOLERANCE)),
             out_dir=outputs.get("directory"),
             out_format=outputs.get("format", "both"),
         )

@@ -35,7 +35,7 @@ import numpy as np
 
 from .curve import SpectralData
 from .errors import ConfigError, NumericError
-from .theta import ZERO_FLOOR, ThetaParams, theta, theta_grid
+from .theta import TAIL_TOLERANCE, ZERO_FLOOR, ThetaParams, theta, theta_grid
 
 
 @dataclass
@@ -120,7 +120,7 @@ def evaluate_grid(
     nx: int,
     ny: int,
     sd: SpectralData,
-    params: ThetaParams | None = None,
+    tail_tolerance: float = TAIL_TOLERANCE,
 ) -> list[Field]:
     """Sample the finite-gap field on the torus grid at each time.
 
@@ -132,11 +132,11 @@ def evaluate_grid(
     2 pi i (n_x ix / nx + n_y iy / ny) for its mode's integer harmonic, so
     the lattice sum is a trigonometric polynomial sampled exactly on the
     grid.  The base thetas theta(d), theta(A + d) share one more set.
+    Each theta is certified to ``tail_tolerance`` relative to |theta|.
     """
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
-    if params is None:
-        params = ThetaParams(sd.B)
+    params = ThetaParams(sd.B, tail_tolerance)
     base = _base_thetas(sd, params)
     harmonics = [(p.mode.n_x, p.mode.n_y) for p in sd.pairs]
     fields = []

@@ -26,8 +26,8 @@ smallest of these subtree bounds are dropped while their sum stays within
 the budget, so the certificate (exterior tail plus the summed drops)
 charges every discarded term at most its own bound.
 
-Each call builds one term set, with its certificate, for the real parts
-of all the arguments it is given, and nothing is kept between calls.
+ThetaParams computes P, lambda_min and R once; each call builds one term
+set, with its certificate, for the real parts of its arguments, and drops it.
 Arguments that differ by an imaginary shift have the same term moduli and
 share the set exactly: the field's numerator and denominator thetas
 differ by A(inf_2), which is purely imaginary, so each pair is passed in
@@ -64,14 +64,17 @@ MAX_TERMS = 4_000_000
 # Share of tail_tolerance times e^C for the exterior tail and for the drops.
 DROP_SHARE = 1e-6
 
+# Default tail tolerance: the certified truncation error relative to |theta|.
+TAIL_TOLERANCE = 1e-10
+
 
 @dataclass
 class ThetaParams:
-    """Validated evaluation parameters: the period matrix and the tail
-    tolerance.  The truncation radius follows from them."""
+    """The validated period matrix and tail tolerance, and the geometry they
+    fix, once: P = -Re B, its smallest eigenvalue, R (P = R^T R) and M."""
 
     B: np.ndarray
-    tail_tolerance: float = 1e-10
+    tail_tolerance: float = TAIL_TOLERANCE
 
     def __post_init__(self):
         self.B = np.asarray(self.B, dtype=complex)
@@ -84,11 +87,13 @@ class ThetaParams:
             raise NumericError(
                 "not-negative-definite", f"period matrix asymmetry {asym:.3e}"
             )
-        self._decay = min_decay(self.B)
+        self._decay = -float(np.max(np.linalg.eigvalsh(self.B.real)))
         if self._decay <= 0.0:
             raise NumericError(
                 "not-negative-definite", "Re(B) is not negative definite"
             )
+        self._P = -self.B.real
+        self._R = np.linalg.cholesky(self._P).T
         self._radius = adaptive_radius(self._decay, self.g, self.tail_tolerance)
 
     @property
@@ -103,17 +108,11 @@ class ThetaParams:
 
     def reduce(self, z):
         """m = round(P^-1 Re z) and z + B m for each argument (the last axis
-        of z), P = -Re B: P^-1 Re(z + B m) lies in [-1/2, 1/2]^g, and
-        theta(z) = exp(m.B.m/2 + m.z) theta(z + B m)."""
+        of z): P^-1 Re(z + B m) lies in [-1/2, 1/2]^g, and theta(z) =
+        exp(m.B.m/2 + m.z) theta(z + B m)."""
         z = np.asarray(z, dtype=complex)
-        m = np.rint(np.linalg.solve(-self.B.real, z.real.T).T)
+        m = np.rint(np.linalg.solve(self._P, z.real.T).T)
         return m, z + m @ self.B
-
-
-def min_decay(B: np.ndarray) -> float:
-    """lambda_min > 0 such that n.Re(B).n <= -lambda_min |n|^2."""
-    eigs = np.linalg.eigvalsh(np.real(np.asarray(B, dtype=complex)))
-    return -float(np.max(eigs))
 
 
 def _sum_1d(a: float, r: float, lo: int) -> float:
@@ -175,26 +174,22 @@ def _full_box(g: int, M: int) -> np.ndarray:
 
 
 def _ellipsoid_box(
-    B: np.ndarray, M: int, centre: np.ndarray, slack: np.ndarray, budget: float
+    R: np.ndarray, M: int, n_star: np.ndarray, C: float, slack: np.ndarray, budget: float
 ) -> tuple[np.ndarray, float]:
-    """Box points |n_j| <= M whose terms matter for |Re z_j - centre_j| <=
-    slack_j, and the certified sum of the |terms| left out.
+    """Box points |n_j| <= M whose terms matter for real parts within
+    ``slack`` of P n*, and the certified sum of the |terms| left out.
 
-    With P = -Re B = R^T R (R upper triangular), n* = P^-1 centre and C =
-    centre.n*/2, a term's modulus is at most exp(C - |R(n - n*)|^2 / 2 +
-    sum_j |n_j| slack_j).  Coordinates are fixed from the last down to the
-    first; fixing n_i..n_{g-1} fixes rows i..g-1 of R(n - n*), and summing
-    each open coordinate r < i over Z bounds the subtree of a prefix by its
-    fixed part times prod_{r<i} (1 + sqrt(2 pi) / R_rr) e^{M slack_r}.  At
-    each level the smallest subtree bounds are dropped while their running
-    sum stays within budget e^C / g.  The budget is relative to e^C, the
-    largest term modulus at zero slack, so the kept set does not grow as
-    the terms do past the wave's peak."""
-    g = B.shape[0]
-    P = -np.real(B)
-    R = np.linalg.cholesky(P).T
-    n_star = np.linalg.solve(P, centre)
-    C = 0.5 * float(centre @ n_star)
+    With P = -Re B = R^T R (R upper triangular) and C = n*.P.n*/2, a term's
+    modulus is at most exp(C - |R(n - n*)|^2 / 2 + sum_j |n_j| slack_j).
+    Coordinates are fixed from the last down to the first; fixing
+    n_i..n_{g-1} fixes rows i..g-1 of R(n - n*), and summing each open
+    coordinate r < i over Z bounds the subtree of a prefix by its fixed part
+    times prod_{r<i} (1 + sqrt(2 pi) / R_rr) e^{M slack_r}.  At each level
+    the smallest subtree bounds are dropped while their running sum stays
+    within budget e^C / g.  The budget is relative to e^C, the largest term
+    modulus at zero slack, so the kept set does not grow as the terms do
+    past the wave's peak."""
+    g = len(n_star)
     open_log = np.log1p(math.sqrt(2.0 * math.pi) / np.diag(R)) + M * slack
     open_below = np.concatenate([[0.0], np.cumsum(open_log)])
     cand = np.arange(-M, M + 1)
@@ -229,22 +224,21 @@ def _ellipsoid_box(
 def _term_set(params: ThetaParams, re_z: np.ndarray):
     """Kept lattice points, their n.B.n/2 and the certified bound on the
     omitted terms (exterior tail plus pruned in-box terms) for arguments
-    whose real parts are the rows of ``re_z``: the set is built for their
-    midpoint, with their half-range as slack."""
-    re_z = np.asarray(re_z, dtype=float).reshape(-1, params.g)
+    whose real parts are the rows of ``re_z``: built for their midpoint P n*,
+    with their half-range as slack; n* and C = n*.P.n*/2 serve both bounds."""
     lo, hi = re_z.min(axis=0), re_z.max(axis=0)
     centre, slack = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    B, M = params.B, params.truncation_radius
+    M, budget = params.truncation_radius, params.tail_tolerance * DROP_SHARE
+    n_star = np.linalg.solve(params._P, centre)
+    C = 0.5 * float(centre @ n_star)
     if (2 * M + 1) ** params.g <= SMALL_BOX:
         N = _full_box(params.g, M)
         dropped = 0.0
     else:
-        N, dropped = _ellipsoid_box(B, M, centre, slack, params.tail_tolerance * DROP_SHARE)
-    quad = 0.5 * ((N @ B) * N).sum(1)
-    delta = np.linalg.solve(-B.real, centre)
-    C = 0.5 * float(centre @ delta)
+        N, dropped = _ellipsoid_box(params._R, M, n_star, C, slack, budget)
+    quad = 0.5 * ((N @ params.B) * N).sum(1)
     scale = math.exp(C) if C < 700.0 else math.inf  # far outside the cell
-    return N, quad, scale * tail_bound(params._decay, M, delta, slack) + dropped
+    return N, quad, scale * tail_bound(params._decay, M, n_star, slack) + dropped
 
 
 def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
@@ -253,13 +247,12 @@ def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
     fails the check.  The error's index is the flat index of the smallest
     |theta| (a NaN counts as smallest)."""
     mags = np.abs(vals).ravel()
-    i = int(np.argmin(mags)) if mags.size else None
-    floor = float(mags[i]) if mags.size else 0.0
-    if not (omitted <= params.tail_tolerance * floor):
+    i = int(np.argmin(mags))
+    if not (omitted <= params.tail_tolerance * mags[i]):
         raise NumericError(
             "truncation-insufficient",
             f"certified truncation error {omitted:.3e} exceeds "
-            f"{params.tail_tolerance:.1e} * min|theta| = {floor:.3e} at radius "
+            f"{params.tail_tolerance:.1e} * min|theta| = {mags[i]:.3e} at radius "
             f"{params.truncation_radius}",
             index=i,
         )
@@ -285,6 +278,8 @@ def theta(z, params: ThetaParams) -> complex | np.ndarray:
             f"argument has {z.shape[-1]} components, expected genus {params.g}",
         )
     zb = z.reshape(-1, params.g)
+    if not len(zb):
+        return np.empty(z.shape[:-1], dtype=complex)
     m, zr = params.reduce(zb)
     N, quad, omitted = _term_set(params, zr.real)
     vals = np.exp(zr @ N.T.astype(complex) + quad).sum(axis=1)
@@ -325,13 +320,12 @@ def theta_grid(offsets, harmonics, nx: int, ny: int, params: ThetaParams) -> np.
 
 
 def quasi_periodicity_residual(z, k: int, params: ThetaParams) -> float:
-    """Relative defect of theta(z + B e_k) = exp(-b_kk/2 - z_k) theta(z)."""
+    """Defect of theta(z + B e_k) = exp(-b_kk/2 - z_k) theta(z), relative
+    to the larger of its two sides."""
     z = np.asarray(z, dtype=complex)
-    t0 = theta(z, params)
-    if abs(t0) < ZERO_FLOOR:
-        raise NumericError(
-            "division-by-zero-theta", "theta(z) vanishes; residual undefined"
-        )
     shifted = theta(z + params.B[:, k], params)
-    factor = np.exp(-0.5 * params.B[k, k] - z[k])
-    return float(abs(shifted - factor * t0) / abs(t0))
+    scaled = np.exp(-0.5 * params.B[k, k] - z[k]) * theta(z, params)
+    size = max(abs(shifted), abs(scaled))
+    if size < ZERO_FLOOR:
+        raise NumericError("division-by-zero-theta", "both sides vanish; residual undefined")
+    return float(abs(shifted - scaled) / size)

@@ -369,6 +369,27 @@ def test_compare_time_mismatch(tmp_path, capsys):
     assert err["error"] == "time-mismatch"
 
 
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        (lambda f: Field(f.L_x, f.L_y, f.t, f.u[:1]), "grid-mismatch"),
+        (lambda f: Field(f.L_x, f.L_y, f.t + 0.5, f.u), "time-mismatch"),
+    ],
+    ids=["one-row-file", "later-file"],
+)
+def test_compare_file_disagrees_with_manifest(tmp_path, capsys, edit, code):
+    # the manifest says 8x8 at t = 0, but the file holds another grid (a 1x8
+    # row broadcasts against 8x8, so unchecked it compared as equal) or time
+    path, _ = single_mode_config(tmp_path, grid=[8, 8], times=[0.0])
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    for out in (out_a, out_b):
+        assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", "bin"]) == 0
+    write_field_bin(edit(read_field_bin(out_b / "fg_0000.bin")), out_b / "fg_0000.bin")
+    assert main(["compare", str(out_a), str(out_b)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == code and "fg_0000.bin" in err["message"]
+
+
 def test_compare_manifest_missing_key(tmp_path, capsys):
     path, _ = single_mode_config(tmp_path, times=[0.0])
     out = tmp_path / "run"

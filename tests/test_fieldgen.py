@@ -109,10 +109,9 @@ def test_grid_matches_direct_sum(single_mode_sd, four_mode_sd):
     cases += [(single_mode_sd, f * T2, 16) for f in (1.5, 20.0, 40.0)]
     cases += [(four_mode_sd, f * T8, 16) for f in (0.75, 1.0, 1.5, 20.0, 40.0)]
     for sd, t, n in cases:
-        params = ThetaParams(sd.B)
-        f = evaluate_grid([t], n, n, sd, params)[0]
+        f = evaluate_grid([t], n, n, sd)[0]
         X, Y = grid_xy(f)
-        direct = evaluate_batch(sd, (X + 1j * Y).ravel(), t, params).reshape(n, n)
+        direct = evaluate_batch(sd, (X + 1j * Y).ravel(), t).reshape(n, n)
         assert np.max(np.abs(f.u - direct) / np.abs(direct)) <= 1e-12
 
 
@@ -246,7 +245,7 @@ def test_theta_zero_reported(single_mode_sd, monkeypatch):
         evaluate_u(0.0, 0.0, 0.0, bad, params)
     assert err.value.code == "theta-zero"
     with pytest.raises(NumericError) as err:
-        evaluate_grid([0.0], 8, 8, bad, params)
+        evaluate_grid([0.0], 8, 8, bad)
     assert err.value.code == "theta-zero"
     assert "(x, y, t) = (0, 0, 0)" in err.value.message
 

@@ -84,6 +84,15 @@ def test_quasi_periodicity_genus2_diagonal_product_oracle():
         assert quasi_periodicity_residual(z, k, p) < 1e-10
 
 
+def test_quasi_periodicity_relative_to_the_larger_side():
+    # far from the cell exp(-b_kk/2 - z_k) is large (e^44 here): relative to
+    # |theta(z)| the defect read 2.1e3, rounding times that factor
+    B = np.array([[-12.0, 0.3], [0.3, -13.5]], dtype=complex)
+    p = ThetaParams(B=B, tail_tolerance=1e-6)
+    z = np.array([3.97 + 1.52j, -37.8 + 0.23j])
+    assert quasi_periodicity_residual(z, 1, p) < 1e-14
+
+
 def test_quasi_periodicity_reflection_invariance():
     rng = np.random.default_rng(5)
     p = random_params(rng, 2)
@@ -189,20 +198,22 @@ def test_dropped_terms_within_certificate(case, four_mode_sd):
         re_z = rng.uniform(-4, 4, (6, 5))  # Re of the batch in the test above
         centre = 0.5 * (re_z.max(0) + re_z.min(0))
         slack = 0.5 * (re_z.max(0) - re_z.min(0))
-        B, M, tol = p.B, p.truncation_radius, p.tail_tolerance
+        M = p.truncation_radius
     else:
         sd = four_mode_sd
         f = {"genus8-0": 0.0, "genus8-T1": 1.0, "genus8-1.5T1": 1.5}[case]
         centre = np.real(sd.d + sd.W_t * f * first_appearance_estimate(sd))
         slack = np.zeros(8)
-        B, M, tol = sd.B, 2, 1e-10  # box 5^8
-    kept, dropped = theta_mod._ellipsoid_box(B, M, centre, slack, tol * DROP_SHARE)
+        p, M = ThetaParams(sd.B), 2  # box 5^8
+    B, tol = p.B, p.tail_tolerance
+    n_star = np.linalg.solve(-np.real(B), centre)
+    C = 0.5 * centre @ n_star
+    kept, dropped = theta_mod._ellipsoid_box(p._R, M, n_star, C, slack, tol * DROP_SHARE)
     N, moduli = box_term_moduli(B, M, centre, slack)
     flat = np.ravel_multi_index(tuple((kept + M).T), (2 * M + 1,) * B.shape[0])
     assert len(np.unique(flat)) == len(kept) < len(N)
     left_out = np.ones(len(N), dtype=bool)
     left_out[flat] = False
-    C = 0.5 * centre @ np.linalg.solve(-np.real(B), centre)
     assert 0.0 < moduli[left_out].sum() <= dropped <= tol * DROP_SHARE * np.exp(C)
 
 
@@ -270,6 +281,29 @@ def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_s
         monkeypatch.setattr(theta_mod, name, counted)
     evaluate_grid([0.0, 0.375 * T1, 0.75 * T1], 8, 8, sd)
     assert len(built) == 1 + 3
+
+
+def test_lattice_geometry_factored_once(monkeypatch, four_mode_sd):
+    # P = -Re B is factored once per ThetaParams, not once per term set:
+    # three genus-8 snapshots and the base thetas share one Cholesky factor
+    sd = four_mode_sd
+    T1 = first_appearance_estimate(sd)
+    calls = []
+
+    def counted(a, _fn=np.linalg.cholesky):
+        calls.append(a)
+        return _fn(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    evaluate_grid([0.0, 0.375 * T1, 0.75 * T1], 8, 8, sd)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], -sd.B.real)
+
+
+def test_theta_empty_batch(single_mode_sd):
+    p = ThetaParams(single_mode_sd.B)
+    assert theta(np.empty((0, 2), dtype=complex), p).shape == (0,)
+    assert theta(np.empty((3, 0, 2), dtype=complex), p).shape == (3, 0)
 
 
 def test_adaptive_radius_minimality_and_determinism():
@@ -341,13 +375,16 @@ def test_theta_overflow_raised(single_mode_sd, re_z):
 
 
 def test_division_by_zero_theta_guard(monkeypatch):
-    # genus-1 theta vanishes at z = i pi + b/2.  Right at the root the sum
-    # cancels to rounding and fails its certificate, so aim 1e-4 beside
-    # it, where |theta| is far above the truncation error, and raise the
-    # 1e-300 hard floor to make the guard reachable.
+    # genus-1 theta vanishes at z = i pi + b/2 and at its lattice translate
+    # z = i pi - b/2, so at the translate both sides of the identity
+    # vanish.  Right at the root the sum cancels to rounding and fails its
+    # certificate, so aim 1e-4 beside it, where |theta| is far above the
+    # truncation error, and raise the 1e-300 hard floor to make the guard
+    # reachable.
     B = np.array([[-6.0 + 0j]])
     p = ThetaParams(B=B, tail_tolerance=1e-10)
-    z0 = np.array([1j * np.pi + B[0, 0] / 2.0 + 1e-4])
+    z0 = np.array([1j * np.pi - B[0, 0] / 2.0 + 1e-4])
+    assert abs(theta(z0 + B[:, 0], p)) < 1e-3
     assert abs(theta(z0, p)) < 1e-3  # near-root sanity
     monkeypatch.setattr(theta_mod, "ZERO_FLOOR", 1e-2)
     with pytest.raises(NumericError) as err:
