@@ -20,7 +20,7 @@ from .errors import (
 from .fieldgen import Field, evaluate_grid, first_appearance_estimate, make_cauchy_field
 from .modes import check_genericity, enumerate_modes
 from .refsolver import evolve
-from .theta import ThetaParams, quasi_periodicity_residual
+from .theta import ThetaParams
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,5 @@ __all__ = [
     "evolve",
     "first_appearance_estimate",
     "make_cauchy_field",
-    "quasi_periodicity_residual",
     "reality_residual",
 ]

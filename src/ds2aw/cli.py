@@ -119,9 +119,7 @@ def _write_run(
         "format": fmt,
         "files": entries,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    _emit(manifest, out_dir / "manifest.json")
 
 
 def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str) -> int:

@@ -54,8 +54,6 @@ class ResonantPair:
     j: int
     tau_1: complex
     tau_2: complex
-    theta_angle: float
-    phi_angle: float
     mode: Mode
     alpha: complex | None = None
     beta: complex | None = None
@@ -120,14 +118,8 @@ def resonant_pair(mode: Mode) -> tuple[ResonantPair, ResonantPair]:
             f"mode ({mode.n_x}, {mode.n_y}) has a resonant point on the real "
             "axis; the configuration is non-generic",
         )
-    theta = math.atan2(mode.k_y, mode.k_x)
-    phi = math.acos(math.sqrt(mode.k_squared) / 2.0)
     neg_mode = Mode(-mode.n_x, -mode.n_y, -mode.k_x, -mode.k_y, mode.sigma, True)
-    theta_neg = theta - math.pi if theta > 0 else theta + math.pi
-    return (
-        ResonantPair(0, tau_1, tau_2, theta, phi, mode),
-        ResonantPair(0, -tau_1, -tau_2, theta_neg, phi, neg_mode),
-    )
+    return ResonantPair(0, tau_1, tau_2, mode), ResonantPair(0, -tau_1, -tau_2, neg_mode)
 
 
 def order_pairs(pairs: list[ResonantPair]) -> list[ResonantPair]:

@@ -23,19 +23,24 @@ factor exp(m.B.m/2 + m.(w + c)) and the numerator also exp(m.A), so
     u = exp(m.A) theta(A + w + c') theta(d) / (theta(A + d) theta(w + c')) * u00
 
 exactly, with |exp(m.A)| = 1 since A is purely imaginary.
+
+A failing sample is named in one place: theta_grid and the ratio raise
+with its flat index, and evaluate_grid turns that into (x, y, t).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import SpectralData
 from .errors import ConfigError, NumericError
-from .theta import TAIL_TOLERANCE, ZERO_FLOOR, ThetaParams, theta, theta_grid
+from .theta import TAIL_TOLERANCE, ThetaParams, theta, theta_grid
+
+# |theta| below this counts as an exact zero (the ratio's division guard).
+ZERO_FLOOR = 1e-300
 
 
 @dataclass
@@ -75,43 +80,18 @@ def _base_thetas(sd: SpectralData, params: ThetaParams) -> tuple[complex, comple
     return theta_d, theta_ad
 
 
-def _at(coords, i: int) -> str:
-    x, y, t = coords(i)
-    return f"(x, y, t) = ({x:.6g}, {y:.6g}, {t:.6g})"
-
-
-@contextmanager
-def _located(coords):
-    """Name the (x, y, t) of the sample a batch theta error points at.
-
-    The error's flat index runs over the stacked numerator and denominator
-    values; ``coords`` reduces it modulo the sample count."""
-    try:
-        yield
-    except NumericError as err:
-        if err.index is None:
-            raise
-        raise NumericError(
-            err.code, f"{err.message}; smallest |theta| at {_at(coords, err.index)}"
-        ) from err
-
-
-def _ratio(num, den, base, u00, coords) -> np.ndarray:
+def _ratio(num, den, base, u00) -> np.ndarray:
     """u from the numerator and denominator thetas, the base thetas and
-    the normalization; coords(i) gives the (x, y, t) of flat sample i for
-    the error messages."""
+    the normalization.  A vanishing denominator or a non-finite sample
+    raises with the flat index of the sample."""
     i = int(np.argmin(np.abs(den)))
     if np.abs(den.flat[i]) < ZERO_FLOOR:
-        raise NumericError(
-            "theta-zero",
-            f"theta denominator vanishes at {_at(coords, i)}; "
-            "the leading-order formula has a pole here",
-        )
+        raise NumericError("theta-zero", "theta denominator vanishes (a pole of u)", index=i)
     theta_d, theta_ad = base
     u = num * (theta_d / (theta_ad * den)) * u00
     if not np.all(np.isfinite(u)):
         i = int(np.argmin(np.isfinite(u)))
-        raise NumericError("nan-detected", f"non-finite sample at {_at(coords, i)}")
+        raise NumericError("nan-detected", "non-finite sample", index=i)
     return u
 
 
@@ -133,6 +113,7 @@ def evaluate_grid(
     the lattice sum is a trigonometric polynomial sampled exactly on the
     grid.  The base thetas theta(d), theta(A + d) share one more set.
     Each theta is certified to ``tail_tolerance`` relative to |theta|.
+    A NumericError keeps its code and gains ``at (x, y, t) = (...)``.
     """
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
@@ -143,14 +124,15 @@ def evaluate_grid(
     for t in times:
         t = float(t)
         m, c = params.reduce(sd.d + sd.W_t * t)
-
-        def coords(i):
-            iy, ix = divmod(i % (nx * ny), nx)
-            return ix * sd.L_x / nx, iy * sd.L_y / ny, t
-
-        with _located(coords):
+        try:
             num, den = theta_grid(np.stack([sd.A_inf2 + c, c]), harmonics, nx, ny, params)
-        u = _ratio(num, den, base, sd.u00 * np.exp(m @ sd.A_inf2), coords)
+            u = _ratio(num, den, base, sd.u00 * np.exp(m @ sd.A_inf2))
+        except NumericError as err:
+            if err.index is None:
+                raise
+            iy, ix = divmod(err.index % (nx * ny), nx)
+            at = f"({ix * sd.L_x / nx:.6g}, {iy * sd.L_y / ny:.6g}, {t:.6g})"
+            raise NumericError(err.code, f"{err.message} at (x, y, t) = {at}") from err
         fields.append(Field(sd.L_x, sd.L_y, t, u))
     return fields
 

@@ -36,6 +36,10 @@ one call.
 theta_grid evaluates theta(w + c) on a whole torus grid when the spatial
 part w is i(k_x x + k_y y) with lattice wave vectors: one folded inverse
 FFT of the term values per offset c, which the caller has reduced.
+
+A failed certificate carries the flat index of the smallest |theta|
+(NumericError.index) for the caller to name.  Quasi-periodicity holds by
+construction after the reduction; the tests check it against direct sums.
 """
 
 from __future__ import annotations
@@ -45,15 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 
 MAX_RADIUS = 64
 
 # B must be symmetric to this tolerance and Re(B) negative definite.
 SYMMETRY_TOL = 1e-12
-
-# |theta| below this counts as an exact zero (division guard).
-ZERO_FLOOR = 1e-300
 
 # Full-box enumeration below this many lattice points; pruned above.
 SMALL_BOX = 1 << 18
@@ -70,13 +71,16 @@ TAIL_TOLERANCE = 1e-10
 
 @dataclass
 class ThetaParams:
-    """The validated period matrix and tail tolerance, and the geometry they
-    fix, once: P = -Re B, its smallest eigenvalue, R (P = R^T R) and M."""
+    """The validated period matrix and tail tolerance (finite, positive) and
+    the geometry they fix, once: P = -Re B, lambda_min, R (P = R^T R), M."""
 
     B: np.ndarray
     tail_tolerance: float = TAIL_TOLERANCE
 
     def __post_init__(self):
+        if not 0.0 < self.tail_tolerance < math.inf:
+            msg = f"theta tail tolerance {self.tail_tolerance} is not finite and positive"
+            raise ConfigError("invalid-tolerance", msg)
         self.B = np.asarray(self.B, dtype=complex)
         if self.B.ndim != 2 or not 0 < self.B.shape[0] == self.B.shape[1]:
             raise NumericError(
@@ -251,9 +255,9 @@ def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
     if not (omitted <= params.tail_tolerance * mags[i]):
         raise NumericError(
             "truncation-insufficient",
-            f"certified truncation error {omitted:.3e} exceeds "
-            f"{params.tail_tolerance:.1e} * min|theta| = {mags[i]:.3e} at radius "
-            f"{params.truncation_radius}",
+            f"certified truncation error {omitted:.3e} at radius "
+            f"{params.truncation_radius} exceeds {params.tail_tolerance:.1e} * "
+            f"min|theta| = {mags[i]:.3e}",
             index=i,
         )
 
@@ -317,15 +321,3 @@ def theta_grid(offsets, harmonics, nx: int, ny: int, params: ThetaParams) -> np.
     vals = (nx * ny) * np.fft.ifft2(coef.reshape(-1, ny, nx))
     _certify(params, omitted, vals)
     return vals
-
-
-def quasi_periodicity_residual(z, k: int, params: ThetaParams) -> float:
-    """Defect of theta(z + B e_k) = exp(-b_kk/2 - z_k) theta(z), relative
-    to the larger of its two sides."""
-    z = np.asarray(z, dtype=complex)
-    shifted = theta(z + params.B[:, k], params)
-    scaled = np.exp(-0.5 * params.B[k, k] - z[k]) * theta(z, params)
-    size = max(abs(shifted), abs(scaled))
-    if size < ZERO_FLOOR:
-        raise NumericError("division-by-zero-theta", "both sides vanish; residual undefined")
-    return float(abs(shifted - scaled) / size)

@@ -25,6 +25,27 @@ SINGLE_LY = 2.0 * math.pi / 2.1
 COLLIDE_LY = 7.652233521084404
 
 
+def lattice_sum(z, B, R=5):
+    """theta(z | B) as the plain sum over the box |n_j| <= R, independent of
+    ds2aw.theta: no reduction into the cell, no pruning, no certificate."""
+    g = len(B)
+    N = np.stack(np.meshgrid(*([np.arange(-R, R + 1)] * g), indexing="ij"), -1).reshape(-1, g)
+    return np.exp(0.5 * ((N @ B) * N).sum(1) + N @ np.asarray(z)).sum()
+
+
+def quasi_periodicity_defect(z, k, params, R=5):
+    """Defect of theta(z + B e_k) = exp(-b_kk/2 - z_k) theta(z), with theta()
+    on the left and a direct lattice sum (``lattice_sum``) at z on the right,
+    relative to the larger of the two sides."""
+    from ds2aw.theta import theta
+
+    z = np.asarray(z, dtype=complex)
+    B = params.B
+    shifted = theta(z + B[:, k], params)
+    scaled = np.exp(-0.5 * B[k, k] - z[k]) * lattice_sum(z, B, R)
+    return abs(shifted - scaled) / max(abs(shifted), abs(scaled))
+
+
 def harmonic_grid(nx, ny, terms):
     """v0 = sum c * exp(2 pi i (n_x ix / nx + n_y iy / ny)) sampled on the grid."""
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")

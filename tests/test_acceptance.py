@@ -18,9 +18,17 @@ from ds2aw.curve import build_spectral_data
 from ds2aw.fieldgen import Field, evaluate_grid, make_cauchy_field
 from ds2aw.modes import growth_rate
 from ds2aw.refsolver import evolve, q_multiplier
-from ds2aw.theta import ThetaParams, quasi_periodicity_residual, theta
+from ds2aw.theta import ThetaParams, theta
 
-from conftest import FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
+from conftest import (
+    FOURMODE_LX,
+    FOURMODE_LY,
+    SINGLE_LX,
+    SINGLE_LY,
+    cosine_grid,
+    harmonic_grid,
+    quasi_periodicity_defect,
+)
 from test_fieldgen import evaluate_u
 from test_refsolver import eigenvector_seed, fitted_rate, mode_coefficient, step_snapshots
 
@@ -159,7 +167,8 @@ def test_criterion_3_wt_sigma_identity():
 
 
 def test_criterion_4_theta_correctness():
-    """Frozen genus-1 value, quasi-periodicity, block factorization."""
+    """Frozen genus-1 value, quasi-periodicity against a direct lattice sum
+    over |n_j| <= 5, block factorization."""
     with criterion(4, "theta value 1e-9, quasi-periodicity 1e-9, blocks 1e-12"):
         start = time.perf_counter()
         p1 = ThetaParams(B=np.array([[-2.0 + 0j]]))
@@ -175,7 +184,7 @@ def test_criterion_4_theta_correctness():
             z = rng.uniform(-5, 5, g) + 1j * rng.uniform(-5, 5, g)
             k = int(rng.integers(0, g))
             params = ThetaParams(B=B, tail_tolerance=1e-6)
-            assert quasi_periodicity_residual(z, k, params) <= 1e-9
+            assert quasi_periodicity_defect(z, k, params) <= 1e-9
 
         for _ in range(5):
             d = rng.uniform(-14.0, -10.0, size=4)

@@ -91,12 +91,6 @@ def test_resonance_system_residuals(four_mode_sd):
         assert (p.tau_1 / p.tau_2).imag > 0.0
 
 
-def test_angle_parameterization(four_mode_sd):
-    for p in four_mode_sd.pairs:
-        assert p.mode.k_x == pytest.approx(2 * math.cos(p.phi_angle) * math.cos(p.theta_angle), abs=1e-12)
-        assert p.mode.k_y == pytest.approx(2 * math.cos(p.phi_angle) * math.sin(p.theta_angle), abs=1e-12)
-
-
 def test_degenerate_pair_rejected():
     # theta = phi puts tau_1 = -1 on the real axis
     phi = 0.5

@@ -2,8 +2,9 @@
 
 The genus-1 frozen value comes from direct summation of the series with a
 plain python loop (independent of the vectorized path); quasi-periodicity
-is checked against the two-sided identity, and block-diagonal matrices
-against products of block evaluations.
+is checked with theta() on one side of the identity and a direct lattice
+sum on the other, and block-diagonal matrices against products of block
+evaluations.
 """
 
 import cmath
@@ -12,16 +13,17 @@ import importlib
 import numpy as np
 import pytest
 
-from ds2aw.errors import NumericError
+from ds2aw.errors import ConfigError, NumericError
 from ds2aw.fieldgen import evaluate_grid, first_appearance_estimate
 from ds2aw.theta import (
     DROP_SHARE,
     ThetaParams,
     adaptive_radius,
-    quasi_periodicity_residual,
     tail_bound,
     theta,
 )
+
+from conftest import quasi_periodicity_defect
 
 theta_mod = importlib.import_module("ds2aw.theta")
 
@@ -68,7 +70,7 @@ def test_2pi_i_periodicity():
 
 def test_quasi_periodicity_genus1():
     p = params_1d()
-    assert quasi_periodicity_residual(np.array([0.3 + 0.1j]), 0, p) < 1e-10
+    assert quasi_periodicity_defect(np.array([0.3 + 0.1j]), 0, p) < 1e-10
 
 
 def test_quasi_periodicity_genus2_diagonal_product_oracle():
@@ -81,16 +83,17 @@ def test_quasi_periodicity_genus2_diagonal_product_oracle():
     prod = theta(z[:1], p1) * theta(z[1:], p2)
     assert theta(z, p) == pytest.approx(prod, rel=1e-13)
     for k in range(2):
-        assert quasi_periodicity_residual(z, k, p) < 1e-10
+        assert quasi_periodicity_defect(z, k, p) < 1e-10
 
 
 def test_quasi_periodicity_relative_to_the_larger_side():
     # far from the cell exp(-b_kk/2 - z_k) is large (e^44 here): relative to
-    # |theta(z)| the defect read 2.1e3, rounding times that factor
+    # |theta(z)| the defect would read rounding times that factor.  The
+    # direct sum at z peaks near n = (0, -3), inside its box |n_j| <= 8
     B = np.array([[-12.0, 0.3], [0.3, -13.5]], dtype=complex)
     p = ThetaParams(B=B, tail_tolerance=1e-6)
     z = np.array([3.97 + 1.52j, -37.8 + 0.23j])
-    assert quasi_periodicity_residual(z, 1, p) < 1e-14
+    assert quasi_periodicity_defect(z, 1, p, R=8) < 1e-14
 
 
 def test_quasi_periodicity_reflection_invariance():
@@ -98,8 +101,8 @@ def test_quasi_periodicity_reflection_invariance():
     p = random_params(rng, 2)
     z = rng.normal(0, 1, 2) + 1j * rng.normal(0, 1, 2)
     for k in range(2):
-        r1 = quasi_periodicity_residual(z, k, p)
-        r2 = quasi_periodicity_residual(-z - p.B[:, k], k, p)
+        r1 = quasi_periodicity_defect(z, k, p)
+        r2 = quasi_periodicity_defect(-z - p.B[:, k], k, p)
         assert r1 < 1e-9 and r2 < 1e-9
 
 
@@ -342,6 +345,20 @@ def test_adaptive_radius_overflow():
     assert err.value.code == "radius-overflow"
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
+def test_tail_tolerance_not_finite_and_positive_rejected(tol, single_mode_sd):
+    # unchecked, 0 and inf would still give a radius (M = 16, and M = 1 with
+    # every certificate passing), and -1 and NaN a radius-overflow that
+    # blames B
+    B = np.array([[-6.0 + 0j]])
+    for build in (lambda: ThetaParams(B, tol),
+                  lambda: evaluate_grid([0.0], 8, 8, single_mode_sd, tail_tolerance=tol)):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert err.value.code == "invalid-tolerance" and err.value.exit_code == 2
+        assert "tail tolerance" in err.value.message
+
+
 def test_not_negative_definite_rejected():
     with pytest.raises(NumericError) as err:
         ThetaParams(B=np.array([[0.5 + 0j]]))
@@ -372,21 +389,3 @@ def test_theta_overflow_raised(single_mode_sd, re_z):
         theta(np.array([re_z + 0.3j, 0.5]), p)
     assert err.value.code == "theta-overflow"
     assert np.isfinite(theta(np.array([20.0 + 0.3j, 0.5]), p))
-
-
-def test_division_by_zero_theta_guard(monkeypatch):
-    # genus-1 theta vanishes at z = i pi + b/2 and at its lattice translate
-    # z = i pi - b/2, so at the translate both sides of the identity
-    # vanish.  Right at the root the sum cancels to rounding and fails its
-    # certificate, so aim 1e-4 beside it, where |theta| is far above the
-    # truncation error, and raise the 1e-300 hard floor to make the guard
-    # reachable.
-    B = np.array([[-6.0 + 0j]])
-    p = ThetaParams(B=B, tail_tolerance=1e-10)
-    z0 = np.array([1j * np.pi - B[0, 0] / 2.0 + 1e-4])
-    assert abs(theta(z0 + B[:, 0], p)) < 1e-3
-    assert abs(theta(z0, p)) < 1e-3  # near-root sanity
-    monkeypatch.setattr(theta_mod, "ZERO_FLOOR", 1e-2)
-    with pytest.raises(NumericError) as err:
-        quasi_periodicity_residual(z0, 0, p)
-    assert err.value.code == "division-by-zero-theta"
