@@ -230,8 +230,9 @@ def frequency_vectors(pairs: list[ResonantPair]) -> tuple[np.ndarray, np.ndarray
 
 
 def abel_infinity(pairs: list[ResonantPair]) -> np.ndarray:
-    """Abel vector of the second marked point, A(inf_2); A(inf_1) = 0."""
-    return np.array([cmath.log(p.tau_1 * p.tau_2.conjugate()) for p in pairs])
+    """Abel vector of the second marked point, A(inf_2); A(inf_1) = 0.  A_j =
+    Log(tau_1 conj(tau_2)) = i arg(tau_1 conj(tau_2)) on the unit circle."""
+    return np.array([complex(0.0, cmath.phase(p.tau_1 * p.tau_2.conjugate())) for p in pairs])
 
 
 def divisor_and_constants(

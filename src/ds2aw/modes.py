@@ -44,9 +44,8 @@ class GenericityReport:
     """Violations of the genericity hypotheses for periods (L_x, L_y).
 
     ``ok`` is true iff all three lists are empty.  Marginal modes
-    (k_x^2 = k_y^2 inside the disk) are not fatal for the construction --
-    they simply carry zero growth rate to leading order -- but they are
-    reported so a caller can see that part of the disk is inert.
+    (k_x^2 = k_y^2 inside the disk, zero growth rate to leading order) count
+    like the others: build_spectral_data raises genericity (exit 3) on them.
     """
 
     on_circle_violations: list[Mode] = field(default_factory=list)

@@ -15,27 +15,29 @@ modulus is exp(C - (n - delta).P.(n - delta)/2) with C = delta.P.delta/2.
 
 Truncation is rectangular, |n_j| <= M, with a certified Gaussian tail
 bound relative to e^C: relaxing P to its smallest eigenvalue makes the
-exterior tail a product of one-dimensional sums, so one radius, fixed by
-B and the tolerance, certifies the whole cell.  Small boxes are summed in
-full.  Inside larger boxes the terms are enumerated by their exact
-modulus (the ellipsoid enumeration of the same paper): with P = R^T R,
-fixing the coordinates from the last down to the first fixes one row of
-R(n - delta) at a time, and the terms below a fixed prefix sum to at most
-its fixed part times a product of one-dimensional Gaussian sums.  The
-smallest of these subtree bounds are dropped while their sum stays within
-the budget, so the certificate (exterior tail plus the summed drops)
-charges every discarded term at most its own bound.
+exterior tail a product of one-dimensional sums, each bounded in closed
+form by a geometric series, so one radius, fixed by B and the tolerance,
+certifies the whole cell.  Inside the box the terms are enumerated by
+their exact modulus (the ellipsoid enumeration of the same paper): with P
+= R^T R, fixing the coordinates from the last down to the first fixes one
+row of R(n - delta) at a time, and the terms below a fixed prefix sum to
+at most its fixed part times a product of one-dimensional Gaussian sums.
+In boxes above SMALL_BOX points the smallest of these subtree bounds are
+dropped while their sum stays within the budget, so the certificate
+(exterior tail plus the summed drops) charges every discarded term at
+most its own bound; smaller boxes are kept whole.
 
-ThetaParams computes P, lambda_min and R once; each call builds one term
-set, with its certificate, for the real parts of its arguments, and drops it.
-Arguments that differ by an imaginary shift have the same term moduli and
-share the set exactly: the field's numerator and denominator thetas
-differ by A(inf_2), which is purely imaginary, so each pair is passed in
-one call.
+ThetaParams computes P, lambda_min and R once.  A term set, with its
+certificate, belongs to one reduced real part: theta() builds one per
+distinct real part of its batch and drops it.  Arguments that differ by
+an imaginary shift have the same term moduli and share the set exactly:
+the field's numerator and denominator thetas differ by A(inf_2), whose
+real part is exactly 0, so each pair is passed in one call.
 
 theta_grid evaluates theta(w + c) on a whole torus grid when the spatial
 part w is i(k_x x + k_y y) with lattice wave vectors: one folded inverse
-FFT of the term values per offset c, which the caller has reduced.
+FFT of the term values per offset c.  The caller reduces the offsets, and
+they share one real part.
 
 A failed certificate carries the flat index of the smallest |theta|
 (NumericError.index) for the caller to name.  Quasi-periodicity holds by
@@ -56,7 +58,7 @@ MAX_RADIUS = 64
 # B must be symmetric to this tolerance and Re(B) negative definite.
 SYMMETRY_TOL = 1e-12
 
-# Full-box enumeration below this many lattice points; pruned above.
+# Boxes of at most this many lattice points are kept whole; pruned above.
 SMALL_BOX = 1 << 18
 
 # Hard cap on kept lattice points after pruning.
@@ -119,41 +121,30 @@ class ThetaParams:
         return m, z + m @ self.B
 
 
-def _sum_1d(a: float, r: float, lo: int) -> float:
-    """2 * sum_{n >= lo} exp(-a n^2 / 2 + r n), plus 1 if lo == 0."""
-    total = 1.0 if lo == 0 else 0.0
-    n = max(lo, 1)
-    peak = r / a
-    while True:
-        expo = -0.5 * a * n * n + r * n
-        if expo > 700.0:
-            return math.inf
-        term = 2.0 * math.exp(expo)
-        total += term
-        if n > peak and (term < 1e-10 * max(total, 1e-300) or term == 0.0):
-            return total
-        n += 1
-        if n > lo + 100000:
-            return math.inf
-
-
-def tail_bound(decay: float, M: int, delta, slack) -> float:
+def tail_bound(decay: float, M: int, delta) -> float:
     """Certified bound, relative to e^C, on the sum of |terms| with sup-norm
-    |n| > M for real parts within ``slack`` of P delta (P = -Re B, C =
-    delta.P.delta/2, ``decay`` = lambda_min of P).
+    |n| > M at real part P delta (P = -Re B, C = delta.P.delta/2, ``decay``
+    = lambda_min of P).
 
-    A term is at most e^C prod_j exp(-decay (n_j - delta_j)^2/2 + |n_j|
-    slack_j) <= e^C prod_j exp(-decay delta_j^2/2) exp(-decay n_j^2/2 +
-    |n_j| r_j), r_j = decay |delta_j| + slack_j; the tail is union-bounded,
-    sum_j S_j(|n_j| > M) prod_{k != j} S_k(all n_k), with the first factor
-    kept for j only.  In the cell it grows with each |delta_j| and slack_j.
+    A term is at most e^C prod_j exp(-decay (n_j - delta_j)^2/2) <= e^C
+    prod_j exp(-decay delta_j^2/2) exp(-decay n_j^2/2 + |n_j| r_j), r_j =
+    decay |delta_j|; the tail is union-bounded, sum_j S_j(|n_j| > M)
+    prod_{k != j} S_k(all n_k), with the first factor kept for j only.  From
+    n = k >= 1 on, neighbouring terms shrink by at least q = exp(r_j - decay
+    (k + 1/2)), below 1 for |delta_j| < 3/2, so each S_j is at most its first
+    term over 1 - q; beyond that (only an unreduced argument gets there) the
+    bound is inf.  In the cell it grows with each |delta_j|.
     """
     delta = np.abs(np.asarray(delta, dtype=float))
-    r = decay * delta + np.broadcast_to(np.asarray(slack, dtype=float), delta.shape)
-    full = np.array([_sum_1d(decay, rj, 0) for rj in r])
-    out = np.exp(-0.5 * decay * delta**2) * [_sum_1d(decay, rj, M + 1) for rj in r]
-    if not np.all(np.isfinite(full)):
+    if not np.all(delta < 1.5):
         return math.inf
+    r = decay * delta
+
+    def from_k(k: int) -> np.ndarray:  # 2 sum_{n >= k} exp(-decay n^2/2 + r n)
+        return 2.0 * np.exp(k * (r - 0.5 * decay * k)) / -np.expm1(r - decay * (k + 0.5))
+
+    full = 1.0 + from_k(1)
+    out = np.exp(-0.5 * decay * delta**2) * from_k(M + 1)
     return float(sum(out[j] * np.prod(np.delete(full, j)) for j in range(len(r))))
 
 
@@ -162,7 +153,7 @@ def adaptive_radius(decay: float, g: int, tol: float) -> int:
     DROP_SHARE in the whole cell, i.e. at its corner |delta_j| = 1/2."""
     corner = np.full(g, 0.5)
     for M in range(1, MAX_RADIUS + 1):
-        if tail_bound(decay, M, corner, 0.0) <= tol * DROP_SHARE:
+        if tail_bound(decay, M, corner) <= tol * DROP_SHARE:
             return M
     raise NumericError(
         "radius-overflow",
@@ -171,41 +162,32 @@ def adaptive_radius(decay: float, g: int, tol: float) -> int:
     )
 
 
-def _full_box(g: int, M: int) -> np.ndarray:
-    axes = np.arange(-M, M + 1)
-    grids = np.meshgrid(*([axes] * g), indexing="ij")
-    return np.stack([gr.ravel() for gr in grids], axis=-1)
-
-
-def _ellipsoid_box(
-    R: np.ndarray, M: int, n_star: np.ndarray, C: float, slack: np.ndarray, budget: float
-) -> tuple[np.ndarray, float]:
-    """Box points |n_j| <= M whose terms matter for real parts within
-    ``slack`` of P n*, and the certified sum of the |terms| left out.
+def _ellipsoid_box(R: np.ndarray, M: int, n_star: np.ndarray, C: float, budget: float):
+    """Box points |n_j| <= M whose terms matter at real part P n*, and the
+    certified sum of the |terms| left out.
 
     With P = -Re B = R^T R (R upper triangular) and C = n*.P.n*/2, a term's
-    modulus is at most exp(C - |R(n - n*)|^2 / 2 + sum_j |n_j| slack_j).
-    Coordinates are fixed from the last down to the first; fixing
-    n_i..n_{g-1} fixes rows i..g-1 of R(n - n*), and summing each open
-    coordinate r < i over Z bounds the subtree of a prefix by its fixed part
-    times prod_{r<i} (1 + sqrt(2 pi) / R_rr) e^{M slack_r}.  At each level
-    the smallest subtree bounds are dropped while their running sum stays
-    within budget e^C / g.  The budget is relative to e^C, the largest term
-    modulus at zero slack, so the kept set does not grow as the terms do
-    past the wave's peak."""
+    modulus is exp(C - |R(n - n*)|^2 / 2).  Coordinates are fixed from the
+    last down to the first; fixing n_i..n_{g-1} fixes rows i..g-1 of R(n -
+    n*), and summing each open coordinate r < i over Z bounds the subtree of
+    a prefix by its fixed part times prod_{r<i} (1 + sqrt(2 pi) / R_rr).  At
+    each level the smallest subtree bounds are dropped while their running
+    sum stays within budget e^C / g; a zero budget keeps the whole box.  The
+    budget is relative to e^C, the largest term modulus, so the kept set
+    does not grow as the terms do past the wave's peak."""
     g = len(n_star)
-    open_log = np.log1p(math.sqrt(2.0 * math.pi) / np.diag(R)) + M * slack
+    open_log = np.log1p(math.sqrt(2.0 * math.pi) / np.diag(R))
     open_below = np.concatenate([[0.0], np.cumsum(open_log)])
     cand = np.arange(-M, M + 1)
     N = np.zeros((1, 0), dtype=np.int64)  # kept prefixes, columns n_i..n_{g-1}
-    fixed = np.full(1, C)  # C - |fixed rows|^2 / 2 + sum_j |n_j| slack_j
+    fixed = np.full(1, C)  # C - |fixed rows|^2 / 2
     part = np.zeros((1, g))  # R(n - n*) over the fixed coordinates, open rows
     limit = budget * np.exp(C) / g
     dropped = 0.0
     for i in range(g - 1, -1, -1):
         step = cand - n_star[i]
         row = part[:, i, None] + R[i, i] * step
-        ext = (fixed[:, None] - 0.5 * row * row + slack[i] * np.abs(cand)).ravel()
+        ext = (fixed[:, None] - 0.5 * row * row).ravel()
         order = np.argsort(ext, kind="stable")
         running = np.cumsum(np.exp(ext[order] + open_below[i]))
         n_drop = int(np.searchsorted(running, limit, side="right"))
@@ -225,31 +207,26 @@ def _ellipsoid_box(
     return N, dropped
 
 
-def _term_set(params: ThetaParams, re_z: np.ndarray):
+def _term_set(params: ThetaParams, re: np.ndarray):
     """Kept lattice points, their n.B.n/2 and the certified bound on the
-    omitted terms (exterior tail plus pruned in-box terms) for arguments
-    whose real parts are the rows of ``re_z``: built for their midpoint P n*,
-    with their half-range as slack; n* and C = n*.P.n*/2 serve both bounds."""
-    lo, hi = re_z.min(axis=0), re_z.max(axis=0)
-    centre, slack = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    M, budget = params.truncation_radius, params.tail_tolerance * DROP_SHARE
-    n_star = np.linalg.solve(params._P, centre)
-    C = 0.5 * float(centre @ n_star)
-    if (2 * M + 1) ** params.g <= SMALL_BOX:
-        N = _full_box(params.g, M)
-        dropped = 0.0
-    else:
-        N, dropped = _ellipsoid_box(params._R, M, n_star, C, slack, budget)
+    omitted terms (exterior tail plus pruned in-box terms) at the one real
+    part ``re`` = P delta; delta and C = delta.P.delta/2 serve both bounds.
+    Boxes of at most SMALL_BOX points are kept whole (a zero drop budget)."""
+    M = params.truncation_radius
+    budget = params.tail_tolerance * DROP_SHARE if (2 * M + 1) ** params.g > SMALL_BOX else 0.0
+    delta = np.linalg.solve(params._P, re)
+    C = 0.5 * float(re @ delta)
+    N, dropped = _ellipsoid_box(params._R, M, delta, C, budget)
     quad = 0.5 * ((N @ params.B) * N).sum(1)
     scale = math.exp(C) if C < 700.0 else math.inf  # far outside the cell
-    return N, quad, scale * tail_bound(params._decay, M, n_star, slack) + dropped
+    return N, quad, scale * tail_bound(params._decay, M, delta) + dropped
 
 
-def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
+def _certify(params: ThetaParams, omitted: float, vals: np.ndarray, flat=None) -> None:
     """Raise truncation-insufficient unless the omitted-term bound stays
     below tail_tolerance * min |theta|; a NaN or infinite bound or value
     fails the check.  The error's index is the flat index of the smallest
-    |theta| (a NaN counts as smallest)."""
+    |theta| (a NaN counts as smallest), mapped through ``flat`` if given."""
     mags = np.abs(vals).ravel()
     i = int(np.argmin(mags))
     if not (omitted <= params.tail_tolerance * mags[i]):
@@ -258,36 +235,41 @@ def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
             f"certified truncation error {omitted:.3e} at radius "
             f"{params.truncation_radius} exceeds {params.tail_tolerance:.1e} * "
             f"min|theta| = {mags[i]:.3e}",
-            index=i,
+            index=i if flat is None else int(flat[i]),
         )
 
 
 def theta(z, params: ThetaParams) -> complex | np.ndarray:
-    """Theta at one point (shape (g,)) or a batch (..., g), at any Re z.
+    """Theta at one point (shape (g,)) or a batch (..., g), at any finite z.
 
     Each argument is reduced into the cell and its sum there scaled by
-    exp(m.B.m/2 + m.z).  One term set serves the whole batch, built for the
-    midpoint of its reduced Re z with the half-range as slack, so arguments
-    that differ by an imaginary shift share it.  Terms are accumulated in a
-    fixed lattice order with pairwise summation, so identical inputs give
-    bit-identical results.  Raises truncation-insufficient when the
-    certified truncation error exceeds tail_tolerance * |sum| at some
-    reduced point, and theta-overflow when a value exceeds the float range.
+    exp(m.B.m/2 + m.z).  Arguments with the same reduced real part share one
+    term set and certificate, so neither depends on the rest of the batch;
+    terms are summed in a fixed lattice order, so identical inputs give
+    bit-identical results.  Raises invalid-argument for an argument
+    that is not finite or has other than g components,
+    truncation-insufficient when the certified truncation error exceeds
+    tail_tolerance * |sum| at some reduced point, and theta-overflow when a
+    value exceeds the float range.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 1
-    if z.shape[-1] != params.g:
-        raise NumericError(
-            "not-negative-definite",
-            f"argument has {z.shape[-1]} components, expected genus {params.g}",
+    if z.ndim == 0 or z.shape[-1] != params.g or not np.all(np.isfinite(z)):
+        raise ConfigError(
+            "invalid-argument",
+            f"theta argument of shape {z.shape} needs {params.g} finite components",
         )
+    scalar = z.ndim == 1
     zb = z.reshape(-1, params.g)
     if not len(zb):
         return np.empty(z.shape[:-1], dtype=complex)
     m, zr = params.reduce(zb)
-    N, quad, omitted = _term_set(params, zr.real)
-    vals = np.exp(zr @ N.T.astype(complex) + quad).sum(axis=1)
-    _certify(params, omitted, vals)
+    res, group = np.unique(zr.real, axis=0, return_inverse=True)
+    vals = np.empty(len(zb), dtype=complex)
+    for k, re in enumerate(res):
+        rows = np.flatnonzero(group.ravel() == k)
+        N, quad, omitted = _term_set(params, re)
+        vals[rows] = np.exp(zr[rows] @ N.T.astype(complex) + quad).sum(axis=1)
+        _certify(params, omitted, vals[rows], rows)
     with np.errstate(over="ignore", invalid="ignore"):
         vals *= np.exp(0.5 * ((m @ params.B) * m).sum(1) + (m * zb).sum(1))
     if not np.all(np.isfinite(vals)):
@@ -306,10 +288,13 @@ def theta_grid(offsets, harmonics, nx: int, ny: int, params: ThetaParams) -> np.
     Term n is the harmonic m = sum_j n_j (n_x, n_y)_j times exp(n.B.n/2 +
     n.c), so each sum is nx ny ifft2 of the terms binned at m mod (nx, ny),
     exact on the grid.  Re w = 0, so the arguments' real parts are the
-    rows of Re c: one term set and one binning serve every offset.
+    rows of Re c, which must be one real part (invalid-argument otherwise),
+    reduced by the caller: one term set and one binning serve every offset.
     """
     offsets = np.asarray(offsets, dtype=complex)
-    N, quad, omitted = _term_set(params, offsets.real)
+    if np.any(offsets.real != offsets[:1].real):
+        raise ConfigError("invalid-argument", "theta_grid offsets differ in their real parts")
+    N, quad, omitted = _term_set(params, offsets[0].real)
     m = N @ np.asarray(harmonics, dtype=np.int64)
     bins = (m[:, 1] % ny) * nx + m[:, 0] % nx
     coef = np.empty((len(offsets), nx * ny), dtype=complex)

@@ -410,6 +410,14 @@ def test_abel_infinity_values(single_mode_sd):
     assert A[1] == pytest.approx(A[0], abs=1e-12)
 
 
+@pytest.mark.parametrize("curve", ["single_mode_sd", "four_mode_sd"])
+def test_abel_infinity_real_part_exactly_zero(request, curve):
+    # paired theta arguments d and A + d then share their real part exactly
+    sd = request.getfixturevalue(curve)
+    assert np.all(sd.A_inf2.real == 0.0)
+    assert np.array_equal((sd.A_inf2 + sd.d).real, sd.d.real)
+
+
 def test_divisor_modulus(single_mode_sd):
     for idx, p in enumerate(single_mode_sd.pairs):
         expect = math.sqrt(abs(p.alpha) / abs(p.beta))

@@ -130,14 +130,14 @@ def test_truncation_monotonicity():
     Ms = (1, 2, 3, 4)
     vals = [
         np.exp(0.5 * ((N @ B) * N).sum(1) + N @ z).sum()
-        for N in (theta_mod._full_box(1, M) for M in Ms)
+        for N in (np.arange(-M, M + 1)[:, None] for M in Ms)
     ]
     d1 = abs(vals[0] - vals[1])
     d2 = abs(vals[1] - vals[2])
     d3 = abs(vals[2] - vals[3])
     assert d1 >= d2 >= d3
     for M, v in zip(Ms, vals):
-        assert abs(v - exact) <= np.exp(0.5 * 0.7 * delta) * tail_bound(2.0, M, [delta], 0.0)
+        assert abs(v - exact) <= np.exp(0.5 * 0.7 * delta) * tail_bound(2.0, M, [delta])
 
 
 def test_relabeling_invariance():
@@ -157,6 +157,54 @@ def test_batch_matches_pointwise_bitwise():
     batch = theta(zs, p)
     for i in range(7):
         assert batch[i] == theta(zs[i], p)
+
+
+def test_spread_batch_matches_single_points_genus8(monkeypatch, four_mode_sd):
+    # each reduced real part gets its own term set and certificate, so a
+    # batch whose points have different real parts certifies whenever each
+    # point does, and returns the same bits as one call per point
+    sd = four_mode_sd
+    p = ThetaParams(sd.B, 1e-10)
+    sizes = []
+
+    def counted(*args, _fn=theta_mod._term_set):
+        built = _fn(*args)
+        sizes.append(len(built[0]))
+        return built
+
+    monkeypatch.setattr(theta_mod, "_term_set", counted)
+    rng = np.random.default_rng(0)
+    for k in (2,) * 20 + (4,) * 20:
+        re = rng.uniform(-0.5, 0.5, (k, 8)) @ -sd.B.real  # P^-1 Re z in the cell
+        zs = re + 1j * rng.uniform(-3.0, 3.0, (k, 8))
+        batch = theta(zs, p)
+        assert all(batch[i] == theta(zs[i], p) for i in range(k))
+    assert len(sizes) == 2 * (20 * 2 + 20 * 4) and max(sizes) <= 20_000
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_closed_form_tail_bounds_exterior_sum(g, diagonal):
+    # brute force over a wide box: the terms with |n|_inf > M at real part
+    # P delta sum to at most e^C tail_bound(lambda_min, M, delta)
+    rng = np.random.default_rng(20 + g)
+    if diagonal:
+        P = np.diag(rng.uniform(0.5, 3.0, g))
+    else:
+        A = rng.normal(0.0, 0.6, (g, g))
+        P = A @ A.T + 0.5 * np.eye(g)
+    lam = float(np.min(np.linalg.eigvalsh(P)))
+    W = 12
+    N = np.stack(np.meshgrid(*([np.arange(-W, W + 1)] * g), indexing="ij"), -1).reshape(-1, g)
+    sup = np.abs(N).max(1)
+    for _ in range(5):
+        delta = rng.uniform(-0.5, 0.5, g)
+        C = 0.5 * delta @ P @ delta
+        moduli = np.exp(-0.5 * ((N @ P) * N).sum(1) + N @ (P @ delta))
+        for M in (1, 2, 3):
+            bound = np.exp(C) * tail_bound(lam, M, delta)
+            assert 0.0 < moduli[sup > M].sum() <= bound < np.inf
+    assert tail_bound(lam, 1, np.full(g, 1.5)) == np.inf  # outside the closed form
 
 
 def genus5_params(rng):
@@ -180,13 +228,13 @@ def test_pruned_path_matches_full_box(monkeypatch):
     assert np.max(np.abs(pruned - full) / np.abs(full)) < 1e-12
 
 
-def box_term_moduli(B, M, centre, slack):
+def box_term_moduli(B, M, centre):
     """Every point of the box |n_j| <= M, in row-major order of n + M, and
-    the largest |exp(n.B.n/2 + n.z)| at each over |Re z - centre| <= slack."""
+    |exp(n.B.n/2 + n.z)| at each for Re z = centre."""
     g = B.shape[0]
     N = np.stack(np.meshgrid(*([np.arange(-M, M + 1)] * g), indexing="ij"), -1)
     N = N.reshape(-1, g)
-    expo = 0.5 * ((N @ np.real(B)) * N).sum(1) + N @ centre + np.abs(N) @ slack
+    expo = 0.5 * ((N @ np.real(B)) * N).sum(1) + N @ centre
     return N, np.exp(expo)
 
 
@@ -196,23 +244,21 @@ def test_dropped_terms_within_certificate(case, four_mode_sd):
     # sum to at most its dropped bound, which stays within tail_tol * 1e-6
     # of e^C, the largest term modulus at the centre
     if case == "genus5-batch":
+        # the reduced real part of the first point of the batch above
         rng = np.random.default_rng(12)
         p = genus5_params(rng)
-        re_z = rng.uniform(-4, 4, (6, 5))  # Re of the batch in the test above
-        centre = 0.5 * (re_z.max(0) + re_z.min(0))
-        slack = 0.5 * (re_z.max(0) - re_z.min(0))
+        centre = np.real(p.reduce(rng.uniform(-4, 4, (6, 5))[0])[1])
         M = p.truncation_radius
     else:
         sd = four_mode_sd
         f = {"genus8-0": 0.0, "genus8-T1": 1.0, "genus8-1.5T1": 1.5}[case]
         centre = np.real(sd.d + sd.W_t * f * first_appearance_estimate(sd))
-        slack = np.zeros(8)
         p, M = ThetaParams(sd.B), 2  # box 5^8
     B, tol = p.B, p.tail_tolerance
     n_star = np.linalg.solve(-np.real(B), centre)
     C = 0.5 * centre @ n_star
-    kept, dropped = theta_mod._ellipsoid_box(p._R, M, n_star, C, slack, tol * DROP_SHARE)
-    N, moduli = box_term_moduli(B, M, centre, slack)
+    kept, dropped = theta_mod._ellipsoid_box(p._R, M, n_star, C, tol * DROP_SHARE)
+    N, moduli = box_term_moduli(B, M, centre)
     flat = np.ravel_multi_index(tuple((kept + M).T), (2 * M + 1,) * B.shape[0])
     assert len(np.unique(flat)) == len(kept) < len(N)
     left_out = np.ones(len(N), dtype=bool)
@@ -250,7 +296,7 @@ def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode
     harmonics = [(q.mode.n_x, q.mode.n_y) for q in sd.pairs]
     theta_mod.theta_grid(offsets, harmonics, 8, 8, p)
     assert len(calls) == 1
-    N, _, omitted = theta_mod._term_set(p, np.real(offsets))
+    N, _, omitted = theta_mod._term_set(p, np.real(c))
     assert len(N) == 8_033 and 0.0 < omitted < p.tail_tolerance
 
 
@@ -265,7 +311,7 @@ def test_genus8_term_set_stays_small_past_peak(four_mode_sd):
         m, c = p.reduce(sd.d + sd.W_t * f * first_appearance_estimate(sd))
         assert np.any(m != 0)
         offsets = [sd.A_inf2 + c, c]
-        assert len(theta_mod._term_set(p, np.real(offsets))[0]) < 20_000
+        assert len(theta_mod._term_set(p, np.real(c))[0]) < 20_000
         vals = theta_mod.theta_grid(offsets, harmonics, 16, 16, p)  # certified
         assert np.all(np.isfinite(vals))
 
@@ -276,12 +322,12 @@ def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_s
     sd = four_mode_sd
     T1 = first_appearance_estimate(sd)
     built = []
-    for name in ("_full_box", "_ellipsoid_box"):
-        def counted(*args, _fn=getattr(theta_mod, name)):
-            built.append(args)
-            return _fn(*args)
 
-        monkeypatch.setattr(theta_mod, name, counted)
+    def counted(*args, _fn=theta_mod._ellipsoid_box):
+        built.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(theta_mod, "_ellipsoid_box", counted)
     evaluate_grid([0.0, 0.375 * T1, 0.75 * T1], 8, 8, sd)
     assert len(built) == 1 + 3
 
@@ -316,21 +362,20 @@ def test_adaptive_radius_minimality_and_determinism():
     # minimality against the same certified bound at the cell's corner,
     # swept independently
     budget = 1e-6 * DROP_SHARE
-    assert tail_bound(2.0, M, [0.5], 0.0) <= budget
-    assert all(tail_bound(2.0, m, [0.5], 0.0) > budget for m in range(1, M))
+    assert tail_bound(2.0, M, [0.5]) <= budget
+    assert all(tail_bound(2.0, m, [0.5]) > budget for m in range(1, M))
     assert 3 <= M <= 6
 
 
 def test_tail_bound_largest_at_cell_corner():
     # the radius certifies the whole cell because the bound grows with
-    # |delta_j| and the slack
+    # |delta_j|
     lam, M = 8.0, 2
-    corner = tail_bound(lam, M, [0.5, -0.5, 0.5], 0.0)
+    corner = tail_bound(lam, M, [0.5, -0.5, 0.5])
     rng = np.random.default_rng(3)
     for _ in range(20):
         delta = rng.uniform(-0.5, 0.5, 3)
-        assert tail_bound(lam, M, delta, 0.0) <= corner
-        assert tail_bound(lam, M, delta, 0.0) <= tail_bound(lam, M, delta, 0.1)
+        assert tail_bound(lam, M, delta) <= corner
 
 
 def test_adaptive_radius_strong_diagonal():
@@ -357,6 +402,23 @@ def test_tail_tolerance_not_finite_and_positive_rejected(tol, single_mode_sd):
             build()
         assert err.value.code == "invalid-tolerance" and err.value.exit_code == 2
         assert "tail tolerance" in err.value.message
+
+
+def test_invalid_argument_rejected(single_mode_sd):
+    # a wrong component count or a non-finite entry is the caller's error
+    # (exit 2), not a fault of B or of the truncation
+    bad = [(np.zeros(2), ThetaParams([[-6.0]])), (np.zeros(()), ThetaParams([[-6.0]]))]
+    p = ThetaParams(single_mode_sd.B)
+    bad += [(np.array([v, 0.0]), p) for v in (np.inf, -np.inf, np.nan, complex(0, np.inf))]
+    for z, params in bad:
+        with pytest.raises(ConfigError) as err:
+            theta(z, params)
+        assert err.value.code == "invalid-argument" and err.value.exit_code == 2
+    # theta_grid serves one real part per call
+    for offsets in ([[0.1, 0.0], [0.2, 0.0]], [[np.nan, 0.0], [np.nan, 0.0]]):
+        with pytest.raises(ConfigError) as err:
+            theta_mod.theta_grid(offsets, [(1, 0), (0, 1)], 8, 8, p)
+        assert err.value.code == "invalid-argument"
 
 
 def test_not_negative_definite_rejected():

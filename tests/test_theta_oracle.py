@@ -76,11 +76,11 @@ def test_theta_grid_genus_2_against_lattice_sum():
     nx, ny = 8, 6
     harmonics = np.array([(1, 0), (1, 2)])
     offsets = np.array([[0.2 + 0.1j, -0.5 + 0.3j], [-0.4 + 1.0j, 0.1 - 0.2j]])
-    grids = theta_grid(offsets, harmonics, nx, ny, certified(B2))
-    for (ix, iy) in [(0, 0), (3, 1), (7, 5), (5, 2)]:
-        w = 2j * np.pi * (harmonics[:, 0] * ix / nx + harmonics[:, 1] * iy / ny)
-        for k, c in enumerate(offsets):
-            assert_close(grids[k, iy, ix], mp_theta(w + c, B2))
+    for c in offsets:  # one real part per call
+        grid = theta_grid([c], harmonics, nx, ny, certified(B2))[0]
+        for (ix, iy) in [(0, 0), (3, 1), (7, 5), (5, 2)]:
+            w = 2j * np.pi * (harmonics[:, 0] * ix / nx + harmonics[:, 1] * iy / ny)
+            assert_close(grid[iy, ix], mp_theta(w + c, B2))
 
 
 def test_base_thetas_single_mode_against_lattice_sum(single_mode_sd):
