@@ -149,8 +149,11 @@ def _load_run(path: Path) -> tuple[dict, Path]:
     if not (isinstance(grid, list) and len(grid) == 2
             and all(type(n) is int and n > 0 for n in grid)):
         raise ConfigError("config-parse", f"{mpath}: grid {grid!r} is not two positive ints")
-    if not (isinstance(times, list) and isinstance(files, list) and len(times) == len(files)):
-        raise ConfigError("config-parse", f"{mpath}: times and files are not lists of equal length")
+    if not (isinstance(times, list) and isinstance(files, list) and len(times) == len(files)
+            and all(type(t) in (int, float) for t in times)
+            and all(isinstance(e, dict) for e in files)):
+        raise ConfigError("config-parse", f"{mpath}: times and files are not lists of equal "
+                          "length of numbers and objects")
     return manifest, mpath.parent
 
 

@@ -18,11 +18,12 @@ theta, exact on the grid points.
 Re(w + d) grows linearly in t, so per snapshot the offset c = d + W_t t is
 moved into the lattice's fundamental cell, c' = c + B m.  By
 quasi-periodicity the numerator and denominator thetas gain the same
-factor exp(m.B.m/2 + m.(w + c)) and the numerator also exp(m.A), so
+factor exp(m.B.m/2 + m.(w + c)) and the numerator also exp(m.A).  With
+d' = d + B m0 reduced the same way (a t = 0 snapshot on a 1x1 grid),
 
-    u = exp(m.A) theta(A + w + c') theta(d) / (theta(A + d) theta(w + c')) * u00
+    u = exp((m - m0).A) theta(A + w + c') theta(d') / (theta(A + d') theta(w + c')) * u00
 
-exactly, with |exp(m.A)| = 1 since A is purely imaginary.
+exactly, with |exp((m - m0).A)| = 1 since A is purely imaginary.
 
 A failing sample is named in one place: theta_grid and the ratio raise
 with its flat index, and evaluate_grid turns that into (x, y, t).
@@ -37,7 +38,7 @@ import numpy as np
 
 from .curve import SpectralData
 from .errors import ConfigError, NumericError
-from .theta import TAIL_TOLERANCE, ThetaParams, theta, theta_grid
+from .theta import TAIL_TOLERANCE, ThetaParams, theta_grid
 
 # |theta| below this counts as an exact zero (the ratio's division guard).
 ZERO_FLOOR = 1e-300
@@ -72,23 +73,14 @@ def make_cauchy_field(
     return Field(L_x, L_y, 0.0, a + eps * np.asarray(v0_grid, dtype=complex))
 
 
-def _base_thetas(sd: SpectralData, params: ThetaParams) -> tuple[complex, complex]:
-    """theta(d) and theta(A(inf2) + d), the time-independent factors of u."""
-    theta_d, theta_ad = theta(np.stack([sd.d, sd.A_inf2 + sd.d]), params).tolist()
-    if abs(theta_ad) < ZERO_FLOOR:
-        raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
-    return theta_d, theta_ad
-
-
-def _ratio(num, den, base, u00) -> np.ndarray:
-    """u from the numerator and denominator thetas, the base thetas and
-    the normalization.  A vanishing denominator or a non-finite sample
-    raises with the flat index of the sample."""
+def _ratio(num, den, scale) -> np.ndarray:
+    """u = num / den * scale, the snapshot's normalization and reduction
+    factor.  A vanishing denominator or a non-finite sample raises with the
+    flat index of the sample."""
     i = int(np.argmin(np.abs(den)))
     if np.abs(den.flat[i]) < ZERO_FLOOR:
         raise NumericError("theta-zero", "theta denominator vanishes (a pole of u)", index=i)
-    theta_d, theta_ad = base
-    u = num * (theta_d / (theta_ad * den)) * u00
+    u = num / den * scale
     if not np.all(np.isfinite(u)):
         i = int(np.argmin(np.isfinite(u)))
         raise NumericError("nan-detected", "non-finite sample", index=i)
@@ -111,22 +103,25 @@ def evaluate_grid(
     inverse FFT over the grid.  Handle j's spatial phase w_j is
     2 pi i (n_x ix / nx + n_y iy / ny) for its mode's integer harmonic, so
     the lattice sum is a trigonometric polynomial sampled exactly on the
-    grid.  The base thetas theta(d), theta(A + d) share one more set.
+    grid.  The normalization is one more such call, at t = 0 on a 1x1 grid.
     Each theta is certified to ``tail_tolerance`` relative to |theta|.
     A NumericError keeps its code and gains ``at (x, y, t) = (...)``.
     """
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
     params = ThetaParams(sd.B, tail_tolerance)
-    base = _base_thetas(sd, params)
     harmonics = [(p.mode.n_x, p.mode.n_y) for p in sd.pairs]
+    m0, c0 = params.reduce(sd.d)
+    num0, den0 = theta_grid([sd.A_inf2 + c0, c0], harmonics, 1, 1, params).ravel()
+    if abs(num0) < ZERO_FLOOR:
+        raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
     fields = []
     for t in times:
         t = float(t)
         m, c = params.reduce(sd.d + sd.W_t * t)
         try:
             num, den = theta_grid(np.stack([sd.A_inf2 + c, c]), harmonics, nx, ny, params)
-            u = _ratio(num, den, base, sd.u00 * np.exp(m @ sd.A_inf2))
+            u = _ratio(num, den, sd.u00 * den0 / num0 * np.exp((m - m0) @ sd.A_inf2))
         except NumericError as err:
             if err.index is None:
                 raise

@@ -28,16 +28,15 @@ dropped while their sum stays within the budget, so the certificate
 most its own bound; smaller boxes are kept whole.
 
 ThetaParams computes P, lambda_min and R once.  A term set, with its
-certificate, belongs to one reduced real part: theta() builds one per
-distinct real part of its batch and drops it.  Arguments that differ by
-an imaginary shift have the same term moduli and share the set exactly:
-the field's numerator and denominator thetas differ by A(inf_2), whose
-real part is exactly 0, so each pair is passed in one call.
-
-theta_grid evaluates theta(w + c) on a whole torus grid when the spatial
-part w is i(k_x x + k_y y) with lattice wave vectors: one folded inverse
-FFT of the term values per offset c.  The caller reduces the offsets, and
-they share one real part.
+certificate, belongs to one reduced real part, and theta_grid is the one
+place a set is summed: it evaluates theta(w + c) on a whole torus grid
+when the spatial part w is i(k_x x + k_y y) with lattice wave vectors, one
+folded inverse FFT of the term values per offset c.  The offsets share one
+real part; arguments that differ by an imaginary shift have the same term
+moduli and share the set exactly.  theta() reduces its batch, groups it by
+real part and evaluates each group on a 1x1 grid, where every term lands
+in bin 0, so a point's value is one term-by-term sum that does not depend
+on the rest of its batch.
 
 A failed certificate carries the flat index of the smallest |theta|
 (NumericError.index) for the caller to name.  Quasi-periodicity holds by
@@ -222,11 +221,11 @@ def _term_set(params: ThetaParams, re: np.ndarray):
     return N, quad, scale * tail_bound(params._decay, M, delta) + dropped
 
 
-def _certify(params: ThetaParams, omitted: float, vals: np.ndarray, flat=None) -> None:
+def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
     """Raise truncation-insufficient unless the omitted-term bound stays
     below tail_tolerance * min |theta|; a NaN or infinite bound or value
     fails the check.  The error's index is the flat index of the smallest
-    |theta| (a NaN counts as smallest), mapped through ``flat`` if given."""
+    |theta| (a NaN counts as smallest)."""
     mags = np.abs(vals).ravel()
     i = int(np.argmin(mags))
     if not (omitted <= params.tail_tolerance * mags[i]):
@@ -235,7 +234,7 @@ def _certify(params: ThetaParams, omitted: float, vals: np.ndarray, flat=None) -
             f"certified truncation error {omitted:.3e} at radius "
             f"{params.truncation_radius} exceeds {params.tail_tolerance:.1e} * "
             f"min|theta| = {mags[i]:.3e}",
-            index=i if flat is None else int(flat[i]),
+            index=i,
         )
 
 
@@ -244,13 +243,13 @@ def theta(z, params: ThetaParams) -> complex | np.ndarray:
 
     Each argument is reduced into the cell and its sum there scaled by
     exp(m.B.m/2 + m.z).  Arguments with the same reduced real part share one
-    term set and certificate, so neither depends on the rest of the batch;
-    terms are summed in a fixed lattice order, so identical inputs give
-    bit-identical results.  Raises invalid-argument for an argument
-    that is not finite or has other than g components,
-    truncation-insufficient when the certified truncation error exceeds
-    tail_tolerance * |sum| at some reduced point, and theta-overflow when a
-    value exceeds the float range.
+    term set and certificate and are summed by theta_grid on a 1x1 grid, so
+    neither a value nor its certificate depends on the rest of the batch,
+    and identical inputs give bit-identical results.  Raises
+    invalid-argument for an argument that is not finite or has other than g
+    components, truncation-insufficient when the certified truncation error
+    exceeds tail_tolerance * |sum| at some reduced point, and theta-overflow
+    when a value exceeds the float range.
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim == 0 or z.shape[-1] != params.g or not np.all(np.isfinite(z)):
@@ -265,11 +264,14 @@ def theta(z, params: ThetaParams) -> complex | np.ndarray:
     m, zr = params.reduce(zb)
     res, group = np.unique(zr.real, axis=0, return_inverse=True)
     vals = np.empty(len(zb), dtype=complex)
-    for k, re in enumerate(res):
+    for k in range(len(res)):
         rows = np.flatnonzero(group.ravel() == k)
-        N, quad, omitted = _term_set(params, re)
-        vals[rows] = np.exp(zr[rows] @ N.T.astype(complex) + quad).sum(axis=1)
-        _certify(params, omitted, vals[rows], rows)
+        try:
+            vals[rows] = theta_grid(zr[rows], np.zeros((params.g, 2)), 1, 1, params).ravel()
+        except NumericError as err:
+            if err.index is not None:
+                err.index = int(rows[err.index])
+            raise
     with np.errstate(over="ignore", invalid="ignore"):
         vals *= np.exp(0.5 * ((m @ params.B) * m).sum(1) + (m * zb).sum(1))
     if not np.all(np.isfinite(vals)):

@@ -408,8 +408,10 @@ def test_compare_manifest_missing_key(tmp_path, capsys):
         lambda m: m.update(files=m["files"][:1]),
         lambda m: m.update(grid=16),
         lambda m: m.update(grid=[16, 0]),
+        lambda m: m.update(files=["fg_0000.bin", "fg_0001.bin"]),
+        lambda m: m.update(times=[0.0, "0.3"]),
     ],
-    ids=["truncated-files", "scalar-grid", "zero-grid"],
+    ids=["truncated-files", "scalar-grid", "zero-grid", "name-files", "string-time"],
 )
 def test_compare_manifest_bad_shape(tmp_path, capsys, edit):
     path, _ = single_mode_config(tmp_path, grid=[16, 16], times=[0.0, 0.3])

@@ -8,9 +8,10 @@ import re
 import numpy as np
 import pytest
 
+from ds2aw import fieldgen
 from ds2aw.curve import build_spectral_data
 from ds2aw.errors import NumericError
-from ds2aw.fieldgen import _base_thetas, _ratio, evaluate_grid, first_appearance_estimate
+from ds2aw.fieldgen import _ratio, evaluate_grid, first_appearance_estimate
 from ds2aw.theta import ThetaParams, theta
 
 from conftest import (
@@ -35,14 +36,16 @@ def evaluate_batch(sd, z, t, params=None):
     z = np.asarray(z, dtype=complex).ravel()
     if params is None:
         params = ThetaParams(sd.B)
-    base = _base_thetas(sd, params)
+    theta_d, theta_ad = theta(np.stack([sd.d, sd.A_inf2 + sd.d]), params)
+    if abs(theta_ad) < fieldgen.ZERO_FLOOR:
+        raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
     c = sd.d + t * sd.W_t
     m = np.floor(np.linalg.solve(-sd.B.real, c.real))
     c = c + m @ sd.B
     w = z[:, None] * sd.W_z + np.conjugate(z)[:, None] * sd.W_zbar
     try:
         num, den = theta(np.stack([sd.A_inf2 + w + c, w + c]), params)
-        return _ratio(num, den, base, sd.u00 * np.exp(m @ sd.A_inf2))
+        return _ratio(num, den, sd.u00 * theta_d / theta_ad * np.exp(m @ sd.A_inf2))
     except NumericError as err:
         if err.index is None:
             raise
@@ -64,9 +67,29 @@ def grid_xy(field):
     return np.meshgrid(x, y, indexing="xy")
 
 
-def test_normalization_at_origin(single_mode_sd):
+def test_normalization_at_origin(single_mode_sd, four_mode_sd):
     u = evaluate_u(0.0, 0.0, 0.0, single_mode_sd)
     assert u == pytest.approx(single_mode_sd.u00, abs=1e-13)
+    # the grid gets its normalization from its own t = 0, 1x1 theta_grid call
+    for sd in (single_mode_sd, four_mode_sd):
+        [field] = evaluate_grid([0.0], 16, 16, sd)
+        assert field.u[0, 0] == pytest.approx(sd.u00, abs=1e-13)
+
+
+def test_field_invariant_under_lattice_shift_of_d(single_mode_sd, four_mode_sd):
+    # d + B n + 2 pi i k gives the same u: the factors quasi-periodicity
+    # puts on the four thetas cancel in the ratio.  The grid reduces d as it
+    # reduces each snapshot's offset, so the shifted d is evaluated in the
+    # same cell
+    rng = np.random.default_rng(31)
+    for sd in (single_mode_sd, four_mode_sd):
+        T1 = first_appearance_estimate(sd)
+        times = [0.0, 0.5 * T1, T1, 3.0 * T1]
+        n, k = rng.integers(-3, 4, (2, sd.g))
+        assert np.any(n != 0) and np.any(k != 0)
+        shifted = dataclasses.replace(sd, d=sd.d + n @ sd.B + 2j * np.pi * k)
+        for a, b in zip(evaluate_grid(times, 16, 16, sd), evaluate_grid(times, 16, 16, shifted)):
+            assert np.abs(b.u - a.u).max() <= 1e-12 * np.abs(a.u).max()
 
 
 def test_double_periodicity(single_mode_sd, four_mode_sd):
@@ -229,9 +252,6 @@ def test_first_appearance_estimate_values():
 def test_theta_zero_reported(single_mode_sd, monkeypatch):
     # the hard floor (1e-300) is unreachable for genuine data, so raise it
     # and aim the argument exactly at a theta root to exercise the error path
-    import importlib
-
-    fieldgen = importlib.import_module("ds2aw.fieldgen")
     sd = single_mode_sd
     monkeypatch.setattr(fieldgen, "ZERO_FLOOR", 1e-2)
     root = np.array([1j * math.pi + sd.B[0, 0] / 2.0, 0.35 + 0.1j])

@@ -162,7 +162,10 @@ def test_batch_matches_pointwise_bitwise():
 def test_spread_batch_matches_single_points_genus8(monkeypatch, four_mode_sd):
     # each reduced real part gets its own term set and certificate, so a
     # batch whose points have different real parts certifies whenever each
-    # point does, and returns the same bits as one call per point
+    # point does, and returns the same bits as one call per point.  Points
+    # that share a real part share a set, and each is still summed on its
+    # own (a 1x1 theta_grid): a k-row matrix product of the exponents does
+    # not round like k one-row products at genus 8
     sd = four_mode_sd
     p = ThetaParams(sd.B, 1e-10)
     sizes = []
@@ -179,7 +182,39 @@ def test_spread_batch_matches_single_points_genus8(monkeypatch, four_mode_sd):
         zs = re + 1j * rng.uniform(-3.0, 3.0, (k, 8))
         batch = theta(zs, p)
         assert all(batch[i] == theta(zs[i], p) for i in range(k))
-    assert len(sizes) == 2 * (20 * 2 + 20 * 4) and max(sizes) <= 20_000
+    assert len(sizes) == 2 * (20 * 2 + 20 * 4)
+    shared = rng.integers(2, 7, 20)
+    for k in shared:
+        re = rng.uniform(-0.5, 0.5, 8) @ -sd.B.real  # one real part per batch
+        zs = re + 1j * rng.uniform(-3.0, 3.0, (k, 8))
+        batch = theta(zs, p)
+        assert all(batch[i] == theta(zs[i], p) for i in range(k))
+    assert len(sizes) == 2 * (20 * 2 + 20 * 4) + len(shared) + shared.sum()
+    assert max(sizes) <= 20_000
+
+
+def test_failing_point_named_by_its_batch_index(four_mode_sd):
+    # theta() sums one real part at a time; a failed certificate in a later
+    # group names the point's index in the whole batch, not in its group.
+    # theta vanishes at the odd half-period i pi e_1 + B e_1 / 2, where the
+    # genus-8 sum cancels below tail_tolerance times the truncation error
+    sd = four_mode_sd
+    p = ThetaParams(sd.B)
+    rng = np.random.default_rng(5)
+    root = 1j * np.pi * np.eye(sd.g)[0] + sd.B[:, 0] / 2.0
+    P = -sd.B.real
+    lower = -0.45 * np.sign(P[0])  # in the cell, with (P delta)_0 < -P_00 / 2
+    res = [lower @ P, 0.9 * lower @ P]  # so theta() sums both before the root's group
+    zs = np.array([res[0], root.real, res[1], res[0], root.real, res[1], root.real])
+    zs = zs + 1j * rng.uniform(-3.0, 3.0, zs.shape)
+    zs[4] = root
+    _, group = np.unique(p.reduce(zs)[1].real, axis=0, return_inverse=True)
+    group = group.ravel()
+    assert len(set(group)) == 3 and group[4] == group[1] == 2  # the last group, not its first
+    with pytest.raises(NumericError) as err:
+        theta(zs, p)
+    assert err.value.code == "truncation-insufficient"
+    assert err.value.index == 4
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -317,8 +352,9 @@ def test_genus8_term_set_stays_small_past_peak(four_mode_sd):
 
 
 def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_sd):
-    # one set for the base thetas theta(d), theta(A + d), then one per
-    # snapshot for its numerator and denominator
+    # one set for the normalization theta(A + d'), theta(d') (a 1x1
+    # theta_grid call at t = 0), then one per snapshot for its numerator and
+    # denominator
     sd = four_mode_sd
     T1 = first_appearance_estimate(sd)
     built = []
@@ -334,7 +370,7 @@ def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_s
 
 def test_lattice_geometry_factored_once(monkeypatch, four_mode_sd):
     # P = -Re B is factored once per ThetaParams, not once per term set:
-    # three genus-8 snapshots and the base thetas share one Cholesky factor
+    # three genus-8 snapshots and the normalization share one Cholesky factor
     sd = four_mode_sd
     T1 = first_appearance_estimate(sd)
     calls = []

@@ -14,7 +14,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from ds2aw.fieldgen import _base_thetas
 from ds2aw.theta import ThetaParams, theta, theta_grid
 
 REL = 1e-12
@@ -86,7 +85,7 @@ def test_theta_grid_genus_2_against_lattice_sum():
 def test_base_thetas_single_mode_against_lattice_sum(single_mode_sd):
     sd = single_mode_sd
     params = ThetaParams(sd.B, tail_tolerance=1e-13)
-    theta_d, theta_ad = _base_thetas(sd, params)
+    theta_d, theta_ad = theta(np.stack([sd.d, sd.A_inf2 + sd.d]), params)
     assert_close(theta_d, mp_theta(sd.d, sd.B))
     assert_close(theta_ad, mp_theta(sd.A_inf2 + sd.d, sd.B))
     assert sd.B[0, 1] != 0  # the curve's period matrix is not diagonal
