@@ -6,7 +6,14 @@ The pipeline: enumerate the unstable harmonic lattice (:mod:`.modes`),
 build the spectral data of the perturbed curve (:mod:`.curve`), evaluate
 the theta-ratio field (:mod:`.theta`, :mod:`.fieldgen`), and validate it
 against direct integration (:mod:`.refsolver`).
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless the variable
+is already set: nothing here gains from threaded BLAS, and an idle OpenBLAS
+worker spins on the CPU.  It has no effect once numpy has been imported.
 """
+
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any import loads numpy
 
 from .curve import SpectralData, build_spectral_data, reality_residual
 from .errors import (

@@ -151,9 +151,10 @@ def _load_run(path: Path) -> tuple[dict, Path]:
         raise ConfigError("config-parse", f"{mpath}: grid {grid!r} is not two positive ints")
     if not (isinstance(times, list) and isinstance(files, list) and len(times) == len(files)
             and all(type(t) in (int, float) for t in times)
-            and all(isinstance(e, dict) for e in files)):
+            and all(isinstance(e, dict) and all(type(e.get(k, "")) is str for k in ("bin", "csv"))
+                    for e in files)):
         raise ConfigError("config-parse", f"{mpath}: times and files are not lists of equal "
-                          "length of numbers and objects")
+                          "length of numbers and objects with string file names")
     return manifest, mpath.parent
 
 

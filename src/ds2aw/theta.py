@@ -60,7 +60,7 @@ SYMMETRY_TOL = 1e-12
 # Boxes of at most this many lattice points are kept whole; pruned above.
 SMALL_BOX = 1 << 18
 
-# Hard cap on kept lattice points after pruning.
+# Hard cap on kept lattice points (and prefixes) at each pruning level.
 MAX_TERMS = 4_000_000
 
 # Share of tail_tolerance times e^C for the exterior tail and for the drops.
@@ -193,16 +193,13 @@ def _ellipsoid_box(R: np.ndarray, M: int, n_star: np.ndarray, C: float, budget: 
         if n_drop:
             dropped += float(running[n_drop - 1])
         keep = np.sort(order[n_drop:])
+        if len(keep) > MAX_TERMS:
+            raise NumericError("radius-overflow", f"{len(keep)} lattice prefixes survive pruning; "
+                               "the period matrix is too flat for the leading-order regime")
         parent, idx = np.divmod(keep, len(cand))
         N = np.column_stack([cand[idx], N[parent]])
         fixed = ext[keep]
         part = part[parent, :i] + np.outer(step[idx], R[:i, i])
-    if len(N) > MAX_TERMS:
-        raise NumericError(
-            "radius-overflow",
-            f"{len(N)} lattice points survive pruning; the period matrix is "
-            "too flat for the leading-order regime",
-        )
     return N, dropped
 
 

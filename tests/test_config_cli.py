@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from conftest import (
     harmonic_grid,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _CONFIG_SEQ = iter(range(10_000))
 
@@ -410,8 +415,11 @@ def test_compare_manifest_missing_key(tmp_path, capsys):
         lambda m: m.update(grid=[16, 0]),
         lambda m: m.update(files=["fg_0000.bin", "fg_0001.bin"]),
         lambda m: m.update(times=[0.0, "0.3"]),
+        lambda m: m["files"][0].update(bin=5),
+        lambda m: m["files"][1].update(csv=None),
     ],
-    ids=["truncated-files", "scalar-grid", "zero-grid", "name-files", "string-time"],
+    ids=["truncated-files", "scalar-grid", "zero-grid", "name-files", "string-time",
+         "int-bin-name", "null-csv-name"],
 )
 def test_compare_manifest_bad_shape(tmp_path, capsys, edit):
     path, _ = single_mode_config(tmp_path, grid=[16, 16], times=[0.0, 0.3])
@@ -529,3 +537,56 @@ def test_format_flag_csv_only(tmp_path):
     assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", "csv"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "csv" in manifest["files"][0] and "bin" not in manifest["files"][0]
+
+
+def run_python(args, blas_threads):
+    """Run ``python args`` on the package in src/, with OPENBLAS_NUM_THREADS
+    set to ``blas_threads`` or, for None, removed from the environment."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+PROBE = """
+import json, os
+import ds2aw.cli
+import numpy
+status = "/proc/self/status"
+threads = None
+if os.path.exists(status):
+    threads = [int(l.split()[1]) for l in open(status) if l.startswith("Threads:")][0]
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+def test_cli_import_pins_openblas_to_one_thread():
+    # importing the package before numpy sets the variable, so OpenBLAS
+    # starts no worker thread to spin beside the main one
+    value, threads = json.loads(run_python(["-c", PROBE], None))
+    assert value == "1"
+    if threads is None:
+        pytest.skip("no /proc/self/status to count threads")
+    assert threads == 1
+
+
+def test_user_openblas_setting_wins():
+    value, _ = json.loads(run_python(["-c", PROBE], "2"))
+    assert value == "2"
+
+
+def test_openblas_pin_changes_no_bit(tmp_path):
+    # genus-8 evolve-fg with a two-thread pool and with the pin: the same
+    # field files, byte for byte
+    path, _ = four_mode_config(tmp_path, grid=[32, 32], times=[0.0, 1.0, 2.0])
+    files = []
+    for threads in ("2", None):
+        out = tmp_path / f"threads-{threads}"
+        run_python(["-m", "ds2aw.cli", "evolve-fg", "--config", str(path), "--out", str(out),
+                    "--format", "bin"], threads)
+        files.append({f.name: f.read_bytes() for f in out.glob("*.bin")})
+    assert len(files[0]) == 3 and files[0] == files[1]

@@ -351,6 +351,27 @@ def test_genus8_term_set_stays_small_past_peak(four_mode_sd):
         assert np.all(np.isfinite(vals))
 
 
+def test_term_cap_raised_at_the_level_that_passes_it(monkeypatch, four_mode_sd):
+    # the cap on kept prefixes is checked at every level of the pruning, so
+    # a flat B fails with the coded error before the next level's columns
+    # are stacked and expanded, not with a MemoryError at the last level
+    sd = four_mode_sd
+    p = ThetaParams(sd.B)
+    re_z = np.real(p.reduce(sd.d + sd.W_t * first_appearance_estimate(sd))[1])
+    stacked = []
+
+    def spy(arrays, _fn=np.column_stack):
+        stacked.append(_fn(arrays))
+        return stacked[-1]
+
+    monkeypatch.setattr(theta_mod, "MAX_TERMS", 100)
+    monkeypatch.setattr(theta_mod.np, "column_stack", spy)
+    with pytest.raises(NumericError) as err:
+        theta_mod._term_set(p, re_z)
+    assert err.value.code == "radius-overflow" and err.value.exit_code == 5
+    assert 0 < len(stacked) < p.g and all(len(N) <= 100 for N in stacked)
+
+
 def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_sd):
     # one set for the normalization theta(A + d'), theta(d') (a 1x1
     # theta_grid call at t = 0), then one per snapshot for its numerator and
