@@ -152,9 +152,9 @@ def _load_run(path: Path) -> tuple[dict, Path]:
     if not (isinstance(times, list) and isinstance(files, list) and len(times) == len(files)
             and all(type(t) in (int, float) for t in times)
             and all(isinstance(e, dict) and all(type(e.get(k, "")) is str for k in ("bin", "csv"))
-                    for e in files)):
+                    and type(e.get("t", 0.0)) in (int, float) for e in files)):
         raise ConfigError("config-parse", f"{mpath}: times and files are not lists of equal "
-                          "length of numbers and objects with string file names")
+                          "length of numbers and objects with string file names and number times")
     return manifest, mpath.parent
 
 

@@ -13,30 +13,28 @@ round(P^-1 Re z), theta(z) = exp(m.B.m/2 + m.z) theta(z + B m), and z + B
 m has real part P delta with delta in [-1/2, 1/2]^g.  There a term's
 modulus is exp(C - (n - delta).P.(n - delta)/2) with C = delta.P.delta/2.
 
-Truncation is rectangular, |n_j| <= M, with a certified Gaussian tail
-bound relative to e^C: relaxing P to its smallest eigenvalue makes the
-exterior tail a product of one-dimensional sums, each bounded in closed
-form by a geometric series, so one radius, fixed by B and the tolerance,
-certifies the whole cell.  Inside the box the terms are enumerated by
-their exact modulus (the ellipsoid enumeration of the same paper): with P
-= R^T R, fixing the coordinates from the last down to the first fixes one
-row of R(n - delta) at a time, and the terms below a fixed prefix sum to
-at most its fixed part times a product of one-dimensional Gaussian sums.
-In boxes above SMALL_BOX points the smallest of these subtree bounds are
-dropped while their sum stays within the budget, so the certificate
-(exterior tail plus the summed drops) charges every discarded term at
-most its own bound; smaller boxes are kept whole.
+The terms are enumerated by their exact modulus, with no enclosing box
+(the ellipsoid enumeration of the same paper; Fincke and Pohst, Math.
+Comp. 44, 1985): with P = R^T R, fixing the coordinates from the last down
+to the first fixes one row of R(n - delta) at a time, and the terms below a
+fixed prefix sum to at most its fixed part times a product of
+one-dimensional Gaussian sums.  Each prefix's candidates for the next
+coordinate are a window about its own centre; the integers outside it are
+charged in closed form by a geometric series, and the smallest subtree
+bounds inside it are dropped while their sum stays within the budget.  The
+certificate is the sum of those charges, so every discarded term is
+charged at most its own bound, once.
 
-ThetaParams computes P, lambda_min and R once.  A term set, with its
-certificate, belongs to one reduced real part, and theta_grid is the one
-place a set is summed: it evaluates theta(w + c) on a whole torus grid
-when the spatial part w is i(k_x x + k_y y) with lattice wave vectors, one
-folded inverse FFT of the term values per offset c.  The offsets share one
-real part; arguments that differ by an imaginary shift have the same term
-moduli and share the set exactly.  theta() reduces its batch, groups it by
-real part and evaluates each group on a 1x1 grid, where every term lands
-in bin 0, so a point's value is one term-by-term sum that does not depend
-on the rest of its batch.
+ThetaParams computes P and R once.  A term set, with its certificate,
+belongs to one reduced real part, and theta_grid is the one place a set is
+summed: it evaluates theta(w + c) on a whole torus grid when the spatial
+part w is i(k_x x + k_y y) with lattice wave vectors, one folded inverse
+FFT of the term values per offset c.  The offsets share one real part;
+arguments that differ by an imaginary shift have the same term moduli and
+share the set exactly.  theta() reduces its batch, groups it by real part
+and evaluates each group on a 1x1 grid, where every term lands in bin 0, so
+a point's value is one term-by-term sum that does not depend on the rest
+of its batch.
 
 A failed certificate carries the flat index of the smallest |theta|
 (NumericError.index) for the caller to name.  Quasi-periodicity holds by
@@ -52,18 +50,13 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 
-MAX_RADIUS = 64
-
 # B must be symmetric to this tolerance and Re(B) negative definite.
 SYMMETRY_TOL = 1e-12
 
-# Boxes of at most this many lattice points are kept whole; pruned above.
-SMALL_BOX = 1 << 18
-
-# Hard cap on kept lattice points (and prefixes) at each pruning level.
+# Hard cap on the candidates (kept prefixes times window) at each level.
 MAX_TERMS = 4_000_000
 
-# Share of tail_tolerance times e^C for the exterior tail and for the drops.
+# Share of tail_tolerance times e^C for the window exteriors and for the drops.
 DROP_SHARE = 1e-6
 
 # Default tail tolerance: the certified truncation error relative to |theta|.
@@ -73,7 +66,7 @@ TAIL_TOLERANCE = 1e-10
 @dataclass
 class ThetaParams:
     """The validated period matrix and tail tolerance (finite, positive) and
-    the geometry they fix, once: P = -Re B, lambda_min, R (P = R^T R), M."""
+    the geometry they fix, once: P = -Re B and R (P = R^T R)."""
 
     B: np.ndarray
     tail_tolerance: float = TAIL_TOLERANCE
@@ -87,29 +80,19 @@ class ThetaParams:
             raise NumericError(
                 "not-negative-definite", f"period matrix shape {self.B.shape} is not square"
             )
-        asym = np.max(np.abs(self.B - self.B.T))
-        if asym > SYMMETRY_TOL:
-            raise NumericError(
-                "not-negative-definite", f"period matrix asymmetry {asym:.3e}"
-            )
-        self._decay = -float(np.max(np.linalg.eigvalsh(self.B.real)))
-        if self._decay <= 0.0:
-            raise NumericError(
-                "not-negative-definite", "Re(B) is not negative definite"
-            )
+        asym = np.max(np.abs(self.B - self.B.T)) if np.all(np.isfinite(self.B)) else math.nan
+        if not asym <= SYMMETRY_TOL:
+            raise NumericError("not-negative-definite", f"period matrix asymmetry {asym:.3e}")
         self._P = -self.B.real
-        self._R = np.linalg.cholesky(self._P).T
-        self._radius = adaptive_radius(self._decay, self.g, self.tail_tolerance)
+        try:
+            self._R = np.linalg.cholesky(self._P).T
+        except np.linalg.LinAlgError as err:
+            raise NumericError("not-negative-definite", "Re(B) is not negative definite") from err
 
     @property
     def g(self) -> int:
         """The genus, the order of B."""
         return self.B.shape[0]
-
-    @property
-    def truncation_radius(self) -> int:
-        """The radius M that certifies the whole cell (adaptive_radius)."""
-        return self._radius
 
     def reduce(self, z):
         """m = round(P^-1 Re z) and z + B m for each argument (the last axis
@@ -120,102 +103,85 @@ class ThetaParams:
         return m, z + m @ self.B
 
 
-def tail_bound(decay: float, M: int, delta) -> float:
-    """Certified bound, relative to e^C, on the sum of |terms| with sup-norm
-    |n| > M at real part P delta (P = -Re B, C = delta.P.delta/2, ``decay``
-    = lambda_min of P).
+def _window(s: float, ratio: float) -> int:
+    """Smallest w >= 0 with ratio exp(-s (w + 1/2)^2 / 2) <= 1 - exp(-s (w +
+    1)), without stepping w: with the right side replaced by 1 the root of a
+    quadratic in w + 1/2 is a lower end lo; with it taken at lo, where it is
+    smallest, an upper end that fits.  Bisection between the two finds w."""
 
-    A term is at most e^C prod_j exp(-decay (n_j - delta_j)^2/2) <= e^C
-    prod_j exp(-decay delta_j^2/2) exp(-decay n_j^2/2 + |n_j| r_j), r_j =
-    decay |delta_j|; the tail is union-bounded, sum_j S_j(|n_j| > M)
-    prod_{k != j} S_k(all n_k), with the first factor kept for j only.  From
-    n = k >= 1 on, neighbouring terms shrink by at least q = exp(r_j - decay
-    (k + 1/2)), below 1 for |delta_j| < 3/2, so each S_j is at most its first
-    term over 1 - q; beyond that (only an unreduced argument gets there) the
-    bound is inf.  In the cell it grows with each |delta_j|.
-    """
-    delta = np.abs(np.asarray(delta, dtype=float))
-    if not np.all(delta < 1.5):
-        return math.inf
-    r = decay * delta
+    def least(extra: float) -> int:  # s (w + 1/2)^2 / 2 >= log(ratio) + extra
+        top = max(math.log(max(ratio, 1.0)) + extra, 0.0)
+        return max(0, math.ceil(math.sqrt(2.0 * top / s) - 0.5))
 
-    def from_k(k: int) -> np.ndarray:  # 2 sum_{n >= k} exp(-decay n^2/2 + r n)
-        return 2.0 * np.exp(k * (r - 0.5 * decay * k)) / -np.expm1(r - decay * (k + 0.5))
-
-    full = 1.0 + from_k(1)
-    out = np.exp(-0.5 * decay * delta**2) * from_k(M + 1)
-    return float(sum(out[j] * np.prod(np.delete(full, j)) for j in range(len(r))))
+    lo = least(0.0)
+    hi = least(-math.log(-math.expm1(-s * (lo + 1))))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        fits = ratio * math.exp(-0.5 * s * (mid + 0.5) ** 2) <= -math.expm1(-s * (mid + 1))
+        lo, hi = (lo, mid) if fits else (mid + 1, hi)
+    return lo
 
 
-def adaptive_radius(decay: float, g: int, tol: float) -> int:
-    """Smallest radius M whose relative tail bound is at most tol *
-    DROP_SHARE in the whole cell, i.e. at its corner |delta_j| = 1/2."""
-    corner = np.full(g, 0.5)
-    for M in range(1, MAX_RADIUS + 1):
-        if tail_bound(decay, M, corner) <= tol * DROP_SHARE:
-            return M
-    raise NumericError(
-        "radius-overflow",
-        f"no truncation radius <= {MAX_RADIUS} meets tolerance {tol:.3e}; "
-        "the period matrix is too flat for the leading-order regime",
-    )
-
-
-def _ellipsoid_box(R: np.ndarray, M: int, n_star: np.ndarray, C: float, budget: float):
-    """Box points |n_j| <= M whose terms matter at real part P n*, and the
-    certified sum of the |terms| left out.
+def _ellipsoid(R: np.ndarray, n_star: np.ndarray, C: float, budget: float):
+    """Lattice points whose terms matter at real part P n*, and the certified
+    sum of the |terms| left out.
 
     With P = -Re B = R^T R (R upper triangular) and C = n*.P.n*/2, a term's
     modulus is exp(C - |R(n - n*)|^2 / 2).  Coordinates are fixed from the
     last down to the first; fixing n_i..n_{g-1} fixes rows i..g-1 of R(n -
     n*), and summing each open coordinate r < i over Z bounds the subtree of
     a prefix by its fixed part times prod_{r<i} (1 + sqrt(2 pi) / R_rr).  At
-    each level the smallest subtree bounds are dropped while their running
-    sum stays within budget e^C / g; a zero budget keeps the whole box.  The
-    budget is relative to e^C, the largest term modulus, so the kept set
-    does not grow as the terms do past the wave's peak."""
+    level i a prefix's row is R_ii (n_i - c) about its own centre c, and its
+    candidates are round(c) +- w: the integers outside lie at least w + 1/2
+    from c, so their subtrees sum to at most the prefix's bound at c times
+    T(w) = 2 exp(-R_ii^2 (w + 1/2)^2 / 2) / (1 - exp(-R_ii^2 (w + 1))).  w is
+    the least window whose charge over all prefixes is within budget e^C /
+    g, and the smallest subtree bounds among the candidates are dropped
+    while their running sum stays within it too.  Every discarded point is
+    charged once, at the level where it leaves; the budget is relative to
+    e^C, the largest term modulus, so the kept set does not grow as the
+    terms do past the wave's peak."""
     g = len(n_star)
     open_log = np.log1p(math.sqrt(2.0 * math.pi) / np.diag(R))
     open_below = np.concatenate([[0.0], np.cumsum(open_log)])
-    cand = np.arange(-M, M + 1)
     N = np.zeros((1, 0), dtype=np.int64)  # kept prefixes, columns n_i..n_{g-1}
-    fixed = np.full(1, C)  # C - |fixed rows|^2 / 2
+    fixed = np.zeros(1)  # -|fixed rows|^2 / 2, relative to C
     part = np.zeros((1, g))  # R(n - n*) over the fixed coordinates, open rows
-    limit = budget * np.exp(C) / g
-    dropped = 0.0
+    limit = budget / g
+    omitted = 0.0  # relative to e^C
     for i in range(g - 1, -1, -1):
-        step = cand - n_star[i]
-        row = part[:, i, None] + R[i, i] * step
+        r = R[i, i]
+        centre = n_star[i] - part[:, i] / r
+        reach = float(np.exp(fixed + open_below[i]).sum())  # subtree bounds at the centres
+        w = _window(r * r, 2.0 * reach / limit)
+        if (count := len(fixed) * (2 * w + 1)) > MAX_TERMS:
+            raise NumericError("radius-overflow", f"{count} lattice candidates at one level; the "
+                               "period matrix is too flat for the leading-order regime")
+        tail = 2.0 * math.exp(-0.5 * r * r * (w + 0.5) ** 2) / -math.expm1(-r * r * (w + 1))
+        omitted += reach * tail
+        cand = np.rint(centre)[:, None] + np.arange(-w, w + 1)
+        row = r * (cand - centre[:, None])
         ext = (fixed[:, None] - 0.5 * row * row).ravel()
         order = np.argsort(ext, kind="stable")
         running = np.cumsum(np.exp(ext[order] + open_below[i]))
         n_drop = int(np.searchsorted(running, limit, side="right"))
         if n_drop:
-            dropped += float(running[n_drop - 1])
+            omitted += float(running[n_drop - 1])
         keep = np.sort(order[n_drop:])
-        if len(keep) > MAX_TERMS:
-            raise NumericError("radius-overflow", f"{len(keep)} lattice prefixes survive pruning; "
-                               "the period matrix is too flat for the leading-order regime")
-        parent, idx = np.divmod(keep, len(cand))
-        N = np.column_stack([cand[idx], N[parent]])
+        parent, n_i = keep // (2 * w + 1), cand.ravel()[keep]
+        N = np.column_stack([n_i.astype(np.int64), N[parent]])
         fixed = ext[keep]
-        part = part[parent, :i] + np.outer(step[idx], R[:i, i])
-    return N, dropped
+        part = part[parent, :i] + np.outer(n_i - n_star[i], R[:i, i])
+    return N, (omitted * math.exp(C) if C < 709.0 else math.inf)  # inf far outside the cell
 
 
 def _term_set(params: ThetaParams, re: np.ndarray):
     """Kept lattice points, their n.B.n/2 and the certified bound on the
-    omitted terms (exterior tail plus pruned in-box terms) at the one real
-    part ``re`` = P delta; delta and C = delta.P.delta/2 serve both bounds.
-    Boxes of at most SMALL_BOX points are kept whole (a zero drop budget)."""
-    M = params.truncation_radius
-    budget = params.tail_tolerance * DROP_SHARE if (2 * M + 1) ** params.g > SMALL_BOX else 0.0
+    omitted terms at the one real part ``re`` = P delta, C = delta.P.delta/2."""
     delta = np.linalg.solve(params._P, re)
     C = 0.5 * float(re @ delta)
-    N, dropped = _ellipsoid_box(params._R, M, delta, C, budget)
-    quad = 0.5 * ((N @ params.B) * N).sum(1)
-    scale = math.exp(C) if C < 700.0 else math.inf  # far outside the cell
-    return N, quad, scale * tail_bound(params._decay, M, delta) + dropped
+    N, omitted = _ellipsoid(params._R, delta, C, params.tail_tolerance * DROP_SHARE)
+    return N, 0.5 * ((N @ params.B) * N).sum(1), omitted
 
 
 def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
@@ -225,12 +191,11 @@ def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
     |theta| (a NaN counts as smallest)."""
     mags = np.abs(vals).ravel()
     i = int(np.argmin(mags))
-    if not (omitted <= params.tail_tolerance * mags[i]):
+    if not (omitted <= params.tail_tolerance * mags[i] < math.inf):
         raise NumericError(
             "truncation-insufficient",
-            f"certified truncation error {omitted:.3e} at radius "
-            f"{params.truncation_radius} exceeds {params.tail_tolerance:.1e} * "
-            f"min|theta| = {mags[i]:.3e}",
+            f"certified truncation error {omitted:.3e} exceeds "
+            f"{params.tail_tolerance:.1e} * min|theta| = {mags[i]:.3e}",
             index=i,
         )
 
@@ -297,11 +262,12 @@ def theta_grid(offsets, harmonics, nx: int, ny: int, params: ThetaParams) -> np.
     m = N @ np.asarray(harmonics, dtype=np.int64)
     bins = (m[:, 1] % ny) * nx + m[:, 0] % nx
     coef = np.empty((len(offsets), nx * ny), dtype=complex)
-    for k, c in enumerate(offsets):
-        terms = np.exp(quad + N @ c)
-        coef[k] = np.bincount(bins, terms.real, nx * ny) + 1j * np.bincount(
-            bins, terms.imag, nx * ny
-        )
-    vals = (nx * ny) * np.fft.ifft2(coef.reshape(-1, ny, nx))
+    with np.errstate(over="ignore", invalid="ignore"):  # far outside the cell: omitted is inf
+        for k, c in enumerate(offsets):
+            terms = np.exp(quad + N @ c)
+            coef[k] = np.bincount(bins, terms.real, nx * ny) + 1j * np.bincount(
+                bins, terms.imag, nx * ny
+            )
+        vals = (nx * ny) * np.fft.ifft2(coef.reshape(-1, ny, nx))
     _certify(params, omitted, vals)
     return vals

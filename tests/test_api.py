@@ -48,9 +48,9 @@ def test_user_imports_are_public():
 
 
 def test_export_list():
-    # the truncation radius is derived inside ThetaParams, so adaptive_radius
-    # is no longer a package-root name; quasi-periodicity is checked in the
-    # tests against a direct lattice sum, not by a package function
+    # the truncation is certified inside the theta module, with no radius to
+    # export; quasi-periodicity is checked in the tests against a direct
+    # lattice sum, not by a package function
     assert sorted(ds2aw.__all__) == [
         "ConfigError", "DS2Error", "DegenerateSpectrumError", "Field",
         "GenericityError", "NumericError", "OutputError", "SpectralData",

@@ -417,9 +417,10 @@ def test_compare_manifest_missing_key(tmp_path, capsys):
         lambda m: m.update(times=[0.0, "0.3"]),
         lambda m: m["files"][0].update(bin=5),
         lambda m: m["files"][1].update(csv=None),
+        lambda m: m["files"][1].update(t="x"),
     ],
     ids=["truncated-files", "scalar-grid", "zero-grid", "name-files", "string-time",
-         "int-bin-name", "null-csv-name"],
+         "int-bin-name", "null-csv-name", "string-entry-time"],
 )
 def test_compare_manifest_bad_shape(tmp_path, capsys, edit):
     path, _ = single_mode_config(tmp_path, grid=[16, 16], times=[0.0, 0.3])

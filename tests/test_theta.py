@@ -9,21 +9,16 @@ evaluations.
 
 import cmath
 import importlib
+import time
 
 import numpy as np
 import pytest
 
 from ds2aw.errors import ConfigError, NumericError
 from ds2aw.fieldgen import evaluate_grid, first_appearance_estimate
-from ds2aw.theta import (
-    DROP_SHARE,
-    ThetaParams,
-    adaptive_radius,
-    tail_bound,
-    theta,
-)
+from ds2aw.theta import DROP_SHARE, ThetaParams, theta
 
-from conftest import quasi_periodicity_defect
+from conftest import lattice_sum, quasi_periodicity_defect
 
 theta_mod = importlib.import_module("ds2aw.theta")
 
@@ -89,9 +84,10 @@ def test_quasi_periodicity_genus2_diagonal_product_oracle():
 def test_quasi_periodicity_relative_to_the_larger_side():
     # far from the cell exp(-b_kk/2 - z_k) is large (e^44 here): relative to
     # |theta(z)| the defect would read rounding times that factor.  The
-    # direct sum at z peaks near n = (0, -3), inside its box |n_j| <= 8
+    # direct sum at z peaks near n = (0, -3), inside its box |n_j| <= 8.
+    # At the default tolerance the certified error is below the rounding
     B = np.array([[-12.0, 0.3], [0.3, -13.5]], dtype=complex)
-    p = ThetaParams(B=B, tail_tolerance=1e-6)
+    p = ThetaParams(B=B)
     z = np.array([3.97 + 1.52j, -37.8 + 0.23j])
     assert quasi_periodicity_defect(z, 1, p, R=8) < 1e-14
 
@@ -122,7 +118,9 @@ def test_block_diagonal_factorization():
 
 def test_truncation_monotonicity():
     # sums over the boxes |n| <= M converge monotonically, and each box's
-    # error stays within its certified tail bound e^C tail_bound(M)
+    # error stays within the charge for the integers outside the window
+    # round(delta) +- M, at least M + 1/2 from delta: e^C T(M) with P = 2,
+    # T(M) = 2 exp(-(M + 1/2)^2) / (1 - exp(-2 (M + 1)))
     B = np.array([[-2.0 + 0j]])
     z = np.array([0.7 + 0.3j])
     delta = 0.35  # P^-1 Re z, inside the cell
@@ -137,7 +135,8 @@ def test_truncation_monotonicity():
     d3 = abs(vals[2] - vals[3])
     assert d1 >= d2 >= d3
     for M, v in zip(Ms, vals):
-        assert abs(v - exact) <= np.exp(0.5 * 0.7 * delta) * tail_bound(2.0, M, [delta])
+        charge = 2.0 * np.exp(-((M + 0.5) ** 2)) / -np.expm1(-2.0 * (M + 1))
+        assert abs(v - exact) <= np.exp(0.5 * 0.7 * delta) * charge
 
 
 def test_relabeling_invariance():
@@ -217,31 +216,6 @@ def test_failing_point_named_by_its_batch_index(four_mode_sd):
     assert err.value.index == 4
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
-@pytest.mark.parametrize("diagonal", [True, False])
-def test_closed_form_tail_bounds_exterior_sum(g, diagonal):
-    # brute force over a wide box: the terms with |n|_inf > M at real part
-    # P delta sum to at most e^C tail_bound(lambda_min, M, delta)
-    rng = np.random.default_rng(20 + g)
-    if diagonal:
-        P = np.diag(rng.uniform(0.5, 3.0, g))
-    else:
-        A = rng.normal(0.0, 0.6, (g, g))
-        P = A @ A.T + 0.5 * np.eye(g)
-    lam = float(np.min(np.linalg.eigvalsh(P)))
-    W = 12
-    N = np.stack(np.meshgrid(*([np.arange(-W, W + 1)] * g), indexing="ij"), -1).reshape(-1, g)
-    sup = np.abs(N).max(1)
-    for _ in range(5):
-        delta = rng.uniform(-0.5, 0.5, g)
-        C = 0.5 * delta @ P @ delta
-        moduli = np.exp(-0.5 * ((N @ P) * N).sum(1) + N @ (P @ delta))
-        for M in (1, 2, 3):
-            bound = np.exp(C) * tail_bound(lam, M, delta)
-            assert 0.0 < moduli[sup > M].sum() <= bound < np.inf
-    assert tail_bound(lam, 1, np.full(g, 1.5)) == np.inf  # outside the closed form
-
-
 def genus5_params(rng):
     g = 5
     d = rng.uniform(-15.0, -11.0, size=g)
@@ -251,15 +225,15 @@ def genus5_params(rng):
     return ThetaParams(B=B, tail_tolerance=1e-6)
 
 
-def test_pruned_path_matches_full_box(monkeypatch):
-    # boxes above SMALL_BOX go through the ellipsoid enumeration; force the
-    # same evaluation through both paths and compare
+def test_pruned_path_matches_full_box():
+    # the pruned enumeration about the reduced argument against the plain
+    # sum over the box |n_j| <= 5 about n = 0, which holds the largest terms
+    # (they sit near n = P^-1 Re z, |n_j| < 1 here)
     rng = np.random.default_rng(12)
     p = genus5_params(rng)
     zs = rng.uniform(-4, 4, (6, 5)) + 1j * rng.uniform(-4, 4, (6, 5))
-    full = theta(zs, p)
-    monkeypatch.setattr(theta_mod, "SMALL_BOX", 0)
     pruned = theta(zs, p)
+    full = np.array([lattice_sum(z, p.B) for z in zs])
     assert np.max(np.abs(pruned - full) / np.abs(full)) < 1e-12
 
 
@@ -273,49 +247,77 @@ def box_term_moduli(B, M, centre):
     return N, np.exp(expo)
 
 
-@pytest.mark.parametrize("case", ["genus5-batch", "genus8-0", "genus8-T1", "genus8-1.5T1"])
-def test_dropped_terms_within_certificate(case, four_mode_sd):
-    # brute force over the whole box: the terms the enumeration leaves out
-    # sum to at most its dropped bound, which stays within tail_tol * 1e-6
-    # of e^C, the largest term modulus at the centre
-    if case == "genus5-batch":
-        # the reduced real part of the first point of the batch above
+def small_genus_centres(g, diagonal):
+    """A random P = -Re B (diagonal or dense, lambda_min >= 0.5) and five
+    real parts P delta with delta in the cell."""
+    rng = np.random.default_rng(20 + g)
+    if diagonal:
+        P = np.diag(rng.uniform(0.5, 3.0, g))
+    else:
+        A = rng.normal(0.0, 0.6, (g, g))
+        P = A @ A.T + 0.5 * np.eye(g)
+    return ThetaParams(-P + 0j), [P @ rng.uniform(-0.5, 0.5, g) for _ in range(5)]
+
+
+CERTIFIED = [(g, shape) for shape in ("diagonal", "dense") for g in (1, 2, 3)]
+CERTIFIED += [(5, "batch"), (8, "0"), (8, "T1"), (8, "1.5T1")]
+
+
+@pytest.mark.parametrize("g, case", CERTIFIED, ids=[f"genus{g}-{c}" for g, c in CERTIFIED])
+def test_dropped_terms_within_certificate(g, case, four_mode_sd):
+    # brute force: the terms the enumeration leaves out, outside its windows
+    # or dropped inside them, sum to at most its certificate, which stays
+    # within 2 tail_tol 1e-6 of e^C (the largest term modulus at the centre):
+    # one share for the windows' exteriors, one for the drops.  At genus 1-3
+    # the box |n_j| <= M holds every kept point; at genus 5 and 8 the check
+    # covers the terms in a box
+    if g <= 3:
+        p, centres = small_genus_centres(g, case == "diagonal")
+        M, tols = {1: 40, 2: 24, 3: 14}[g], (1e-6, 1e-10, 1e-14)
+    elif g == 5:
+        # the reduced real part of the first point of the pruned-path batch
         rng = np.random.default_rng(12)
         p = genus5_params(rng)
-        centre = np.real(p.reduce(rng.uniform(-4, 4, (6, 5))[0])[1])
-        M = p.truncation_radius
+        centres = [np.real(p.reduce(rng.uniform(-4, 4, (6, 5))[0])[1])]
+        M, tols = 3, (p.tail_tolerance,)
     else:
         sd = four_mode_sd
-        f = {"genus8-0": 0.0, "genus8-T1": 1.0, "genus8-1.5T1": 1.5}[case]
-        centre = np.real(sd.d + sd.W_t * f * first_appearance_estimate(sd))
-        p, M = ThetaParams(sd.B), 2  # box 5^8
-    B, tol = p.B, p.tail_tolerance
-    n_star = np.linalg.solve(-np.real(B), centre)
-    C = 0.5 * centre @ n_star
-    kept, dropped = theta_mod._ellipsoid_box(p._R, M, n_star, C, tol * DROP_SHARE)
-    N, moduli = box_term_moduli(B, M, centre)
-    flat = np.ravel_multi_index(tuple((kept + M).T), (2 * M + 1,) * B.shape[0])
-    assert len(np.unique(flat)) == len(kept) < len(N)
-    left_out = np.ones(len(N), dtype=bool)
-    left_out[flat] = False
-    assert 0.0 < moduli[left_out].sum() <= dropped <= tol * DROP_SHARE * np.exp(C)
+        f = {"0": 0.0, "T1": 1.0, "1.5T1": 1.5}[case]
+        p = ThetaParams(sd.B)
+        centres = [np.real(p.reduce(sd.d + sd.W_t * f * first_appearance_estimate(sd))[1])]
+        M, tols = 2, (p.tail_tolerance,)  # box 5^8
+    for centre in centres:
+        N, moduli = box_term_moduli(p.B, M, centre)
+        n_star = np.linalg.solve(p._P, centre)
+        C = 0.5 * centre @ n_star
+        for tol in tols:
+            kept, omitted = theta_mod._ellipsoid(p._R, n_star, C, tol * DROP_SHARE)
+            inside = np.all(np.abs(kept) <= M, axis=1)
+            assert g > 3 or np.all(inside)
+            flat = np.ravel_multi_index(tuple((kept[inside] + M).T), (2 * M + 1,) * g)
+            assert len(np.unique(flat)) == len(flat) < len(N)
+            left_out = np.ones(len(N), dtype=bool)
+            left_out[flat] = False
+            assert 0.0 < moduli[left_out].sum() <= omitted <= 2 * tol * DROP_SHARE * np.exp(C)
 
 
 @pytest.mark.parametrize(
-    "curve, radii", [("single_mode_sd", (2, 3, 3)), ("four_mode_sd", (3, 3, 4))]
+    "curve, counts", [("single_mode_sd", (19, 21, 24)), ("four_mode_sd", (3010, 7817, 17826))]
 )
-def test_radius_pinned_on_paper_curves(request, curve, radii):
-    # the radius is a property of B and the tolerance alone, pinned at tail
-    # tolerances 1e-6, 1e-10 (the default) and 1e-14 on the conftest curves
-    # (genus 2 and 8); it certifies every time of the run
+def test_kept_terms_pinned_on_paper_curves(request, curve, counts):
+    # kept-term counts at t = 0 at tail tolerances 1e-6, 1e-10 (the default)
+    # and 1e-14 on the conftest curves (genus 2 and 8)
     sd = request.getfixturevalue(curve)
-    got = tuple(ThetaParams(sd.B, tol).truncation_radius for tol in (1e-6, 1e-10, 1e-14))
-    assert got == radii
+    got = []
+    for tol in (1e-6, 1e-10, 1e-14):
+        p = ThetaParams(sd.B, tol)
+        got.append(len(theta_mod._term_set(p, np.real(p.reduce(sd.d)[1]))[0]))
+    assert tuple(got) == counts
 
 
 def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode_sd):
     # the numerator and denominator offsets differ by the imaginary A(inf2):
-    # one grid call builds one set for both and bounds its tail once
+    # one grid call builds and certifies one set for both
     sd = four_mode_sd
     T1 = first_appearance_estimate(sd)
     p = ThetaParams(sd.B)
@@ -323,16 +325,16 @@ def test_genus8_term_set_at_peak_built_and_certified_once(monkeypatch, four_mode
     offsets = [sd.A_inf2 + c, c]
     calls = []
 
-    def counted(*args):
+    def counted(*args, _fn=theta_mod._ellipsoid):
         calls.append(args)
-        return tail_bound(*args)
+        return _fn(*args)
 
-    monkeypatch.setattr(theta_mod, "tail_bound", counted)
+    monkeypatch.setattr(theta_mod, "_ellipsoid", counted)
     harmonics = [(q.mode.n_x, q.mode.n_y) for q in sd.pairs]
     theta_mod.theta_grid(offsets, harmonics, 8, 8, p)
     assert len(calls) == 1
     N, _, omitted = theta_mod._term_set(p, np.real(c))
-    assert len(N) == 8_033 and 0.0 < omitted < p.tail_tolerance
+    assert len(N) == 8_032 and 0.0 < omitted < p.tail_tolerance
 
 
 def test_genus8_term_set_stays_small_past_peak(four_mode_sd):
@@ -352,24 +354,51 @@ def test_genus8_term_set_stays_small_past_peak(four_mode_sd):
 
 
 def test_term_cap_raised_at_the_level_that_passes_it(monkeypatch, four_mode_sd):
-    # the cap on kept prefixes is checked at every level of the pruning, so
-    # a flat B fails with the coded error before the next level's columns
-    # are stacked and expanded, not with a MemoryError at the last level
+    # the cap is checked on each level's candidate count (kept prefixes
+    # times window) before the candidates are built, so a flat B fails with
+    # the coded error, not with a MemoryError, and no level sorts or stacks
+    # more than the cap
     sd = four_mode_sd
     p = ThetaParams(sd.B)
     re_z = np.real(p.reduce(sd.d + sd.W_t * first_appearance_estimate(sd))[1])
-    stacked = []
+    sorted_, stacked = [], []
 
-    def spy(arrays, _fn=np.column_stack):
+    def sort_spy(a, _fn=np.argsort, **kw):
+        sorted_.append(len(a))
+        return _fn(a, **kw)
+
+    def stack_spy(arrays, _fn=np.column_stack):
         stacked.append(_fn(arrays))
         return stacked[-1]
 
     monkeypatch.setattr(theta_mod, "MAX_TERMS", 100)
-    monkeypatch.setattr(theta_mod.np, "column_stack", spy)
+    monkeypatch.setattr(theta_mod.np, "argsort", sort_spy)
+    monkeypatch.setattr(theta_mod.np, "column_stack", stack_spy)
     with pytest.raises(NumericError) as err:
         theta_mod._term_set(p, re_z)
     assert err.value.code == "radius-overflow" and err.value.exit_code == 5
-    assert 0 < len(stacked) < p.g and all(len(N) <= 100 for N in stacked)
+    assert 0 < len(sorted_) == len(stacked) < p.g
+    assert max(sorted_) <= 100 and all(len(N) <= 100 for N in stacked)
+
+
+def test_near_singular_b_overflows_fast():
+    # B = -1e-12 asks for a window of about 2e7 candidates: the closed-form
+    # window and the cap fail it with the coded error before anything is built
+    p = params_1d(B=-1e-12, tol=1e-10)
+    start = time.perf_counter()
+    with pytest.raises(NumericError) as err:
+        theta(np.zeros(1, dtype=complex), p)
+    assert err.value.code == "radius-overflow"
+    assert time.perf_counter() - start < 0.5
+
+
+def test_flat_genus1_against_direct_sum():
+    # a flat B needs no box radius: the window alone reaches the terms that
+    # matter (|n| up to ~90 here) and the sum meets a 1e-12 tolerance
+    p = params_1d(B=-0.01, tol=1e-12)
+    for z in (np.array([0.3 + 0.2j]), np.array([-0.004 + 0.1j])):
+        want = lattice_sum(z, p.B, R=400)
+        assert abs(theta(z, p) - want) <= 1e-12 * abs(want)
 
 
 def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_sd):
@@ -380,11 +409,11 @@ def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_s
     T1 = first_appearance_estimate(sd)
     built = []
 
-    def counted(*args, _fn=theta_mod._ellipsoid_box):
+    def counted(*args, _fn=theta_mod._ellipsoid):
         built.append(args)
         return _fn(*args)
 
-    monkeypatch.setattr(theta_mod, "_ellipsoid_box", counted)
+    monkeypatch.setattr(theta_mod, "_ellipsoid", counted)
     evaluate_grid([0.0, 0.375 * T1, 0.75 * T1], 8, 8, sd)
     assert len(built) == 1 + 3
 
@@ -412,46 +441,10 @@ def test_theta_empty_batch(single_mode_sd):
     assert theta(np.empty((3, 0, 2), dtype=complex), p).shape == (3, 0)
 
 
-def test_adaptive_radius_minimality_and_determinism():
-    B = np.array([[-2.0 + 0j]])
-    M = ThetaParams(B, 1e-6).truncation_radius
-    assert M == adaptive_radius(2.0, 1, 1e-6)  # deterministic
-    # minimality against the same certified bound at the cell's corner,
-    # swept independently
-    budget = 1e-6 * DROP_SHARE
-    assert tail_bound(2.0, M, [0.5]) <= budget
-    assert all(tail_bound(2.0, m, [0.5]) > budget for m in range(1, M))
-    assert 3 <= M <= 6
-
-
-def test_tail_bound_largest_at_cell_corner():
-    # the radius certifies the whole cell because the bound grows with
-    # |delta_j|
-    lam, M = 8.0, 2
-    corner = tail_bound(lam, M, [0.5, -0.5, 0.5])
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        delta = rng.uniform(-0.5, 0.5, 3)
-        assert tail_bound(lam, M, delta) <= corner
-
-
-def test_adaptive_radius_strong_diagonal():
-    B = np.diag([-40.0 + 0j, -40.0 + 0j])
-    assert ThetaParams(B, 1e-2).truncation_radius == 1
-
-
-def test_adaptive_radius_overflow():
-    B = np.array([[-0.01 + 0j]])
-    with pytest.raises(NumericError) as err:
-        ThetaParams(B, 1e-12)
-    assert err.value.code == "radius-overflow"
-
-
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, np.nan])
 def test_tail_tolerance_not_finite_and_positive_rejected(tol, single_mode_sd):
-    # unchecked, 0 and inf would still give a radius (M = 16, and M = 1 with
-    # every certificate passing), and -1 and NaN a radius-overflow that
-    # blames B
+    # unchecked, 0, -1 and NaN would leave no drop budget and no finite
+    # window, and inf would drop every term
     B = np.array([[-6.0 + 0j]])
     for build in (lambda: ThetaParams(B, tol),
                   lambda: evaluate_grid([0.0], 8, 8, single_mode_sd, tail_tolerance=tol)):
@@ -488,6 +481,10 @@ def test_not_negative_definite_rejected():
         with pytest.raises(NumericError) as err:
             ThetaParams(B=B)
         assert "not square" in err.value.message
+    for v in (np.nan, -np.inf, complex(-2.0, np.nan)):  # no window is finite
+        with pytest.raises(NumericError) as err:
+            ThetaParams(B=np.array([[v, 0.3], [0.3, -2.0]], dtype=complex))
+        assert err.value.code == "not-negative-definite"
 
 
 def test_truncation_insufficient_raised():
@@ -508,3 +505,14 @@ def test_theta_overflow_raised(single_mode_sd, re_z):
         theta(np.array([re_z + 0.3j, 0.5]), p)
     assert err.value.code == "theta-overflow"
     assert np.isfinite(theta(np.array([20.0 + 0.3j, 0.5]), p))
+
+
+def test_far_off_grid_offset_fails_closed(single_mode_sd):
+    # theta_grid sums at the offsets' real part as given; far outside the
+    # cell (C = 1.6e3 here) e^C is beyond the float range, so the
+    # certificate fails with the coded error and no overflow warning
+    p = ThetaParams(single_mode_sd.B)
+    offsets = np.array([[200.0 + 0.3j, 0.5], [200.0 - 0.1j, 0.5]])
+    with pytest.raises(NumericError) as err:
+        theta_mod.theta_grid(offsets, [(1, 0), (-1, 0)], 8, 8, p)
+    assert err.value.code == "truncation-insufficient"
