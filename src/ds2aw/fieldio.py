@@ -52,20 +52,27 @@ def read_field_bin(path) -> Field:
 
 
 def write_field_csv(field: Field, path) -> None:
+    """One row per sample, iy outer, each number written as its repr.
+
+    Each coordinate is formatted once per column or row.  Each grid row is
+    written as one chunk, so memory holds one row's text, not the file's.
+    """
+    # plain floats: a numpy scalar's repr is not a number
+    dx = float(field.L_x) / field.nx
+    dy = float(field.L_y) / field.ny
+    xs = [f"{ix * dx!r}," for ix in range(field.nx)]
+    u = np.asarray(field.u, dtype=complex)
     try:
         with open(path, "w", newline="") as fh:
             fh.write("x,y,re_u,im_u,abs_u\n")
-            # plain floats: a numpy scalar's repr is not a number
-            dx = float(field.L_x) / field.nx
-            dy = float(field.L_y) / field.ny
             for iy in range(field.ny):
-                for ix in range(field.nx):
-                    v = complex(field.u[iy, ix])
-                    # hypot gives inf where abs(complex) raises on overflow
-                    mod = math.hypot(v.real, v.imag)
-                    fh.write(
-                        f"{ix * dx!r},{iy * dy!r},{v.real!r},{v.imag!r},{mod!r}\n"
-                    )
+                y = f"{iy * dy!r},"
+                re, im = u[iy].real.tolist(), u[iy].imag.tolist()
+                # hypot gives inf where abs(complex) raises on overflow
+                mods = map(math.hypot, re, im)
+                fh.write("".join([
+                    f"{x}{y}{r!r},{i!r},{m!r}\n" for x, r, i, m in zip(xs, re, im, mods)
+                ]))
     except OSError as err:
         raise OutputError("io", f"cannot write {path}: {err}") from err
 

@@ -19,6 +19,12 @@ needs, so the two adjacent half-phases merge into one rotation exp(2i h q).
 A lone half-phase opens and closes every segment, so each snapshot is the
 symmetric-Strang field itself.  A step costs two complex FFTs for the
 linear part and two real FFTs for q.
+
+Each ``evolve`` call allocates one set of work buffers (:class:`_Work`):
+the spectrum (complex, ny x nx), which also holds the rotation; |u|^2 and
+q (real, ny x nx); and the half spectrum of |u|^2 (complex,
+ny x (nx//2 + 1)).  Every step writes its intermediates into them and
+its result over the samples, so ``step`` allocates no array.
 """
 
 from __future__ import annotations
@@ -57,23 +63,52 @@ def _half_spectrum(Q: np.ndarray) -> np.ndarray:
     return Q[:, : Q.shape[1] // 2 + 1]
 
 
-def _mean_flow(u: np.ndarray, Q_half: np.ndarray) -> np.ndarray:
+def _mean_flow(
+    u: np.ndarray,
+    Q_half: np.ndarray,
+    dens: np.ndarray | None = None,
+    half: np.ndarray | None = None,
+    q: np.ndarray | None = None,
+) -> np.ndarray:
     """q = F^{-1}[Q F[|u|^2]] through the real FFT.
 
     |u|^2 is real and Q is real and even on the grid (Q(-k) = Q(k), the
     Nyquist bins included), so Q F[|u|^2] is Hermitian and its inverse is
     real: the half spectrum holds all of it and the real FFT pair gives
     the same q as the full complex one, up to rounding.
+
+    ``dens``, ``half`` and ``q`` are optional work space (see
+    :class:`_Work`) and are overwritten; q is returned, in ``q`` if given.
     """
-    dens = u.real * u.real + u.imag * u.imag
-    return np.fft.irfft2(Q_half * np.fft.rfft2(dens), s=dens.shape)
+    dens = np.multiply(u.real, u.real, out=dens)
+    q = np.multiply(u.imag, u.imag, out=q)  # scratch until q itself lands
+    dens += q
+    half = np.fft.rfftn(dens, out=half)
+    half *= Q_half
+    # irfft2 drops out= (numpy 2.4) and irfftn allocates its axis-0 pass:
+    # take irfftn's two passes, in place
+    np.fft.ifft(half, axis=0, out=half)
+    return np.fft.irfft(half, n=dens.shape[1], axis=1, out=q)
 
 
-def _rotate(u: np.ndarray, angle: np.ndarray, rot: np.ndarray) -> None:
-    """u *= exp(i angle) in place, built in the complex buffer ``rot``."""
-    np.cos(angle, out=rot.real)
-    np.sin(angle, out=rot.imag)
-    u *= rot
+class _Work:
+    """The work buffers one ``evolve`` call lends every ``step``."""
+
+    def __init__(self, u: np.ndarray):
+        ny, nx = u.shape
+        self.spec = np.empty((ny, nx), complex)  # F[u], then exp(i phase q)
+        self.dens = np.empty((ny, nx))  # |u|^2
+        self.half = np.empty((ny, nx // 2 + 1), complex)  # Q F[|u|^2]
+        self.q = np.empty((ny, nx))  # q, then the angle phase * q
+
+
+def _rotate(u: np.ndarray, Q_half: np.ndarray, phase: float, work: _Work) -> None:
+    """u *= exp(i phase q) in place, with q the mean flow of u."""
+    q = _mean_flow(u, Q_half, work.dens, work.half, work.q)
+    np.multiply(phase, q, out=q)
+    np.cos(q, out=work.spec.real)
+    np.sin(q, out=work.spec.imag)
+    u *= work.spec
 
 
 def stability_bound(field: Field) -> float:
@@ -94,19 +129,24 @@ def stability_bound(field: Field) -> float:
 
 
 def step(
-    u: np.ndarray, propagator: np.ndarray, Q_half: np.ndarray, phase: float, rot: np.ndarray
-) -> np.ndarray:
+    u: np.ndarray, propagator: np.ndarray, Q_half: np.ndarray, phase: float, work: _Work
+) -> None:
     """One fused Strang step of ``evolve``: the linear flow, then q of the
     result, then the rotation exp(i phase q).
 
     ``propagator`` is exp(-i h (k_x^2 - k_y^2)).  ``phase`` is 2h inside a
     segment, where this step's closing half-phase and the next step's
-    opening one merge, and h on a segment's last step.  Returns the new
-    samples; ``rot`` is scratch space.
+    opening one merge, and h on a segment's last step.  The new samples
+    overwrite ``u`` (complex, C-contiguous); every intermediate goes into
+    the buffers of ``work``, so the step allocates no array.
     """
-    u = np.fft.ifft2(propagator * np.fft.fft2(u))
-    _rotate(u, phase * _mean_flow(u, Q_half), rot)
-    return u
+    # ifft2 drops out= (numpy 2.4) and returns a fresh array: use fftn/ifftn
+    spec = np.fft.fftn(u, out=work.spec)
+    # F[u] * propagator, in this order at every grid size: where numpy
+    # multiplies with FMA the two orders of a complex product round apart
+    spec *= propagator
+    np.fft.ifftn(spec, out=u)
+    _rotate(u, Q_half, phase, work)
 
 
 def evolve(
@@ -140,7 +180,7 @@ def evolve(
     K_diff = KX * KX - KY * KY
     Q_half = _half_spectrum(q_multiplier(u0))
     u = np.array(u0.u, dtype=complex)
-    rot = np.empty_like(u)
+    work = _Work(u)
     out: list[Field] = []
     now = u0.t
     for target in targets:
@@ -149,10 +189,10 @@ def evolve(
             nsteps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
             sub = span / nsteps
             propagator = np.exp(-1j * sub * K_diff)
-            _rotate(u, sub * _mean_flow(u, Q_half), rot)
+            _rotate(u, Q_half, sub, work)
             for k in range(1, nsteps + 1):
                 last = k == nsteps
-                u = step(u, propagator, Q_half, sub if last else 2.0 * sub, rot)
+                step(u, propagator, Q_half, sub if last else 2.0 * sub, work)
                 t = target if last else now + k * sub
                 if not np.all(np.isfinite(u.view(float))):
                     raise NumericError(

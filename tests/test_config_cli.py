@@ -496,6 +496,35 @@ def test_csv_modulus_overflow(tmp_path):
     assert np.loadtxt(path, delimiter=",", skiprows=1)[:, 4].tolist() == [np.inf, big]
 
 
+def reference_csv(field):
+    """The CSV text written one sample at a time, every number a repr."""
+    lines = ["x,y,re_u,im_u,abs_u\n"]
+    dx = float(field.L_x) / field.nx
+    dy = float(field.L_y) / field.ny
+    for iy in range(field.ny):
+        for ix in range(field.nx):
+            v = complex(field.u[iy, ix])
+            mod = math.hypot(v.real, v.imag)
+            lines.append(f"{ix * dx!r},{iy * dy!r},{v.real!r},{v.imag!r},{mod!r}\n")
+    return "".join(lines)
+
+
+def test_csv_matches_per_sample_reference(tmp_path):
+    # a non-square grid, signed zeros, the smallest subnormal, a large
+    # integer-valued float, NaN and infinite parts, an overflowing modulus,
+    # and a real-valued field
+    big = np.finfo(float).max
+    rng = np.random.default_rng(33)
+    u = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+    u.flat[:7] = [-0.0, complex(0.0, -0.0), 5e-324, 1e16 - 1e16j,
+                  big + 1j * big, 1e300 + 1j * big, complex(np.nan, -np.inf)]
+    real = np.arange(6.0).reshape(2, 3)
+    for f in (Field(np.float64(2.5), 3.7, 0.1, u), Field(1.0, 2.0, 0.0, real)):
+        path = tmp_path / "f.csv"
+        write_field_csv(f, path)
+        assert path.read_bytes() == reference_csv(f).encode()
+
+
 def test_corrupt_csv_rejected(tmp_path, capsys):
     f = Field(2.0, 2.0, 0.0, np.ones((8, 8), dtype=complex))
     good = tmp_path / "good.csv"

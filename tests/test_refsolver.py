@@ -195,6 +195,24 @@ def test_snapshots_land_exactly():
     assert evolve(f, [], 7e-3) == []
 
 
+def test_evolve_carries_no_state():
+    # the work buffers belong to one call: u0 is left as it was, every
+    # snapshot owns its samples (two at one time included), and a second
+    # run from u0 repeats the first bit for bit
+    v0 = harmonic_grid(20, 12, FOURMODE_TERMS)
+    f = make_cauchy_field(FOURMODE_LX, FOURMODE_LY, 1.0, 1e-2, v0)
+    before = f.u.copy()
+    times = [0.0, 0.05, 0.1, 0.1]
+    kept = [g.u.tobytes() for g in evolve(f, times, 1e-3)]
+    assert f.u.tobytes() == before.tobytes()
+    for i in range(len(times)):
+        fields = evolve(f, times, 1e-3)
+        fields[i].u[:] = np.nan
+        same = [g.u.tobytes() == k for g, k in zip(fields, kept)]
+        assert same == [j != i for j in range(len(times))]
+    assert f.u.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("times", [[0.2, 0.1], [-0.1, 0.1], [0.1, -0.1]])
 def test_times_must_be_monotone(times):
     f = flat_field(n=16)
