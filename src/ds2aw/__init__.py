@@ -24,7 +24,8 @@ from .errors import (
     NumericError,
     OutputError,
 )
-from .fieldgen import Field, evaluate_grid, first_appearance_estimate, make_cauchy_field
+from .fieldgen import evaluate_grid, first_appearance_estimate, make_cauchy_field
+from .fieldio import Field
 from .modes import check_genericity, enumerate_modes
 from .refsolver import evolve
 from .theta import ThetaParams

@@ -74,7 +74,6 @@ def _diagnostics(sd: curve.SpectralData) -> dict:
         "resonance_residual_max": res,
         "wt_sigma_delta_max": wt_delta,
         "reality_residual_max": curve.reality_residual(sd),
-        "period_matrix_asymmetry": float(np.max(np.abs(sd.B - sd.B.T))),
     }
 
 
@@ -92,7 +91,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path | None) -> int:
 
 
 def _write_run(
-    cfg: RunConfig, fields: list[fieldgen.Field], out_dir: Path, prefix: str, fmt: str
+    cfg: RunConfig, fields: list[fieldio.Field], out_dir: Path, prefix: str, fmt: str
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -165,7 +164,7 @@ def _require(doc, keys, where) -> None:
         raise ConfigError("config-parse", f"{where}: manifest lacks key {missing[0]!r}")
 
 
-def _load_field(entry: dict, base: Path, manifest: dict, t: float) -> fieldgen.Field:
+def _load_field(entry: dict, base: Path, manifest: dict, t: float) -> fieldio.Field:
     nx, ny = manifest["grid"]
     if "bin" in entry:
         path = base / entry["bin"]

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .fieldio import read_field_bin
 from .theta import TAIL_TOLERANCE
 
 SCHEMA_VERSION = 1
@@ -97,7 +98,7 @@ class RunConfig:
             "grid": [self.nx, self.ny],
             "times": list(self.times),
             "dt": self.dt,
-            "theta": {"M": "adaptive", "tail_tol": self.theta_tail_tol},
+            "theta": {"tail_tol": self.theta_tail_tol},
             "outputs": {"directory": self.out_dir, "format": self.out_format},
         }
 
@@ -105,8 +106,6 @@ class RunConfig:
         """Perturbation samples on the run grid, in the convention
         v0 = sum_n c_n exp(i(k_x x + k_y y))."""
         if self.grid_file:
-            from .fieldio import read_field_bin
-
             f = read_field_bin(self.grid_file)
             if (f.nx, f.ny) != (self.nx, self.ny):
                 raise ConfigError(

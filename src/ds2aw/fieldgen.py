@@ -32,38 +32,16 @@ with its flat index, and evaluate_grid turns that into (x, y, t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .curve import SpectralData
 from .errors import ConfigError, NumericError
+from .fieldio import Field
 from .theta import TAIL_TOLERANCE, ThetaParams, theta_grid
 
 # |theta| below this counts as an exact zero (the ratio's division guard).
 ZERO_FLOOR = 1e-300
-
-
-@dataclass
-class Field:
-    """Doubly-periodic complex samples of u at one time.
-
-    u[iy, ix] = u(ix * L_x / nx, iy * L_y / ny, t), with (ny, nx) the
-    shape of u.
-    """
-
-    L_x: float
-    L_y: float
-    t: float
-    u: np.ndarray
-
-    @property
-    def nx(self) -> int:
-        return self.u.shape[1]
-
-    @property
-    def ny(self) -> int:
-        return self.u.shape[0]
 
 
 def make_cauchy_field(

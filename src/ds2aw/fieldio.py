@@ -1,4 +1,5 @@
-"""Field export/import: CSV for plotting, raw binary for lossless compare.
+"""The Field type and its two file formats: CSV for plotting, raw binary
+for lossless compare.
 
 Binary layout (little-endian): magic "DS2F", u32 version, u32 nx, u32 ny,
 f64 L_x, f64 L_y, f64 t, then nx*ny complex128 samples row-major
@@ -9,12 +10,35 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import OutputError
-from .fieldgen import Field
+
+
+@dataclass
+class Field:
+    """Doubly-periodic complex samples of u at one time.
+
+    u[iy, ix] = u(ix * L_x / nx, iy * L_y / ny, t), with (ny, nx) the
+    shape of u.
+    """
+
+    L_x: float
+    L_y: float
+    t: float
+    u: np.ndarray
+
+    @property
+    def nx(self) -> int:
+        return self.u.shape[1]
+
+    @property
+    def ny(self) -> int:
+        return self.u.shape[0]
+
 
 MAGIC = b"DS2F"
 VERSION = 1

@@ -20,9 +20,10 @@ A lone half-phase opens and closes every segment, so each snapshot is the
 symmetric-Strang field itself.  A step costs two complex FFTs for the
 linear part and two real FFTs for q.
 
-Each ``evolve`` call allocates one set of work buffers (:class:`_Work`):
-the spectrum (complex, ny x nx), which also holds the rotation; |u|^2 and
-q (real, ny x nx); and the half spectrum of |u|^2 (complex,
+Each ``evolve`` call builds one plan (:class:`_Work`): the multipliers
+k_x^2 - k_y^2 and the half-spectrum Q, and the work buffers, namely the
+spectrum (complex, ny x nx), which also holds the rotation; |u|^2 and q
+(real, ny x nx); and the half spectrum of |u|^2 (complex,
 ny x (nx//2 + 1)).  Every step writes its intermediates into them and
 its result over the samples, so ``step`` allocates no array.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .fieldgen import Field
+from .fieldio import Field
 
 # The splitting-accuracy heuristic: dt <= DT_SAFETY / max |k_x^2 - k_y^2|
 # over the spectrally active band of the initial data.
@@ -58,53 +59,45 @@ def q_multiplier(field: Field) -> np.ndarray:
     return Q
 
 
-def _half_spectrum(Q: np.ndarray) -> np.ndarray:
-    """The k_x >= 0 columns of Q, the bins ``rfft2`` returns."""
-    return Q[:, : Q.shape[1] // 2 + 1]
-
-
-def _mean_flow(
-    u: np.ndarray,
-    Q_half: np.ndarray,
-    dens: np.ndarray | None = None,
-    half: np.ndarray | None = None,
-    q: np.ndarray | None = None,
-) -> np.ndarray:
-    """q = F^{-1}[Q F[|u|^2]] through the real FFT.
-
-    |u|^2 is real and Q is real and even on the grid (Q(-k) = Q(k), the
-    Nyquist bins included), so Q F[|u|^2] is Hermitian and its inverse is
-    real: the half spectrum holds all of it and the real FFT pair gives
-    the same q as the full complex one, up to rounding.
-
-    ``dens``, ``half`` and ``q`` are optional work space (see
-    :class:`_Work`) and are overwritten; q is returned, in ``q`` if given.
-    """
-    dens = np.multiply(u.real, u.real, out=dens)
-    q = np.multiply(u.imag, u.imag, out=q)  # scratch until q itself lands
-    dens += q
-    half = np.fft.rfftn(dens, out=half)
-    half *= Q_half
-    # irfft2 drops out= (numpy 2.4) and irfftn allocates its axis-0 pass:
-    # take irfftn's two passes, in place
-    np.fft.ifft(half, axis=0, out=half)
-    return np.fft.irfft(half, n=dens.shape[1], axis=1, out=q)
-
-
 class _Work:
-    """The work buffers one ``evolve`` call lends every ``step``."""
+    """The plan one ``evolve`` call lends every ``step``: the Fourier
+    multipliers of the field's grid and the buffers each step overwrites."""
 
-    def __init__(self, u: np.ndarray):
-        ny, nx = u.shape
+    def __init__(self, field: Field):
+        ny, nx = field.ny, field.nx
+        KX, KY = _wavenumbers(field)
+        self.K_diff = KX * KX - KY * KY  # the linear flow's k_x^2 - k_y^2
+        # the k_x >= 0 columns of Q, the bins rfftn returns
+        self.Q_half = q_multiplier(field)[:, : nx // 2 + 1]
         self.spec = np.empty((ny, nx), complex)  # F[u], then exp(i phase q)
         self.dens = np.empty((ny, nx))  # |u|^2
         self.half = np.empty((ny, nx // 2 + 1), complex)  # Q F[|u|^2]
         self.q = np.empty((ny, nx))  # q, then the angle phase * q
 
 
-def _rotate(u: np.ndarray, Q_half: np.ndarray, phase: float, work: _Work) -> None:
+def _mean_flow(u: np.ndarray, work: _Work) -> np.ndarray:
+    """q = F^{-1}[Q F[|u|^2]] through the real FFT, returned in ``work.q``.
+
+    |u|^2 is real and Q is real and even on the grid (Q(-k) = Q(k), the
+    Nyquist bins included), so Q F[|u|^2] is Hermitian and its inverse is
+    real: the half spectrum holds all of it and the real FFT pair gives
+    the same q as the full complex one, up to rounding.  Overwrites the
+    ``dens``, ``half`` and ``q`` buffers of ``work``.
+    """
+    dens = np.multiply(u.real, u.real, out=work.dens)
+    q = np.multiply(u.imag, u.imag, out=work.q)  # scratch until q itself lands
+    dens += q
+    half = np.fft.rfftn(dens, out=work.half)
+    half *= work.Q_half
+    # irfft2 drops out= (numpy 2.4) and irfftn allocates its axis-0 pass:
+    # take irfftn's two passes, in place
+    np.fft.ifft(half, axis=0, out=half)
+    return np.fft.irfft(half, n=dens.shape[1], axis=1, out=q)
+
+
+def _rotate(u: np.ndarray, phase: float, work: _Work) -> None:
     """u *= exp(i phase q) in place, with q the mean flow of u."""
-    q = _mean_flow(u, Q_half, work.dens, work.half, work.q)
+    q = _mean_flow(u, work)
     np.multiply(phase, q, out=q)
     np.cos(q, out=work.spec.real)
     np.sin(q, out=work.spec.imag)
@@ -128,9 +121,7 @@ def stability_bound(field: Field) -> float:
     return DT_SAFETY / peak
 
 
-def step(
-    u: np.ndarray, propagator: np.ndarray, Q_half: np.ndarray, phase: float, work: _Work
-) -> None:
+def step(u: np.ndarray, propagator: np.ndarray, phase: float, work: _Work) -> None:
     """One fused Strang step of ``evolve``: the linear flow, then q of the
     result, then the rotation exp(i phase q).
 
@@ -146,12 +137,10 @@ def step(
     # multiplies with FMA the two orders of a complex product round apart
     spec *= propagator
     np.fft.ifftn(spec, out=u)
-    _rotate(u, Q_half, phase, work)
+    _rotate(u, phase, work)
 
 
-def evolve(
-    u0: Field, times, dt: float, max_series: list | None = None
-) -> list[Field]:
+def evolve(u0: Field, times, dt: float) -> list[Field]:
     """Integrate from u0.t and return one Field at each of ``times``.
 
     The times must be monotone from u0.t; decreasing times run backward
@@ -159,9 +148,6 @@ def evolve(
     exceed :func:`stability_bound` of u0.  It is locally shrunk (never
     grown) so every segment between snapshots is covered by uniform
     sub-steps landing exactly on its end.
-    If ``max_series`` is a list, (t, max|u|) is appended after every step,
-    with t = target on a segment's last step.  Inside a segment the samples
-    carry the next step's opening half-phase, which leaves |u| unchanged.
     """
     targets = [float(t) for t in times]
     spans = np.diff([u0.t, *targets])
@@ -176,11 +162,8 @@ def evolve(
             f"dt = {dt} exceeds the splitting accuracy bound {bound:.3e} "
             "for this initial data",
         )
-    KX, KY = _wavenumbers(u0)
-    K_diff = KX * KX - KY * KY
-    Q_half = _half_spectrum(q_multiplier(u0))
+    work = _Work(u0)
     u = np.array(u0.u, dtype=complex)
-    work = _Work(u)
     out: list[Field] = []
     now = u0.t
     for target in targets:
@@ -188,18 +171,18 @@ def evolve(
         if abs(span) > 1e-14:
             nsteps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
             sub = span / nsteps
-            propagator = np.exp(-1j * sub * K_diff)
-            _rotate(u, Q_half, sub, work)
+            propagator = np.exp(-1j * sub * work.K_diff)
+            _rotate(u, sub, work)
             for k in range(1, nsteps + 1):
                 last = k == nsteps
-                step(u, propagator, Q_half, sub if last else 2.0 * sub, work)
-                t = target if last else now + k * sub
-                if not np.all(np.isfinite(u.view(float))):
+                step(u, propagator, sub if last else 2.0 * sub, work)
+                # sum |u|^2: non-finite if any sample is, and no array made;
+                # it overflows only at an rms |u| near 1e152 (128^2), a blow-up
+                if not np.isfinite(np.vdot(u, u)):
+                    t = target if last else now + k * sub
                     raise NumericError(
                         "nan-detected", f"non-finite sample at t = {t:.6g} (possible blow-up)"
                     )
-                if max_series is not None:
-                    max_series.append((t, float(np.abs(u).max())))
         now = target
         out.append(Field(u0.L_x, u0.L_y, target, u.copy()))
     return out

@@ -15,7 +15,8 @@ import pytest
 
 from ds2aw.cli import main
 from ds2aw.curve import build_spectral_data
-from ds2aw.fieldgen import Field, evaluate_grid, make_cauchy_field
+from ds2aw.fieldgen import evaluate_grid, make_cauchy_field
+from ds2aw.fieldio import Field
 from ds2aw.modes import growth_rate
 from ds2aw.refsolver import evolve, q_multiplier
 from ds2aw.theta import ThetaParams, theta

@@ -1,4 +1,5 @@
-"""The package's public names: what the README, the demos and the CLI use."""
+"""The package's public names (what the README, the demos and the CLI use)
+and the layering of its modules."""
 
 import ast
 import importlib
@@ -58,3 +59,22 @@ def test_export_list():
         "enumerate_modes", "evaluate_grid", "evolve", "first_appearance_estimate",
         "make_cauchy_field", "reality_residual",
     ]
+
+
+# The split-step oracle and the field files must not lean on the finite-gap
+# formula they check.
+FORMULA_MODULES = {"fieldgen", "curve", "theta", "modes"}
+
+
+def test_oracle_does_not_import_the_formula():
+    for module in ("refsolver", "fieldio"):
+        tree = ast.parse((ROOT / "src" / "ds2aw" / f"{module}.py").read_text())
+        for node in ast.walk(tree):  # function-level imports too
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            parts = {part for name in names for part in name.split(".")}
+            assert not parts & FORMULA_MODULES, (module, ast.unparse(node))

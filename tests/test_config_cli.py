@@ -15,8 +15,8 @@ from ds2aw.cli import main
 from ds2aw.config import RunConfig, config_from_dict, config_hash
 from ds2aw.errors import ConfigError, OutputError
 from ds2aw.curve import build_spectral_data
-from ds2aw.fieldgen import Field, evaluate_grid, first_appearance_estimate, make_cauchy_field
-from ds2aw.fieldio import read_field_bin, read_field_csv, write_field_bin, write_field_csv
+from ds2aw.fieldgen import evaluate_grid, first_appearance_estimate, make_cauchy_field
+from ds2aw.fieldio import Field, read_field_bin, read_field_csv, write_field_bin, write_field_csv
 
 from conftest import (
     COLLIDE_LY,
@@ -103,6 +103,18 @@ def test_config_hash_sensitivity(tmp_path):
     ]:
         p2, _ = single_mode_config(tmp_path, **{field: value})
         assert config_hash(load_config(p2)) != base
+
+
+def test_manifest_names_no_theta_radius(tmp_path):
+    # the theta truncation has no box radius to record; "M": "adaptive" is
+    # still read, and a config with it hashes like one without
+    path, doc = single_mode_config(tmp_path, times=[0.0])
+    out = tmp_path / "fg"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", "bin"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["theta"] == {"tail_tol": 1e-10}
+    bare = config_from_dict({**doc, "theta": {"tail_tol": 1e-10}})
+    assert config_hash(bare) == config_hash(config_from_dict(doc)) == manifest["config_hash"]
 
 
 def test_config_rejects_zero_harmonic(tmp_path):

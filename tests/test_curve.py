@@ -23,7 +23,7 @@ from ds2aw.curve import (
     resonant_pair,
 )
 from ds2aw.errors import ConfigError, DegenerateSpectrumError, GenericityError
-from ds2aw.fieldgen import Field
+from ds2aw.fieldio import Field
 from ds2aw.modes import Mode, growth_rate
 from ds2aw.refsolver import evolve
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ds2aw.config import FORMATS, RunConfig, config_from_dict, config_hash
-from ds2aw.fieldgen import Field
-from ds2aw.fieldio import read_field_bin, read_field_csv, write_field_bin, write_field_csv
+from ds2aw.fieldio import Field, read_field_bin, read_field_csv, write_field_bin, write_field_csv
 
 FAST = settings(max_examples=25, deadline=None)
 
