@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ds2aw import build_spectral_data, reality_residual
+from ds2aw import build_spectral_data, regime
 
 L_x, L_y = 2 * math.pi / 1.2, 2 * math.pi / 2.1
 nx = ny = 32
@@ -35,7 +35,12 @@ print("  W_z    =", np.round(sd.W_z, 6))
 print("  W_zbar =", np.round(sd.W_zbar, 6))
 print("  W_t    =", np.round(sd.W_t, 6), " (|W_t| is the growth rate 1.92)")
 print("\ntheta-argument offset d =", np.round(sd.d, 6))
-print("reality-condition residual:", reality_residual(sd))
+
+# the formula is leading order: Re B is negative definite, and the data are
+# a period matrix, only for eps < eps_max; lambda_min(P) = -lambda_max(Re B)
+eps_max, lambda_min_P = regime(sd)
+print(f"eps_max = {eps_max:.6g}  (eps/eps_max = {eps / eps_max:.3g})")
+print(f"lambda_min(P) = {lambda_min_P:.4f}")
 
 # the eps-dependence of the data is pure logarithm on the diagonal of B;
 # halving eps shifts b_jj by -2 log 2 and leaves everything else fixed

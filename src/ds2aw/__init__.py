@@ -15,7 +15,7 @@ worker spins on the CPU.  It has no effect once numpy has been imported.
 import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any import loads numpy
 
-from .curve import SpectralData, build_spectral_data, reality_residual
+from .curve import SpectralData, build_spectral_data, regime
 from .errors import (
     ConfigError,
     DegenerateSpectrumError,
@@ -49,5 +49,5 @@ __all__ = [
     "evolve",
     "first_appearance_estimate",
     "make_cauchy_field",
-    "reality_residual",
+    "regime",
 ]

@@ -3,7 +3,8 @@
 Subcommands
 -----------
 analyze     mode census and genericity report for the configured periods
-spectrum    full leading-order spectral data as JSON (with diagnostics)
+spectrum    full leading-order spectral data as JSON, with eps_max and
+            lambda_min(P)
 evolve-fg   sample the finite-gap field at the configured times
 evolve-ref  integrate the same Cauchy problem with the split-step solver
 compare     per-time error metrics between two evolve runs
@@ -61,22 +62,6 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path | None) -> int:
     return 0 if report.ok else 3
 
 
-def _diagnostics(sd: curve.SpectralData) -> dict:
-    res = 0.0
-    wt_delta = 0.0
-    for idx, p in enumerate(sd.pairs):
-        k = complex(p.mode.k_x, p.mode.k_y)
-        res = max(res, abs((p.tau_2 - p.tau_1) - k))
-        res = max(res, abs((1.0 / p.tau_2 - 1.0 / p.tau_1) - k.conjugate()))
-        sigma = abs(p.mode.sigma) * sd.a * sd.a
-        wt_delta = max(wt_delta, abs(abs(sd.W_t[idx]) - sigma))
-    return {
-        "resonance_residual_max": res,
-        "wt_sigma_delta_max": wt_delta,
-        "reality_residual_max": curve.reality_residual(sd),
-    }
-
-
 def _build_sd(cfg: RunConfig) -> curve.SpectralData:
     return curve.build_spectral_data(
         cfg.L_x, cfg.L_y, cfg.eps, cfg.v0_grid(), a=cfg.a
@@ -85,7 +70,9 @@ def _build_sd(cfg: RunConfig) -> curve.SpectralData:
 
 def cmd_spectrum(cfg: RunConfig, out_dir: Path | None) -> int:
     sd = _build_sd(cfg)
-    doc = {**_encode(sd), "config_hash": config_hash(cfg), "diagnostics": _diagnostics(sd)}
+    eps_max, lambda_min_P = curve.regime(sd)
+    regime = {"eps_max": eps_max, "lambda_min_P": lambda_min_P}
+    doc = {**_encode(sd), "config_hash": config_hash(cfg), "regime": regime}
     _emit(doc, out_dir / "spectrum.json" if out_dir else None)
     return 0
 

@@ -112,6 +112,9 @@ class RunConfig:
                     "config-parse",
                     f"grid_file is {f.nx}x{f.ny}, config grid is {self.nx}x{self.ny}",
                 )
+            if not np.all(np.isfinite(f.u)):
+                msg = f"grid_file {self.grid_file} has non-finite samples"
+                raise ConfigError("config-parse", msg)
             return np.asarray(f.u, dtype=complex)
         ix = np.arange(self.nx)
         iy = np.arange(self.ny)

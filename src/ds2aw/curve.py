@@ -93,11 +93,11 @@ class SpectralData:
     A_div: np.ndarray
     K: np.ndarray
     d: np.ndarray
-    eps: float = 0.0
-    u00: complex = 1.0
-    L_x: float = 0.0
-    L_y: float = 0.0
-    a: float = 1.0
+    eps: float
+    u00: complex
+    L_x: float
+    L_y: float
+    a: float
 
 
 def resonant_pair(mode: Mode) -> tuple[ResonantPair, ResonantPair]:
@@ -266,22 +266,17 @@ def divisor_and_constants(
     return A_div, K, d
 
 
-def reality_residual(sd: SpectralData) -> float:
-    """Defect of the leading-order reality condition across mirror pairs.
+def regime(sd: SpectralData) -> tuple[float, float]:
+    """(eps_max, lambda_min(P)): where the leading-order data stop being a
+    period matrix, and how far they are from it.
 
-    The antiholomorphic involution sends the divisor point of handle j+N to
-    handle j, which forces conj(alpha_{j+N}) tau_{2j} = -alpha_j tau_{2j-1}.
-    Returns the worst relative residual; a correct construction satisfies
-    it to rounding.
+    Only b_jj depends on eps, through log(eps/a)^2, so Re B(eps) = Re B_0 +
+    2 log(eps/a) I with B_0 free of eps.  Re B is negative definite exactly
+    for eps < eps_max = eps exp(-lambda_max(Re B)/2), and lambda_min(P) =
+    -lambda_max(Re B) for P = -Re B.
     """
-    n = sd.g // 2
-    worst = 0.0
-    for j in range(n):
-        p, m = sd.pairs[j], sd.pairs[j + n]
-        lhs = m.alpha.conjugate() * p.tau_2
-        rhs = -p.alpha * p.tau_1
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
-    return worst
+    top = float(np.linalg.eigvalsh(sd.B.real)[-1])
+    return sd.eps * math.exp(-0.5 * top), -top
 
 
 def build_spectral_data(

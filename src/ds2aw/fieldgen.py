@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .curve import SpectralData
+from .curve import SpectralData, regime
 from .errors import ConfigError, NumericError
 from .fieldio import Field
 from .theta import TAIL_TOLERANCE, ThetaParams, theta_grid
@@ -83,11 +83,17 @@ def evaluate_grid(
     the lattice sum is a trigonometric polynomial sampled exactly on the
     grid.  The normalization is one more such call, at t = 0 on a 1x1 grid.
     Each theta is certified to ``tail_tolerance`` relative to |theta|.
-    A NumericError keeps its code and gains ``at (x, y, t) = (...)``.
+    A NumericError keeps its code and gains ``at (x, y, t) = (...)``; a B
+    that is no period matrix names eps and eps_max (:func:`.curve.regime`).
     """
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
-    params = ThetaParams(sd.B, tail_tolerance)
+    try:
+        params = ThetaParams(sd.B, tail_tolerance)
+    except NumericError as err:
+        msg = (f"{err.message} at eps = {sd.eps:.6g}: the leading-order data give a "
+               f"period matrix only for eps < eps_max = {regime(sd)[0]:.6g}")
+        raise NumericError(err.code, msg) from err
     harmonics = [(p.mode.n_x, p.mode.n_y) for p in sd.pairs]
     m0, c0 = params.reduce(sd.d)
     num0, den0 = theta_grid([sd.A_inf2 + c0, c0], harmonics, 1, 1, params).ravel()

@@ -46,6 +46,19 @@ def quasi_periodicity_defect(z, k, params, R=5):
     return abs(shifted - scaled) / max(abs(shifted), abs(scaled))
 
 
+def reality_residual(sd):
+    """Worst relative defect of the leading-order reality condition across
+    mirror pairs.  The antiholomorphic involution sends the divisor point of
+    handle j + N to handle j, which forces conj(alpha_{j+N}) tau_{2j} =
+    -alpha_j tau_{2j-1}."""
+    n = sd.g // 2
+    worst = 0.0
+    for p, m in zip(sd.pairs[:n], sd.pairs[n:]):
+        rhs = -p.alpha * p.tau_1
+        worst = max(worst, abs(m.alpha.conjugate() * p.tau_2 - rhs) / max(abs(rhs), 1e-300))
+    return worst
+
+
 def harmonic_grid(nx, ny, terms):
     """v0 = sum c * exp(2 pi i (n_x ix / nx + n_y iy / ny)) sampled on the grid."""
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")

@@ -4,6 +4,7 @@ and the layering of its modules."""
 import ast
 import importlib
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -50,14 +51,14 @@ def test_user_imports_are_public():
 
 def test_export_list():
     # the truncation is certified inside the theta module, with no radius to
-    # export; quasi-periodicity is checked in the tests against a direct
-    # lattice sum, not by a package function
+    # export; quasi-periodicity (against a direct lattice sum) and the
+    # reality condition are checked in the tests, not by package functions
     assert sorted(ds2aw.__all__) == [
         "ConfigError", "DS2Error", "DegenerateSpectrumError", "Field",
         "GenericityError", "NumericError", "OutputError", "SpectralData",
         "ThetaParams", "build_spectral_data", "check_genericity",
         "enumerate_modes", "evaluate_grid", "evolve", "first_appearance_estimate",
-        "make_cauchy_field", "reality_residual",
+        "make_cauchy_field", "regime",
     ]
 
 
@@ -78,3 +79,17 @@ def test_oracle_does_not_import_the_formula():
                 continue
             parts = {part for name in names for part in name.split(".")}
             assert not parts & FORMULA_MODULES, (module, ast.unparse(node))
+
+
+def test_runtime_is_numpy_only():
+    # the package needs numpy and the standard library, nothing else
+    allowed = {"numpy", "ds2aw"} | set(sys.stdlib_module_names)
+    for path in sorted((ROOT / "src" / "ds2aw").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):  # function-level imports too
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue  # a relative import stays inside ds2aw
+            assert set(tops) <= allowed, (path.name, ast.unparse(node))

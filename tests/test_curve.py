@@ -19,16 +19,18 @@ from ds2aw.curve import (
     build_spectral_data,
     order_pairs,
     perturbation_coefficients,
-    reality_residual,
+    regime,
     resonant_pair,
 )
-from ds2aw.errors import ConfigError, DegenerateSpectrumError, GenericityError
+from ds2aw.errors import ConfigError, DegenerateSpectrumError, GenericityError, NumericError
 from ds2aw.fieldio import Field
 from ds2aw.modes import Mode, growth_rate
 from ds2aw.refsolver import evolve
+from ds2aw.theta import ThetaParams
 
 from conftest import (
-    COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_grid
+    COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, FOURMODE_TERMS, SINGLE_LX, SINGLE_LY, cosine_grid,
+    harmonic_grid, reality_residual,
 )
 
 
@@ -81,8 +83,10 @@ def test_resonant_pair_example_values():
     assert n.tau_2 == pytest.approx(-0.6 - 0.8j, abs=1e-12)
 
 
-def test_resonance_system_residuals(four_mode_sd):
-    for p in four_mode_sd.pairs:
+def test_resonance_system_residuals(four_mode_sd, single_mode_sd):
+    # tau_2 - tau_1 = k by construction, and 1/tau_2 - 1/tau_1 = conj(k)
+    # because |tau| = 1
+    for p in four_mode_sd.pairs + single_mode_sd.pairs:
         k = complex(p.mode.k_x, p.mode.k_y)
         assert abs((p.tau_2 - p.tau_1) - k) < 1e-12
         assert abs((1 / p.tau_2 - 1 / p.tau_1) - k.conjugate()) < 1e-12
@@ -436,6 +440,23 @@ def test_theta_offset_eps_independent():
 def test_reality_condition(four_mode_sd, single_mode_sd):
     assert reality_residual(four_mode_sd) <= 1e-8
     assert reality_residual(single_mode_sd) <= 1e-8
+
+
+def test_regime_eps_max(four_mode_sd):
+    # Re B(eps) = Re B_0 + 2 log(eps) I: eps_max does not depend on the eps
+    # it is computed at (measured 0.62044691775109 at both, 4e-15 apart),
+    # lambda_min(P) moves by exactly 2 log 10 per decade, and B stops being a
+    # period matrix at eps_max
+    v0 = harmonic_grid(32, 32, FOURMODE_TERMS)
+    eps_max, lam = regime(four_mode_sd)
+    eps_max3, lam3 = regime(build_spectral_data(FOURMODE_LX, FOURMODE_LY, 1e-3, v0))
+    assert eps_max3 == pytest.approx(eps_max, rel=1e-12)
+    assert lam == pytest.approx(8.2557, abs=1e-4)
+    assert lam3 - lam == pytest.approx(2.0 * math.log(10.0), abs=1e-12)
+    ThetaParams(build_spectral_data(FOURMODE_LX, FOURMODE_LY, 0.99 * eps_max, v0).B)
+    with pytest.raises(NumericError) as err:
+        ThetaParams(build_spectral_data(FOURMODE_LX, FOURMODE_LY, 1.01 * eps_max, v0).B)
+    assert err.value.code == "not-negative-definite"
 
 
 def test_riemann_constants_composition(single_mode_sd):
