@@ -174,8 +174,6 @@ def config_from_dict(doc: dict) -> RunConfig:
             out_dir=outputs.get("directory"),
             out_format=outputs.get("format", "both"),
         )
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError("config-parse", f"bad config field: {err}") from err
     cfg.validate()

@@ -290,7 +290,7 @@ def build_spectral_data(
     u(x, y, 0) = a + eps v0(x, y).
 
     Requires a generic configuration (no circle hits, no collisions, no
-    marginal modes) and a zero-mean v0; every upstream degeneracy is
+    marginal modes) and a finite, zero-mean v0; every upstream degeneracy is
     re-raised with the offending mode attached.
     """
     if eps <= 0.0:
@@ -300,6 +300,8 @@ def build_spectral_data(
     if a <= 0.0:
         raise ConfigError("invalid-period", f"background must be positive, got {a}")
     v0_grid = np.asarray(v0_grid, dtype=complex)
+    if not np.all(np.isfinite(v0_grid)):
+        raise ConfigError("config-parse", "perturbation grid has non-finite samples")
     # Unit-background twin: u(x/a, y/a, t/a^2)/a solves DS2 with background
     # 1 on the stretched torus; the grid samples of v0 are reused verbatim.
     Lx1, Ly1, eps1 = L_x * a, L_y * a, eps / a

@@ -34,7 +34,7 @@ class DegenerateSpectrumError(DS2Error):
 
 
 class NumericError(DS2Error):
-    """Runtime numerical failure: NaNs, theta near zero, truncation.
+    """Runtime numerical failure: NaNs, overflow, an uncertified theta sum.
 
     ``index`` is the flat index of the failing sample of a batch, if any.
     """

@@ -25,8 +25,11 @@ d' = d + B m0 reduced the same way (a t = 0 snapshot on a 1x1 grid),
 
 exactly, with |exp((m - m0).A)| = 1 since A is purely imaginary.
 
-A failing sample is named in one place: theta_grid and the ratio raise
-with its flat index, and evaluate_grid turns that into (x, y, t).
+The certificate of each theta value, the normalization's too, is the one
+guard against a pole: an exact zero of theta never meets a relative
+tolerance.  A failing sample is named in one place: theta_grid and the
+ratio raise with its flat index, and evaluate_grid turns that into (x, y,
+t) on the grid of the call in flight, (0, 0, 0) for the normalization.
 """
 
 from __future__ import annotations
@@ -40,9 +43,6 @@ from .errors import ConfigError, NumericError
 from .fieldio import Field
 from .theta import TAIL_TOLERANCE, ThetaParams, theta_grid
 
-# |theta| below this counts as an exact zero (the ratio's division guard).
-ZERO_FLOOR = 1e-300
-
 
 def make_cauchy_field(
     L_x: float, L_y: float, a: float, eps: float, v0_grid: np.ndarray
@@ -53,11 +53,8 @@ def make_cauchy_field(
 
 def _ratio(num, den, scale) -> np.ndarray:
     """u = num / den * scale, the snapshot's normalization and reduction
-    factor.  A vanishing denominator or a non-finite sample raises with the
-    flat index of the sample."""
-    i = int(np.argmin(np.abs(den)))
-    if np.abs(den.flat[i]) < ZERO_FLOOR:
-        raise NumericError("theta-zero", "theta denominator vanishes (a pole of u)", index=i)
+    factor.  den is certified, hence not 0; a non-finite sample raises with
+    its flat index."""
     u = num / den * scale
     if not np.all(np.isfinite(u)):
         i = int(np.argmin(np.isfinite(u)))
@@ -83,8 +80,9 @@ def evaluate_grid(
     the lattice sum is a trigonometric polynomial sampled exactly on the
     grid.  The normalization is one more such call, at t = 0 on a 1x1 grid.
     Each theta is certified to ``tail_tolerance`` relative to |theta|.
-    A NumericError keeps its code and gains ``at (x, y, t) = (...)``; a B
-    that is no period matrix names eps and eps_max (:func:`.curve.regime`).
+    A NumericError with a sample index, the normalization's included, keeps
+    its code and gains ``at (x, y, t) = (...)``; a B that is no period
+    matrix names eps and eps_max (:func:`.curve.regime`).
     """
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
@@ -96,23 +94,24 @@ def evaluate_grid(
         raise NumericError(err.code, msg) from err
     harmonics = [(p.mode.n_x, p.mode.n_y) for p in sd.pairs]
     m0, c0 = params.reduce(sd.d)
-    num0, den0 = theta_grid([sd.A_inf2 + c0, c0], harmonics, 1, 1, params).ravel()
-    if abs(num0) < ZERO_FLOOR:
-        raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
     fields = []
-    for t in times:
-        t = float(t)
-        m, c = params.reduce(sd.d + sd.W_t * t)
-        try:
+    t, grid = 0.0, (1, 1)  # the call in flight, for naming a failing sample
+    try:
+        num0, den0 = theta_grid([sd.A_inf2 + c0, c0], harmonics, 1, 1, params).ravel()
+        scale = sd.u00 * den0 / num0
+        grid = (nx, ny)
+        for t in times:
+            t = float(t)
+            m, c = params.reduce(sd.d + sd.W_t * t)
             num, den = theta_grid(np.stack([sd.A_inf2 + c, c]), harmonics, nx, ny, params)
-            u = _ratio(num, den, sd.u00 * den0 / num0 * np.exp((m - m0) @ sd.A_inf2))
-        except NumericError as err:
-            if err.index is None:
-                raise
-            iy, ix = divmod(err.index % (nx * ny), nx)
-            at = f"({ix * sd.L_x / nx:.6g}, {iy * sd.L_y / ny:.6g}, {t:.6g})"
-            raise NumericError(err.code, f"{err.message} at (x, y, t) = {at}") from err
-        fields.append(Field(sd.L_x, sd.L_y, t, u))
+            u = _ratio(num, den, scale * np.exp((m - m0) @ sd.A_inf2))
+            fields.append(Field(sd.L_x, sd.L_y, t, u))
+    except NumericError as err:
+        if err.index is None:
+            raise
+        iy, ix = divmod(err.index % (grid[0] * grid[1]), grid[0])
+        at = f"({ix * sd.L_x / grid[0]:.6g}, {iy * sd.L_y / grid[1]:.6g}, {t:.6g})"
+        raise NumericError(err.code, f"{err.message} at (x, y, t) = {at}") from err
     return fields
 
 

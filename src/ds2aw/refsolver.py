@@ -49,16 +49,6 @@ def _wavenumbers(field: Field) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(kx, ky, indexing="xy")
 
 
-def q_multiplier(field: Field) -> np.ndarray:
-    """Fourier multiplier Q(k) with the zero mode gauged to 0."""
-    KX, KY = _wavenumbers(field)
-    k2 = KX * KX + KY * KY
-    k2[0, 0] = 1.0
-    Q = (KX * KX - KY * KY) / k2
-    Q[0, 0] = 0.0
-    return Q
-
-
 class _Work:
     """The plan one ``evolve`` call lends every ``step``: the Fourier
     multipliers of the field's grid and the buffers each step overwrites."""
@@ -67,8 +57,11 @@ class _Work:
         ny, nx = field.ny, field.nx
         KX, KY = _wavenumbers(field)
         self.K_diff = KX * KX - KY * KY  # the linear flow's k_x^2 - k_y^2
-        # the k_x >= 0 columns of Q, the bins rfftn returns
-        self.Q_half = q_multiplier(field)[:, : nx // 2 + 1]
+        # Q on the k_x >= 0 columns, the bins rfftn returns; Q(0) = 0 is the gauge
+        k2 = (KX * KX + KY * KY)[:, : nx // 2 + 1]
+        k2[0, 0] = 1.0
+        self.Q_half = self.K_diff[:, : nx // 2 + 1] / k2
+        self.Q_half[0, 0] = 0.0
         self.spec = np.empty((ny, nx), complex)  # F[u], then exp(i phase q)
         self.dens = np.empty((ny, nx))  # |u|^2
         self.half = np.empty((ny, nx // 2 + 1), complex)  # Q F[|u|^2]
@@ -166,23 +159,26 @@ def evolve(u0: Field, times, dt: float) -> list[Field]:
     u = np.array(u0.u, dtype=complex)
     out: list[Field] = []
     now = u0.t
-    for target in targets:
-        span = target - now
-        if abs(span) > 1e-14:
-            nsteps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
-            sub = span / nsteps
-            propagator = np.exp(-1j * sub * work.K_diff)
-            _rotate(u, sub, work)
-            for k in range(1, nsteps + 1):
-                last = k == nsteps
-                step(u, propagator, sub if last else 2.0 * sub, work)
-                # sum |u|^2: non-finite if any sample is, and no array made;
-                # it overflows only at an rms |u| near 1e152 (128^2), a blow-up
-                if not np.isfinite(np.vdot(u, u)):
-                    t = target if last else now + k * sub
-                    raise NumericError(
-                        "nan-detected", f"non-finite sample at t = {t:.6g} (possible blow-up)"
-                    )
-        now = target
-        out.append(Field(u0.L_x, u0.L_y, target, u.copy()))
+    # a blow-up overflows inside a step: the coded nan-detected below is its
+    # one report, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target in targets:
+            span = target - now
+            if abs(span) > 1e-14:
+                nsteps = max(1, int(np.ceil(abs(span) / dt - 1e-12)))
+                sub = span / nsteps
+                propagator = np.exp(-1j * sub * work.K_diff)
+                _rotate(u, sub, work)
+                for k in range(1, nsteps + 1):
+                    last = k == nsteps
+                    step(u, propagator, sub if last else 2.0 * sub, work)
+                    # sum |u|^2: non-finite if any sample is, and no array made;
+                    # it overflows only at an rms |u| near 1e152 (128^2), a blow-up
+                    if not np.isfinite(np.vdot(u, u)):
+                        t = target if last else now + k * sub
+                        raise NumericError(
+                            "nan-detected", f"non-finite sample at t = {t:.6g} (possible blow-up)"
+                        )
+            now = target
+            out.append(Field(u0.L_x, u0.L_y, target, u.copy()))
     return out

@@ -186,12 +186,13 @@ def _term_set(params: ThetaParams, re: np.ndarray):
 
 def _certify(params: ThetaParams, omitted: float, vals: np.ndarray) -> None:
     """Raise truncation-insufficient unless the omitted-term bound stays
-    below tail_tolerance * min |theta|; a NaN or infinite bound or value
-    fails the check.  The error's index is the flat index of the smallest
-    |theta| (a NaN counts as smallest)."""
+    strictly below tail_tolerance * min |theta|; a NaN or infinite bound or
+    value fails the check, and so does a theta of 0, so a certified value is
+    never 0 (a caller may divide by it).  The error's index is the flat
+    index of the smallest |theta| (a NaN counts as smallest)."""
     mags = np.abs(vals).ravel()
     i = int(np.argmin(mags))
-    if not (omitted <= params.tail_tolerance * mags[i] < math.inf):
+    if not (omitted < params.tail_tolerance * mags[i] < math.inf):
         raise NumericError(
             "truncation-insufficient",
             f"certified truncation error {omitted:.3e} exceeds "

@@ -25,6 +25,20 @@ SINGLE_LY = 2.0 * math.pi / 2.1
 COLLIDE_LY = 7.652233521084404
 
 
+def q_multiplier(field):
+    """The mean flow's Fourier multiplier Q(k) = (k_x^2 - k_y^2)/(k_x^2 +
+    k_y^2) on the field's full FFT grid, with Q(0) = 0: the tests' own copy,
+    independent of the solver's plan."""
+    kx = 2.0 * math.pi * np.fft.fftfreq(field.nx, d=field.L_x / field.nx)
+    ky = 2.0 * math.pi * np.fft.fftfreq(field.ny, d=field.L_y / field.ny)
+    KX, KY = np.meshgrid(kx, ky, indexing="xy")
+    k2 = KX * KX + KY * KY
+    k2[0, 0] = 1.0
+    Q = (KX * KX - KY * KY) / k2
+    Q[0, 0] = 0.0
+    return Q
+
+
 def lattice_sum(z, B, R=5):
     """theta(z | B) as the plain sum over the box |n_j| <= R, independent of
     ds2aw.theta: no reduction into the cell, no pruning, no certificate."""

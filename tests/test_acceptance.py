@@ -18,7 +18,7 @@ from ds2aw.curve import build_spectral_data
 from ds2aw.fieldgen import evaluate_grid, make_cauchy_field
 from ds2aw.fieldio import Field
 from ds2aw.modes import growth_rate
-from ds2aw.refsolver import evolve, q_multiplier
+from ds2aw.refsolver import evolve
 from ds2aw.theta import ThetaParams, theta
 
 from conftest import (
@@ -28,6 +28,7 @@ from conftest import (
     SINGLE_LY,
     cosine_grid,
     harmonic_grid,
+    q_multiplier,
     quasi_periodicity_defect,
 )
 from test_fieldgen import evaluate_u

@@ -171,6 +171,60 @@ def test_config_non_object_section_rejected(tmp_path, capsys, doc):
     assert json.loads(capsys.readouterr().err)["error"] == "config-parse"
 
 
+def bad_config(tmp_path, case):
+    """A single-mode config file that fails to load in the way ``case`` names."""
+    grid = tmp_path / "v0.bin"  # 16^2 samples against the config's 32^2 grid
+    write_field_bin(Field(SINGLE_LX, SINGLE_LY, 0.0, cosine_grid(16, 16)), grid)
+    both = {"harmonics": [{"n_x": 1, "n_y": 0, "c": [0.5, 0.0]}], "grid_file": str(grid)}
+    overrides = {
+        "period": {"L_x": 0.0},
+        "background": {"a": 0.0},
+        "eps": {"eps": -1e-2},
+        "small-grid": {"grid": [32, 4]},
+        "unsorted-times": {"times": [0.3, 0.0]},
+        "dt": {"dt": 0.0},
+        "format": {"outputs": {"format": "png"}},
+        "harmonics-and-grid-file": {"perturbation": both},
+        "grid-file-shape": {"perturbation": {"grid_file": str(grid)}},
+        "schema": {"schema": 2},
+    }
+    path, doc = single_mode_config(tmp_path, **overrides.get(case, {}))
+    if case == "missing-key":
+        del doc["eps"]
+        path.write_text(json.dumps(doc))
+    elif case == "not-json":
+        path.write_text(json.dumps(doc)[:-1])
+    elif case == "unreadable":
+        path.unlink()
+    return path
+
+
+CONFIG_FAULTS = [
+    ("period", "invalid-period", "periods must be positive"),
+    ("background", "config-parse", "background a must be positive"),
+    ("eps", "config-parse", "eps must be positive"),
+    ("small-grid", "config-parse", "at least 8x8"),
+    ("unsorted-times", "config-parse", "times must be sorted"),
+    ("dt", "config-parse", "dt must be positive"),
+    ("format", "config-parse", "format must be one of"),
+    ("harmonics-and-grid-file", "config-parse", "not both"),
+    ("grid-file-shape", "config-parse", "grid_file is 16x16, config grid is 32x32"),
+    ("schema", "config-parse", "unsupported schema 2"),
+    ("missing-key", "config-parse", "bad config field: 'eps'"),
+    ("not-json", "config-parse", ".json:1:"),
+    ("unreadable", "config-parse", "cannot read config"),
+]
+
+
+@pytest.mark.parametrize("case, code, text", CONFIG_FAULTS, ids=[f[0] for f in CONFIG_FAULTS])
+def test_config_coded_failures(tmp_path, capsys, case, code, text):
+    # spectrum loads the file, validates it and samples the datum
+    path = bad_config(tmp_path, case)
+    assert main(["spectrum", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == code and err["exit_code"] == 2 and text in err["message"]
+
+
 def test_analyze_four_mode(tmp_path, capsys):
     path, _ = four_mode_config(tmp_path)
     assert main(["analyze", "--config", str(path)]) == 0
@@ -306,17 +360,18 @@ def test_evolve_fg_late_times(tmp_path, config, L, terms):
 
 
 def test_evolve_ref_nan_exits_numeric(tmp_path, capsys):
-    # a finite but huge grid_file datum: |u|^2 overflows in the first step
-    # (numpy's overflow warning is expected), and the solver fails closed; a
-    # non-finite datum is a config error
+    # a finite but huge grid_file datum: |u|^2 overflows in the first step,
+    # and the solver fails closed with the coded error as its one report (no
+    # numpy warning); a non-finite datum is a config error
     v0 = np.full((32, 32), 1e200, dtype=complex)
     grid = tmp_path / "v0.bin"
     write_field_bin(Field(SINGLE_LX, SINGLE_LY, 0.0, v0), grid)
     path, _ = single_mode_config(tmp_path, perturbation={"grid_file": str(grid)})
     out = tmp_path / "ref"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["evolve-ref", "--config", str(path), "--out", str(out)]) == 5
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert main(["evolve-ref", "--config", str(path), "--out", str(out)]) == 5
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+    err = json.loads(stderr)
     assert err["error"] == "nan-detected" and err["exit_code"] == 5
     assert "t = 0.001 " in err["message"]
     assert not out.exists() or not any(out.iterdir())
@@ -480,6 +535,16 @@ def test_compare_manifest_bad_shape(tmp_path, capsys, edit):
     assert json.loads(capsys.readouterr().err)["error"] == "config-parse"
 
 
+@pytest.mark.parametrize("case", ["unreadable", "not-json"])
+def test_compare_manifest_unloadable(tmp_path, capsys, case):
+    path = tmp_path / "manifest.json"
+    if case == "not-json":
+        path.write_text('{"grid": [8, 8],')
+    assert main(["compare", str(path), str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-parse" and err["exit_code"] == 2
+
+
 def test_binary_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     u = rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8))
@@ -606,6 +671,18 @@ def test_bad_magic_rejected(tmp_path):
     with pytest.raises(OutputError) as err:
         read_field_bin(path)
     assert err.value.code == "io"
+
+
+@pytest.mark.parametrize("case", ["truncated-header", "wrong-byte-count", "unreadable"])
+def test_read_field_bin_coded_failures(tmp_path, case):
+    path = tmp_path / "f.bin"
+    if case != "unreadable":
+        write_field_bin(Field(1.0, 1.0, 0.0, np.zeros((8, 8), complex)), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:20] if case == "truncated-header" else raw[:-16])
+    with pytest.raises(OutputError) as err:
+        read_field_bin(path)
+    assert (err.value.code, err.value.exit_code) == ("io", 6)
 
 
 def test_format_flag_csv_only(tmp_path):

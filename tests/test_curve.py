@@ -22,7 +22,9 @@ from ds2aw.curve import (
     regime,
     resonant_pair,
 )
-from ds2aw.errors import ConfigError, DegenerateSpectrumError, GenericityError, NumericError
+from ds2aw.errors import (
+    ConfigError, DegenerateSpectrumError, DS2Error, GenericityError, NumericError,
+)
 from ds2aw.fieldio import Field
 from ds2aw.modes import Mode, growth_rate
 from ds2aw.refsolver import evolve
@@ -527,3 +529,32 @@ def test_build_attaches_mode_to_error():
     with pytest.raises(DegenerateSpectrumError) as err:
         build_spectral_data(FOURMODE_LX, FOURMODE_LY, 1e-2, v0)
     assert "(0, 1)" in err.value.message or "(1, 1)" in err.value.message
+
+
+def with_sample(v0, value):
+    """v0 with its sample (3, 4) set to ``value``."""
+    v0 = v0.copy()
+    v0[3, 4] = value
+    return v0
+
+
+@pytest.mark.parametrize(
+    "L, a, v0, code, exit_code",
+    [
+        ((SINGLE_LX, SINGLE_LY), 0.0, cosine_grid(32, 32), "invalid-period", 2),
+        ((2.0, 2.0), 1.0, cosine_grid(16, 16), "no-unstable-modes", 4),
+        ((SINGLE_LX, SINGLE_LY), 1.0, np.zeros(64), "aliasing", 2),
+        ((SINGLE_LX, SINGLE_LY), 1.0, with_sample(cosine_grid(16, 16), math.nan),
+         "config-parse", 2),
+        ((SINGLE_LX, SINGLE_LY), 1.0, with_sample(cosine_grid(16, 16), math.inf),
+         "config-parse", 2),
+    ],
+    ids=["background", "no-unstable-modes", "v0-not-2d", "v0-nan", "v0-inf"],
+)
+def test_build_coded_failures(L, a, v0, code, exit_code):
+    # on the 2 x 2 torus the smallest wave number, pi, lies outside the
+    # instability disk |k| < 2; a non-finite datum is bad input, not a NaN
+    # period matrix
+    with pytest.raises(DS2Error) as err:
+        build_spectral_data(*L, 1e-2, v0, a=a)
+    assert (err.value.code, err.value.exit_code) == (code, exit_code)

@@ -8,9 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from ds2aw import fieldgen
 from ds2aw.curve import build_spectral_data
-from ds2aw.errors import NumericError
+from ds2aw.errors import DS2Error, NumericError
 from ds2aw.fieldgen import _ratio, evaluate_grid, first_appearance_estimate
 from ds2aw.theta import ThetaParams, theta
 
@@ -37,8 +36,6 @@ def evaluate_batch(sd, z, t, params=None):
     if params is None:
         params = ThetaParams(sd.B)
     theta_d, theta_ad = theta(np.stack([sd.d, sd.A_inf2 + sd.d]), params)
-    if abs(theta_ad) < fieldgen.ZERO_FLOOR:
-        raise NumericError("theta-zero", "theta(A(inf2) + d) vanishes")
     c = sd.d + t * sd.W_t
     m = np.floor(np.linalg.solve(-sd.B.real, c.real))
     c = c + m @ sd.B
@@ -249,21 +246,37 @@ def test_first_appearance_estimate_values():
     assert t1 > 0.0
 
 
-def test_theta_zero_reported(single_mode_sd, monkeypatch):
-    # the hard floor (1e-300) is unreachable for genuine data, so raise it
-    # and aim the argument exactly at a theta root to exercise the error path
+def test_theta_zero_reported(single_mode_sd):
+    # theta vanishes at the odd half-period i pi e_1 + B e_1 / 2, where its
+    # sum cancels to rounding: no relative certificate holds there, so the
+    # certificate is the pole guard.  With d at the root the t = 0
+    # normalization theta(d) fails, and the grid names its one sample
     sd = single_mode_sd
-    monkeypatch.setattr(fieldgen, "ZERO_FLOOR", 1e-2)
-    root = np.array([1j * math.pi + sd.B[0, 0] / 2.0, 0.35 + 0.1j])
+    root = 1j * math.pi * np.eye(sd.g)[0] + sd.B[:, 0] / 2.0
     bad = dataclasses.replace(sd, d=root)
-    params = ThetaParams(sd.B)
     with pytest.raises(NumericError) as err:
-        evaluate_u(0.0, 0.0, 0.0, bad, params)
-    assert err.value.code == "theta-zero"
+        evaluate_u(0.0, 0.0, 0.0, bad, ThetaParams(sd.B))
+    assert err.value.code == "truncation-insufficient"
     with pytest.raises(NumericError) as err:
-        evaluate_grid([0.0], 8, 8, bad)
-    assert err.value.code == "theta-zero"
-    assert "(x, y, t) = (0, 0, 0)" in err.value.message
+        evaluate_grid([0.0, 1.0], 8, 8, bad)
+    assert err.value.code == "truncation-insufficient"
+    assert err.value.message.endswith("at (x, y, t) = (0, 0, 0)")
+
+
+@pytest.mark.parametrize(
+    "nx, flat, code, exit_code",
+    [(4, False, "invalid-grid", 2), (8, True, "radius-overflow", 5)],
+    ids=["grid-too-small", "radius-overflow"],
+)
+def test_evaluate_grid_coded_failures(single_mode_sd, nx, flat, code, exit_code):
+    # B = -1e-12 I asks for about 2e7 candidates at one level: the term cap
+    # fails it in the first theta_grid call, and the error, which names no
+    # sample, passes through the naming unchanged
+    sd = dataclasses.replace(single_mode_sd, B=-1e-12 * np.eye(2)) if flat else single_mode_sd
+    with pytest.raises(DS2Error) as err:
+        evaluate_grid([0.0], nx, 8, sd)
+    assert (err.value.code, err.value.exit_code) == (code, exit_code)
+    assert "(x, y, t)" not in err.value.message
 
 
 def test_truncation_insufficient_propagates(four_mode_sd):

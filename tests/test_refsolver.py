@@ -15,9 +15,9 @@ from ds2aw.errors import ConfigError, NumericError
 from ds2aw.fieldgen import make_cauchy_field
 from ds2aw.fieldio import Field
 from ds2aw.modes import growth_rate
-from ds2aw.refsolver import _mean_flow, _Work, evolve, q_multiplier, stability_bound
+from ds2aw.refsolver import _mean_flow, _Work, evolve, stability_bound
 
-from conftest import FOURMODE_LX, FOURMODE_LY, FOURMODE_TERMS, harmonic_grid
+from conftest import FOURMODE_LX, FOURMODE_LY, FOURMODE_TERMS, harmonic_grid, q_multiplier
 from test_modes import harmonic_matrix
 
 
@@ -139,6 +139,8 @@ def test_q_multiplier_range():
     Q = q_multiplier(f)
     assert Q[0, 0] == 0.0
     assert np.all(Q >= -1.0) and np.all(Q <= 1.0)
+    # the solver's plan holds the same Q on the half spectrum
+    assert np.array_equal(_Work(f).Q_half, Q[:, : f.nx // 2 + 1])
 
 
 def test_l2_conservation():
