@@ -94,7 +94,6 @@ class SpectralData:
     K: np.ndarray
     d: np.ndarray
     eps: float
-    u00: complex
     L_x: float
     L_y: float
     a: float
@@ -143,7 +142,7 @@ def perturbation_coefficients(v0_grid: np.ndarray, mode: Mode) -> tuple[complex,
     """
     v0 = np.asarray(v0_grid, dtype=complex)
     if v0.ndim != 2:
-        raise ConfigError("aliasing", "perturbation grid must be 2-d")
+        raise ConfigError("invalid-grid", "perturbation grid must be 2-d")
     ny, nx = v0.shape
     mean = complex(v0.mean())
     if abs(mean) > 1e-10:
@@ -289,16 +288,18 @@ def build_spectral_data(
     """Assemble the full leading-order spectral data for the Cauchy datum
     u(x, y, 0) = a + eps v0(x, y).
 
-    Requires a generic configuration (no circle hits, no collisions, no
-    marginal modes) and a finite, zero-mean v0; every upstream degeneracy is
-    re-raised with the offending mode attached.
+    Requires finite inputs, a generic configuration (no circle hits, no
+    collisions, no marginal modes) and a zero-mean v0; every upstream
+    degeneracy is re-raised with the offending mode attached.
     """
+    if not math.isfinite(eps):
+        raise ConfigError("invalid-argument", f"eps must be finite, got {eps}")
     if eps <= 0.0:
         raise DegenerateSpectrumError(
             "degenerate-mode", "eps = 0 gives alpha = beta = 0 on every handle"
         )
-    if a <= 0.0:
-        raise ConfigError("invalid-period", f"background must be positive, got {a}")
+    if not 0.0 < a < math.inf:
+        raise ConfigError("invalid-background", f"background must be positive and finite, got {a}")
     v0_grid = np.asarray(v0_grid, dtype=complex)
     if not np.all(np.isfinite(v0_grid)):
         raise ConfigError("config-parse", "perturbation grid has non-finite samples")
@@ -340,7 +341,6 @@ def build_spectral_data(
     W_z, W_zbar, W_t = frequency_vectors(pairs)
     A_inf2 = abel_infinity(pairs)
     A_div, K, d = divisor_and_constants(pairs, B, eps1)
-    u00 = a + eps * complex(v0_grid[0, 0])
     return SpectralData(
         g=len(pairs),
         pairs=pairs,
@@ -353,7 +353,6 @@ def build_spectral_data(
         K=K,
         d=d,
         eps=eps,
-        u00=u00,
         L_x=L_x,
         L_y=L_y,
         a=a,

@@ -1,13 +1,14 @@
 """Leading-order finite-gap field u(x, y, t) from spectral data.
 
-The solution is a ratio of four theta values times the normalization
-u(0, 0, 0):
+The solution is a ratio of theta values times the background a, as in the
+NLS analogue (Grinevich and Santini, Nonlinearity 31 (2018) 5258):
 
-    u = theta(A + w + d) theta(d) / (theta(A + d) theta(w + d)) * u00,
+    u = a theta(A + w + d) / theta(w + d),
 
 with w_j(z, t) = (W_z)_j z + (W_zbar)_j zbar + (W_t)_j t, A = A(inf_2) and
 d the theta-argument offset.  The general formula's prefactor exp(z Cz +
 zbar Czbar + t Ct) is 1 here: the C constants vanish at leading order.
+The torus mean of u at t = 0 is a + O(eps^2).
 
 The spatial part of w is i(k_x x + k_y y) per handle, with (k_x, k_y) a
 wave vector of the torus lattice, so the field is exactly doubly periodic.
@@ -18,18 +19,16 @@ theta, exact on the grid points.
 Re(w + d) grows linearly in t, so per snapshot the offset c = d + W_t t is
 moved into the lattice's fundamental cell, c' = c + B m.  By
 quasi-periodicity the numerator and denominator thetas gain the same
-factor exp(m.B.m/2 + m.(w + c)) and the numerator also exp(m.A).  With
-d' = d + B m0 reduced the same way (a t = 0 snapshot on a 1x1 grid),
+factor exp(m.B.m/2 + m.(w + c)) and the numerator also exp(m.A).  With d
+at its cell representative d + B m0 (a shift B n turns u by exp(-n.A)),
 
-    u = exp((m - m0).A) theta(A + w + c') theta(d') / (theta(A + d') theta(w + c')) * u00
+    u = a exp((m - m0).A) theta(A + w + c') / theta(w + c')
 
 exactly, with |exp((m - m0).A)| = 1 since A is purely imaginary.
 
-The certificate of each theta value, the normalization's too, is the one
-guard against a pole: an exact zero of theta never meets a relative
-tolerance.  A failing sample is named in one place: theta_grid and the
-ratio raise with its flat index, and evaluate_grid turns that into (x, y,
-t) on the grid of the call in flight, (0, 0, 0) for the normalization.
+The certificate of each theta value is the one guard against a pole: an
+exact zero never meets a relative tolerance.  A failing sample's flat
+index, from theta_grid or the ratio, becomes (x, y, t) in evaluate_grid.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def make_cauchy_field(
 
 
 def _ratio(num, den, scale) -> np.ndarray:
-    """u = num / den * scale, the snapshot's normalization and reduction
+    """u = num / den * scale, the snapshot's background and reduction
     factor.  den is certified, hence not 0; a non-finite sample raises with
     its flat index."""
     u = num / den * scale
@@ -78,14 +77,18 @@ def evaluate_grid(
     inverse FFT over the grid.  Handle j's spatial phase w_j is
     2 pi i (n_x ix / nx + n_y iy / ny) for its mode's integer harmonic, so
     the lattice sum is a trigonometric polynomial sampled exactly on the
-    grid.  The normalization is one more such call, at t = 0 on a 1x1 grid.
-    Each theta is certified to ``tail_tolerance`` relative to |theta|.
-    A NumericError with a sample index, the normalization's included, keeps
-    its code and gains ``at (x, y, t) = (...)``; a B that is no period
-    matrix names eps and eps_max (:func:`.curve.regime`).
+    grid.  Each theta is certified to ``tail_tolerance`` relative to
+    |theta|.  A NumericError with a sample index keeps its code and gains
+    ``at (x, y, t) = (...)``; a B that is no period matrix names eps and
+    eps_max (:func:`.curve.regime`); a time that is not finite is refused
+    before any theta work.
     """
     if nx < 8 or ny < 8:
         raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
+    times = [float(t) for t in times]
+    for t in times:
+        if not math.isfinite(t):
+            raise ConfigError("invalid-times", f"snapshot time {t} is not finite")
     try:
         params = ThetaParams(sd.B, tail_tolerance)
     except NumericError as err:
@@ -93,24 +96,19 @@ def evaluate_grid(
                f"period matrix only for eps < eps_max = {regime(sd)[0]:.6g}")
         raise NumericError(err.code, msg) from err
     harmonics = [(p.mode.n_x, p.mode.n_y) for p in sd.pairs]
-    m0, c0 = params.reduce(sd.d)
+    m0 = params.reduce(sd.d)[0]
     fields = []
-    t, grid = 0.0, (1, 1)  # the call in flight, for naming a failing sample
     try:
-        num0, den0 = theta_grid([sd.A_inf2 + c0, c0], harmonics, 1, 1, params).ravel()
-        scale = sd.u00 * den0 / num0
-        grid = (nx, ny)
         for t in times:
-            t = float(t)
             m, c = params.reduce(sd.d + sd.W_t * t)
             num, den = theta_grid(np.stack([sd.A_inf2 + c, c]), harmonics, nx, ny, params)
-            u = _ratio(num, den, scale * np.exp((m - m0) @ sd.A_inf2))
+            u = _ratio(num, den, sd.a * np.exp((m - m0) @ sd.A_inf2))
             fields.append(Field(sd.L_x, sd.L_y, t, u))
     except NumericError as err:
         if err.index is None:
             raise
-        iy, ix = divmod(err.index % (grid[0] * grid[1]), grid[0])
-        at = f"({ix * sd.L_x / grid[0]:.6g}, {iy * sd.L_y / grid[1]:.6g}, {t:.6g})"
+        iy, ix = divmod(err.index % (nx * ny), nx)
+        at = f"({ix * sd.L_x / nx:.6g}, {iy * sd.L_y / ny:.6g}, {t:.6g})"
         raise NumericError(err.code, f"{err.message} at (x, y, t) = {at}") from err
     return fields
 

@@ -109,8 +109,8 @@ def enumerate_modes(L_x: float, L_y: float, a: float) -> list[Mode]:
     lies strictly inside the instability disk and k_x^2 != k_y^2 (marginal
     modes have sigma = 0 to leading order and do not open handles).
     """
-    if L_x <= 0.0 or L_y <= 0.0:
-        raise ConfigError("invalid-period", f"periods must be positive, got ({L_x}, {L_y})")
+    if not (0.0 < L_x < math.inf and 0.0 < L_y < math.inf):
+        raise ConfigError("invalid-period", f"periods must be positive and finite: ({L_x}, {L_y})")
     radius = min_search_radius(L_x, L_y, a)
     dkx = 2.0 * math.pi / L_x
     dky = 2.0 * math.pi / L_y

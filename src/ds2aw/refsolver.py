@@ -136,13 +136,15 @@ def step(u: np.ndarray, propagator: np.ndarray, phase: float, work: _Work) -> No
 def evolve(u0: Field, times, dt: float) -> list[Field]:
     """Integrate from u0.t and return one Field at each of ``times``.
 
-    The times must be monotone from u0.t; decreasing times run backward
-    (for reversibility checks).  ``dt`` must be positive and must not
-    exceed :func:`stability_bound` of u0.  It is locally shrunk (never
+    The times must be finite and monotone from u0.t; decreasing times run
+    backward (for reversibility checks).  ``dt`` must be positive and must
+    not exceed :func:`stability_bound` of u0.  It is locally shrunk (never
     grown) so every segment between snapshots is covered by uniform
     sub-steps landing exactly on its end.
     """
     targets = [float(t) for t in times]
+    if not np.all(np.isfinite([u0.t, *targets])):
+        raise ConfigError("invalid-times", f"times must be finite: from {u0.t} to {targets}")
     spans = np.diff([u0.t, *targets])
     if not (np.all(spans >= 0.0) or np.all(spans <= 0.0)):
         raise ConfigError("invalid-times", "snapshot times must be monotone from u0.t")

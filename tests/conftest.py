@@ -82,6 +82,35 @@ def harmonic_grid(nx, ny, terms):
     return v0
 
 
+def harmonic_matrix(k_x, k_y, a=1.0):
+    """Linearized DS2 about the background a on one harmonic pair: d/dt of
+    (c_k, conj(c_{-k})) for the perturbation c_k e^{i k.x} + c_{-k} e^{-i k.x}."""
+    K = k_x**2 - k_y**2
+    Q = K / (k_x**2 + k_y**2)
+    diag = -1j * (K - 2.0 * Q * a * a)
+    off = 2j * Q * a * a
+    return np.array([[diag, off], [-off, -diag]])
+
+
+def linear_field(L_x, L_y, a, eps, terms, t, nx, ny):
+    """a + eps v(t) on the nx x ny grid, v(0) = sum c exp(i(k_x x + k_y y))
+    over ``terms`` (n_x, n_y, c), by linear theory in closed form: M =
+    harmonic_matrix has trace 0, so M^2 = lam^2 I with lam^2 = -det M and
+    exp(t M) = cosh(lam t) I + sinh(lam t) / lam M on each harmonic pair.
+    Solver-free: no ds2aw code runs."""
+    coeff = {(n_x, n_y): c for n_x, n_y, c in terms}
+    evolved = []
+    for (n_x, n_y), c in coeff.items():
+        if (-n_x, -n_y) in coeff and (n_x, n_y) < (0, 0):
+            continue
+        M = harmonic_matrix(2.0 * math.pi * n_x / L_x, 2.0 * math.pi * n_y / L_y, a)
+        lam = np.sqrt(-np.linalg.det(M) + 0j)
+        prop = np.cosh(lam * t) * np.eye(2) + np.sinh(lam * t) / lam * M
+        c_k, c_minus_bar = prop @ [c, np.conj(coeff.get((-n_x, -n_y), 0.0))]
+        evolved += [(n_x, n_y, c_k), (-n_x, -n_y, np.conj(c_minus_bar))]
+    return a + eps * harmonic_grid(nx, ny, evolved)
+
+
 def cosine_grid(nx, ny):
     """cos of the first x harmonic: the single-mode Cauchy perturbation."""
     return harmonic_grid(nx, ny, [(1, 0, 0.5), (-1, 0, 0.5)])

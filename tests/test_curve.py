@@ -506,7 +506,6 @@ def test_build_four_mode_genus(four_mode_sd):
 
 def test_build_single_mode_genus(single_mode_sd):
     assert single_mode_sd.g == 2
-    assert single_mode_sd.u00 == pytest.approx(1.0 + 1e-2, abs=1e-15)
 
 
 def test_build_rejects_collision():
@@ -538,23 +537,31 @@ def with_sample(v0, value):
     return v0
 
 
+SINGLE = (SINGLE_LX, SINGLE_LY)
+
+
 @pytest.mark.parametrize(
-    "L, a, v0, code, exit_code",
+    "L, a, eps, v0, code, exit_code",
     [
-        ((SINGLE_LX, SINGLE_LY), 0.0, cosine_grid(32, 32), "invalid-period", 2),
-        ((2.0, 2.0), 1.0, cosine_grid(16, 16), "no-unstable-modes", 4),
-        ((SINGLE_LX, SINGLE_LY), 1.0, np.zeros(64), "aliasing", 2),
-        ((SINGLE_LX, SINGLE_LY), 1.0, with_sample(cosine_grid(16, 16), math.nan),
-         "config-parse", 2),
-        ((SINGLE_LX, SINGLE_LY), 1.0, with_sample(cosine_grid(16, 16), math.inf),
-         "config-parse", 2),
+        (SINGLE, 0.0, 1e-2, cosine_grid(32, 32), "invalid-background", 2),
+        ((2.0, 2.0), 1.0, 1e-2, cosine_grid(16, 16), "no-unstable-modes", 4),
+        (SINGLE, 1.0, 1e-2, np.zeros(64), "invalid-grid", 2),
+        (SINGLE, 1.0, 1e-2, with_sample(cosine_grid(16, 16), math.nan), "config-parse", 2),
+        (SINGLE, 1.0, 1e-2, with_sample(cosine_grid(16, 16), math.inf), "config-parse", 2),
+        ((math.nan, SINGLE_LY), 1.0, 1e-2, cosine_grid(16, 16), "invalid-period", 2),
+        ((SINGLE_LX, math.inf), 1.0, 1e-2, cosine_grid(16, 16), "invalid-period", 2),
+        (SINGLE, math.nan, 1e-2, cosine_grid(16, 16), "invalid-background", 2),
+        (SINGLE, math.inf, 1e-2, cosine_grid(16, 16), "invalid-background", 2),
+        (SINGLE, 1.0, math.nan, cosine_grid(16, 16), "invalid-argument", 2),
+        (SINGLE, 1.0, math.inf, cosine_grid(16, 16), "invalid-argument", 2),
     ],
-    ids=["background", "no-unstable-modes", "v0-not-2d", "v0-nan", "v0-inf"],
+    ids=["background", "no-unstable-modes", "v0-not-2d", "v0-nan", "v0-inf", "period-nan",
+         "period-inf", "background-nan", "background-inf", "eps-nan", "eps-inf"],
 )
-def test_build_coded_failures(L, a, v0, code, exit_code):
+def test_build_coded_failures(L, a, eps, v0, code, exit_code):
     # on the 2 x 2 torus the smallest wave number, pi, lies outside the
-    # instability disk |k| < 2; a non-finite datum is bad input, not a NaN
-    # period matrix
+    # instability disk |k| < 2; a non-finite input is bad input, not a NaN
+    # period matrix or an exception without a code
     with pytest.raises(DS2Error) as err:
-        build_spectral_data(*L, 1e-2, v0, a=a)
+        build_spectral_data(*L, eps, v0, a=a)
     assert (err.value.code, err.value.exit_code) == (code, exit_code)

@@ -23,7 +23,9 @@ from ds2aw.modes import (
     unstable_classes,
 )
 
-from conftest import COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY
+from conftest import (
+    COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, harmonic_matrix
+)
 
 
 def signed_rate(k_x, k_y, a):
@@ -33,14 +35,6 @@ def signed_rate(k_x, k_y, a):
     k2 = k_x * k_x + k_y * k_y
     pref = (k_x * k_x - k_y * k_y) / math.sqrt(k2)
     return pref * cmath.sqrt(complex(4.0 * a * a - k2, 0.0))
-
-
-def harmonic_matrix(k_x, k_y, a=1.0):
-    K = k_x**2 - k_y**2
-    Q = K / (k_x**2 + k_y**2)
-    diag = -1j * (K - 2.0 * Q * a * a)
-    off = 2j * Q * a * a
-    return np.array([[diag, off], [-off, -diag]])
 
 
 def rk4_rate(k_x, k_y, a=1.0, t_end=1.0, dt=1e-3):

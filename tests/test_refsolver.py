@@ -17,8 +17,9 @@ from ds2aw.fieldio import Field
 from ds2aw.modes import growth_rate
 from ds2aw.refsolver import _mean_flow, _Work, evolve, stability_bound
 
-from conftest import FOURMODE_LX, FOURMODE_LY, FOURMODE_TERMS, harmonic_grid, q_multiplier
-from test_modes import harmonic_matrix
+from conftest import (
+    FOURMODE_LX, FOURMODE_LY, FOURMODE_TERMS, harmonic_grid, harmonic_matrix, q_multiplier
+)
 
 
 def q_from_u(field):
@@ -216,11 +217,20 @@ def test_evolve_carries_no_state():
     assert f.u.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("times", [[0.2, 0.1], [-0.1, 0.1], [0.1, -0.1]])
+@pytest.mark.parametrize(
+    "times", [[0.2, 0.1], [-0.1, 0.1], [0.1, -0.1], [0.1, math.inf], [-math.inf], [math.nan]]
+)
 def test_times_must_be_monotone(times):
     f = flat_field(n=16)
     with pytest.raises(ConfigError) as err:
         evolve(f, times, 1e-2)
+    assert err.value.code == "invalid-times"
+
+
+def test_start_time_must_be_finite():
+    f = flat_field(n=16)
+    with pytest.raises(ConfigError) as err:
+        evolve(Field(f.L_x, f.L_y, math.inf, f.u), [1.0], 1e-2)
     assert err.value.code == "invalid-times"
 
 

@@ -402,9 +402,8 @@ def test_flat_genus1_against_direct_sum():
 
 
 def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_sd):
-    # one set for the normalization theta(A + d'), theta(d') (a 1x1
-    # theta_grid call at t = 0), then one per snapshot for its numerator and
-    # denominator
+    # one set per snapshot for its numerator and denominator, and no other:
+    # the field's scale is the background a, which needs no theta value
     sd = four_mode_sd
     T1 = first_appearance_estimate(sd)
     built = []
@@ -415,12 +414,12 @@ def test_evaluate_grid_builds_one_term_set_per_snapshot(monkeypatch, four_mode_s
 
     monkeypatch.setattr(theta_mod, "_ellipsoid", counted)
     evaluate_grid([0.0, 0.375 * T1, 0.75 * T1], 8, 8, sd)
-    assert len(built) == 1 + 3
+    assert len(built) == 3
 
 
 def test_lattice_geometry_factored_once(monkeypatch, four_mode_sd):
     # P = -Re B is factored once per ThetaParams, not once per term set:
-    # three genus-8 snapshots and the normalization share one Cholesky factor
+    # three genus-8 snapshots share one Cholesky factor
     sd = four_mode_sd
     T1 = first_appearance_estimate(sd)
     calls = []
