@@ -20,12 +20,23 @@ A lone half-phase opens and closes every segment, so each snapshot is the
 symmetric-Strang field itself.  A step costs two complex FFTs for the
 linear part and two real FFTs for q.
 
-Each ``evolve`` call builds one plan (:class:`_Work`): the multipliers
-k_x^2 - k_y^2 and the half-spectrum Q, and the work buffers, namely the
-spectrum (complex, ny x nx), which also holds the rotation; |u|^2 and q
-(real, ny x nx); and the half spectrum of |u|^2 (complex,
-ny x (nx//2 + 1)).  Every step writes its intermediates into them and
-its result over the samples, so ``step`` allocates no array.
+``evolve`` integrates on the period cell of u0: the smallest block of
+py x px samples that tiles it exactly (the whole grid for generic data,
+one row for y-independent data, the NLS reduction).  Tiled data have their
+spectrum on the sub-lattice of wavenumbers (k_x, k_y) with k_x a multiple
+of 2 pi/(L_x px/nx) and k_y of 2 pi/(L_y py/ny), and each sub-flow keeps
+it there: the linear flow is diagonal in Fourier space, |u|^2 and q =
+F^{-1}[Q F|u|^2] stay on it, and so does the rotation exp(i phase q).  The
+cell, sampled with the same spacing on the torus L_x px/nx x L_y py/ny,
+has exactly those wavenumbers and the same Q on them, so it carries the
+whole flow, and every snapshot is the cell tiled back onto the grid.
+
+Each ``evolve`` call builds one plan (:class:`_Work`) on the cell: the
+multipliers k_x^2 - k_y^2 and the half-spectrum Q, and the work buffers,
+namely the spectrum (complex, py x px), which also holds the rotation;
+|u|^2 and q (real, py x px); and the half spectrum of |u|^2 (complex,
+py x (px//2 + 1)).  Every step writes its intermediates into them and its
+result over the samples, so ``step`` allocates no array.
 """
 
 from __future__ import annotations
@@ -114,6 +125,18 @@ def stability_bound(field: Field) -> float:
     return DT_SAFETY / peak
 
 
+def _cell(u: np.ndarray) -> tuple[int, int]:
+    """(py, px): the smallest block u[:py, :px] whose tiling is u, sample
+    for sample.  Only exact equality counts: a NaN or a one-ulp difference
+    keeps the whole axis."""
+
+    def period(v: np.ndarray) -> int:
+        n = len(v)
+        return next(p for p in range(1, n + 1) if n % p == 0 and np.array_equal(v[p:], v[:-p]))
+
+    return period(u), period(u.T)
+
+
 def step(u: np.ndarray, propagator: np.ndarray, phase: float, work: _Work) -> None:
     """One fused Strang step of ``evolve``: the linear flow, then q of the
     result, then the rotation exp(i phase q).
@@ -140,7 +163,8 @@ def evolve(u0: Field, times, dt: float) -> list[Field]:
     backward (for reversibility checks).  ``dt`` must be positive and must
     not exceed :func:`stability_bound` of u0.  It is locally shrunk (never
     grown) so every segment between snapshots is covered by uniform
-    sub-steps landing exactly on its end.
+    sub-steps landing exactly on its end.  The steps run on the period cell
+    of u0, and each snapshot is that cell tiled onto u0's grid.
     """
     targets = [float(t) for t in times]
     if not np.all(np.isfinite([u0.t, *targets])):
@@ -157,8 +181,10 @@ def evolve(u0: Field, times, dt: float) -> list[Field]:
             f"dt = {dt} exceeds the splitting accuracy bound {bound:.3e} "
             "for this initial data",
         )
-    work = _Work(u0)
-    u = np.array(u0.u, dtype=complex)
+    py, px = _cell(u0.u)
+    reps = (u0.ny // py, u0.nx // px)
+    work = _Work(Field(u0.L_x / reps[1], u0.L_y / reps[0], u0.t, u0.u[:py, :px]))
+    u = np.array(u0.u[:py, :px], dtype=complex)
     out: list[Field] = []
     now = u0.t
     # a blow-up overflows inside a step: the coded nan-detected below is its
@@ -175,12 +201,13 @@ def evolve(u0: Field, times, dt: float) -> list[Field]:
                     last = k == nsteps
                     step(u, propagator, sub if last else 2.0 * sub, work)
                     # sum |u|^2: non-finite if any sample is, and no array made;
-                    # it overflows only at an rms |u| near 1e152 (128^2), a blow-up
+                    # it overflows only at an rms |u| of 1e152 or more (a 128^2
+                    # cell), a blow-up
                     if not np.isfinite(np.vdot(u, u)):
                         t = target if last else now + k * sub
                         raise NumericError(
                             "nan-detected", f"non-finite sample at t = {t:.6g} (possible blow-up)"
                         )
             now = target
-            out.append(Field(u0.L_x, u0.L_y, target, u.copy()))
+            out.append(Field(u0.L_x, u0.L_y, target, np.tile(u, reps)))
     return out

@@ -4,6 +4,11 @@ The dispersion tests seed the exact growing (or rotating) eigenvector of
 the linearized single-harmonic system and fit the complex rate of the
 corresponding Fourier coefficient; the formula value comes from the mode
 census.
+
+``evolve`` integrates on the datum's period cell, so a y-independent seed
+runs on one row.  The conservation, reversibility, convergence and gauge
+tests also run the four-mode datum, whose cell is the whole grid, so the
+2-D step stays covered.
 """
 
 import math
@@ -11,14 +16,23 @@ import math
 import numpy as np
 import pytest
 
+from ds2aw import refsolver
 from ds2aw.errors import ConfigError, NumericError
 from ds2aw.fieldgen import make_cauchy_field
 from ds2aw.fieldio import Field
 from ds2aw.modes import growth_rate
-from ds2aw.refsolver import _mean_flow, _Work, evolve, stability_bound
+from ds2aw.refsolver import _cell, _mean_flow, _Work, evolve, stability_bound
 
 from conftest import (
-    FOURMODE_LX, FOURMODE_LY, FOURMODE_TERMS, harmonic_grid, harmonic_matrix, q_multiplier
+    FOURMODE_LX,
+    FOURMODE_LY,
+    FOURMODE_TERMS,
+    SINGLE_LX,
+    SINGLE_LY,
+    cosine_grid,
+    harmonic_grid,
+    harmonic_matrix,
+    q_multiplier,
 )
 
 
@@ -89,6 +103,27 @@ def eigenvector_seed(L_x, L_y, n, n_x, n_y, eps, which="grow"):
     return Field(L_x, L_y, 0.0, 1.0 + eps * v), k_x, k_y, lam
 
 
+def four_mode_field(nx, ny, eps=1e-2):
+    """The four-mode (genus-8) datum on an nx x ny grid: its cell is the
+    whole grid."""
+    v0 = harmonic_grid(nx, ny, FOURMODE_TERMS)
+    return make_cauchy_field(FOURMODE_LX, FOURMODE_LY, 1.0, eps, v0)
+
+
+def x_seed_and_four_mode(n, eps):
+    """The (1, 0) eigenvector seed, which runs on a one-row cell, and the
+    four-mode datum, which runs on the whole n x n grid."""
+    f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, n, 1, 0, eps)
+    return [f, four_mode_field(n, n, eps)]
+
+
+def tiled_block():
+    """A random 8 x 16 block tiled 4 x 2 onto a 32^2 grid of unit spacing."""
+    rng = np.random.default_rng(8)
+    block = 1.0 + 0.3 * (rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16)))
+    return Field(32.0, 32.0, 0.0, np.tile(block, (4, 2)))
+
+
 def mode_coefficient(field, n_x, n_y):
     c = np.fft.fft2(field.u) / (field.nx * field.ny)
     return complex(c[n_y % field.ny, n_x % field.nx])
@@ -126,13 +161,13 @@ def test_q_pure_x_and_y_harmonics():
 
 
 def test_q_real_zero_mean_every_step():
-    f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 32, 1, 0, 1e-2)
-    for g in step_snapshots(f, 1e-2, 50):
-        q = q_from_u(g)
-        assert abs(q.mean()) < 1e-12
-        dens = np.abs(g.u) ** 2
-        raw = np.fft.ifft2(q_multiplier(g) * np.fft.fft2(dens))
-        assert np.abs(raw.imag).max() < 1e-12
+    for f in x_seed_and_four_mode(32, 1e-2):
+        for g in step_snapshots(f, 1e-2, 50):
+            q = q_from_u(g)
+            assert abs(q.mean()) < 1e-12
+            dens = np.abs(g.u) ** 2
+            raw = np.fft.ifft2(q_multiplier(g) * np.fft.fft2(dens))
+            assert np.abs(raw.imag).max() < 1e-12
 
 
 def test_q_multiplier_range():
@@ -145,10 +180,10 @@ def test_q_multiplier_range():
 
 
 def test_l2_conservation():
-    f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 32, 1, 0, 1e-2)
-    norm0 = np.linalg.norm(f.u)
-    for g in step_snapshots(f, 1e-3, 200):
-        assert abs(np.linalg.norm(g.u) - norm0) <= 1e-12 * norm0
+    for f in x_seed_and_four_mode(32, 1e-2):
+        norm0 = np.linalg.norm(f.u)
+        for g in step_snapshots(f, 1e-3, 200):
+            assert abs(np.linalg.norm(g.u) - norm0) <= 1e-12 * norm0
 
 
 @pytest.mark.parametrize(
@@ -170,22 +205,22 @@ def test_linearized_rates(L_x, L_y, n_x, n_y, which):
 
 
 def test_time_reversibility():
-    f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 32, 1, 0, 1e-2)
-    [fwd] = evolve(f, [0.5], 1e-3)
-    [back] = evolve(fwd, [0.0], 1e-3)
-    assert np.abs(back.u - f.u).max() <= 1e-8
+    for f in x_seed_and_four_mode(32, 1e-2):
+        [fwd] = evolve(f, [0.5], 1e-3)
+        [back] = evolve(fwd, [0.0], 1e-3)
+        assert np.abs(back.u - f.u).max() <= 1e-8
 
 
 def test_second_order_convergence():
-    f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 32, 1, 0, 0.1)
     T = 0.5
-    [ref] = evolve(f, [T], 1e-3 / 8)
-    errs = []
-    for dt in (2e-3, 1e-3):
-        [out] = evolve(f, [T], dt)
-        errs.append(np.linalg.norm(out.u - ref.u))
-    order = math.log2(errs[0] / errs[1])
-    assert 1.8 <= order <= 2.2
+    for f in x_seed_and_four_mode(32, 0.1):
+        [ref] = evolve(f, [T], 1e-3 / 8)
+        errs = []
+        for dt in (2e-3, 1e-3):
+            [out] = evolve(f, [T], dt)
+            errs.append(np.linalg.norm(out.u - ref.u))
+        order = math.log2(errs[0] / errs[1])
+        assert 1.8 <= order <= 2.2
 
 
 def test_snapshots_land_exactly():
@@ -203,8 +238,7 @@ def test_evolve_carries_no_state():
     # the work buffers belong to one call: u0 is left as it was, every
     # snapshot owns its samples (two at one time included), and a second
     # run from u0 repeats the first bit for bit
-    v0 = harmonic_grid(20, 12, FOURMODE_TERMS)
-    f = make_cauchy_field(FOURMODE_LX, FOURMODE_LY, 1.0, 1e-2, v0)
+    f = four_mode_field(20, 12)
     before = f.u.copy()
     times = [0.0, 0.05, 0.1, 0.1]
     kept = [g.u.tobytes() for g in evolve(f, times, 1e-3)]
@@ -244,14 +278,18 @@ def test_dt_must_be_positive(dt):
 
 @pytest.mark.parametrize("T,times", [(0.3, [0.05, 0.22]), (-0.3, [-0.05, -0.22])])
 def test_fused_matches_strang_reference(T, times):
-    f, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 64, 1, 0, 0.1)
+    # against the full-grid oracle: a y-independent seed (one-row cell) and a
+    # tiled random block (8 x 16 cell); every snapshot is its cell tiled
+    x_seed, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 64, 1, 0, 0.1)
     dt = 7e-3
     times = times + [T]
-    fields = evolve(f, times, dt)
-    ref = strang_reference(f, times, dt)
-    assert [g.t for g in fields] == times
-    for g, r in zip(fields, ref):
-        assert np.abs(g.u - r).max() <= 1e-12 * np.abs(r).max()
+    for f, (py, px) in ((x_seed, (1, 64)), (tiled_block(), (8, 16))):
+        fields = evolve(f, times, dt)
+        ref = strang_reference(f, times, dt)
+        assert [g.t for g in fields] == times
+        for g, r in zip(fields, ref):
+            assert np.abs(g.u - r).max() <= 1e-12 * np.abs(r).max()
+            assert np.array_equal(g.u, np.tile(g.u[:py, :px], (f.ny // py, f.nx // px)))
 
 
 def test_dt_bound_enforced():
@@ -275,8 +313,7 @@ def test_any_grid_size_agrees_with_finer_grid():
     # 48^2 and odd 45^2 runs match 96^2 at the shared points to rounding
     # (2000 steps; measured 8.0e-14 and 1.1e-12, L2 drift <= 4.1e-13)
     def run(n):
-        v0 = harmonic_grid(n, n, FOURMODE_TERMS)
-        u0 = make_cauchy_field(FOURMODE_LX, FOURMODE_LY, 1.0, 1e-2, v0)
+        u0 = four_mode_field(n, n)
         u = evolve(u0, [2.0], 1e-3)[0].u
         assert abs(np.mean(np.abs(u) ** 2) / np.mean(np.abs(u0.u) ** 2) - 1) < 1e-12
         return u
@@ -286,3 +323,53 @@ def test_any_grid_size_agrees_with_finer_grid():
         a, b = n // math.gcd(n, 96), 96 // math.gcd(n, 96)
         err = np.abs(run(n)[::a, ::a] - fine[::b, ::b]).max()
         assert err < 1e-11 * np.abs(fine).max()
+
+
+def test_cell():
+    # the smallest block that tiles the samples exactly, per axis
+    single = make_cauchy_field(SINGLE_LX, SINGLE_LY, 1.0, 1e-2, cosine_grid(32, 32)).u
+    y_seed, *_ = eigenvector_seed(2 * math.pi / 1.3, 2 * math.pi / 1.4, 32, 0, 1, 1e-2)
+    assert _cell(single) == (1, 32)
+    assert _cell(y_seed.u) == (32, 1)
+    assert _cell(four_mode_field(20, 12).u) == (12, 20)
+    assert _cell(tiled_block().u) == (8, 16)
+    assert _cell(np.full((12, 20), 1.0 + 0j)) == (1, 1)
+    # only exact equality counts: one sample one ulp off, or NaN, keeps the grid
+    for u in (single, tiled_block().u):
+        ulp, nan = u.copy(), u.copy()
+        ulp.real[5, 9] = np.nextafter(ulp.real[5, 9], np.inf)
+        nan[5, 9] = np.nan
+        assert _cell(ulp) == _cell(nan) == (32, 32)
+
+
+@pytest.mark.parametrize("nx,ny", [(128, 45), (100, 60)])
+def test_y_independent_rows_stay_identical(nx, ny):
+    # the y-independent datum is the NLS reduction: every row carries the same
+    # solution, bit for bit, through the first appearance and past it.  A
+    # full-grid solve on these grids spreads the rows apart by rounding that
+    # the transverse instability amplifies (measured 1.2e-14 at T1/8, rising to
+    # 6e-14 and 7.5e-14 by 2 T1)
+    eps = 1e-2
+    T1 = math.log(1.0 / eps) / 1.92
+    u0 = make_cauchy_field(SINGLE_LX, SINGLE_LY, 1.0, eps, cosine_grid(nx, ny))
+    for g in evolve(u0, [T1 * j / 8 for j in range(17)], 1e-3):
+        assert np.array_equal(g.u, np.broadcast_to(g.u[0], g.u.shape))
+
+
+def test_steps_run_on_the_cell(monkeypatch):
+    # the deterministic work: a y-independent 128^2 run steps one row, and a
+    # 2-D datum steps its whole grid
+    shapes = []
+    step = refsolver.step
+
+    def spy(u, *args):
+        shapes.append(u.shape)
+        step(u, *args)
+
+    monkeypatch.setattr(refsolver, "step", spy)
+    single = make_cauchy_field(SINGLE_LX, SINGLE_LY, 1.0, 1e-2, cosine_grid(128, 128))
+    evolve(single, [0.05, 0.1], 1e-3)
+    assert shapes == [(1, 128)] * 100
+    shapes.clear()
+    evolve(four_mode_field(20, 12), [0.05, 0.1], 1e-3)
+    assert shapes == [(12, 20)] * 100
