@@ -116,6 +116,19 @@ def cosine_grid(nx, ny):
     return harmonic_grid(nx, ny, [(1, 0, 0.5), (-1, 0, 0.5)])
 
 
+def reference_csv(field):
+    """The CSV text written one sample at a time, every number a repr."""
+    lines = ["x,y,re_u,im_u,abs_u\n"]
+    dx = float(field.L_x) / field.nx
+    dy = float(field.L_y) / field.ny
+    for iy in range(field.ny):
+        for ix in range(field.nx):
+            v = complex(field.u[iy, ix])
+            mod = math.hypot(v.real, v.imag)
+            lines.append(f"{ix * dx!r},{iy * dy!r},{v.real!r},{v.imag!r},{mod!r}\n")
+    return "".join(lines)
+
+
 @pytest.fixture
 def single_mode_sd():
     from ds2aw.curve import build_spectral_data

@@ -27,6 +27,7 @@ from conftest import (
     SINGLE_LY,
     cosine_grid,
     harmonic_grid,
+    reference_csv,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -608,19 +609,6 @@ def test_csv_modulus_overflow(tmp_path):
     assert np.loadtxt(path, delimiter=",", skiprows=1)[:, 4].tolist() == [np.inf, big]
 
 
-def reference_csv(field):
-    """The CSV text written one sample at a time, every number a repr."""
-    lines = ["x,y,re_u,im_u,abs_u\n"]
-    dx = float(field.L_x) / field.nx
-    dy = float(field.L_y) / field.ny
-    for iy in range(field.ny):
-        for ix in range(field.nx):
-            v = complex(field.u[iy, ix])
-            mod = math.hypot(v.real, v.imag)
-            lines.append(f"{ix * dx!r},{iy * dy!r},{v.real!r},{v.imag!r},{mod!r}\n")
-    return "".join(lines)
-
-
 def test_csv_matches_per_sample_reference(tmp_path):
     # a non-square grid, signed zeros, the smallest subnormal, a large
     # integer-valued float, NaN and infinite parts, an overflowing modulus,
@@ -635,6 +623,61 @@ def test_csv_matches_per_sample_reference(tmp_path):
         path = tmp_path / "f.csv"
         write_field_csv(f, path)
         assert path.read_bytes() == reference_csv(f).encode()
+
+
+def test_csv_formats_each_repeated_row_once(tmp_path, monkeypatch):
+    # the deterministic work: one modulus per formatted sample, so a
+    # y-independent 128^2 field formats one row's values and a field with
+    # no repeated row formats all of them
+    count = [0]
+    hypot = math.hypot
+
+    def spy(a, b):
+        count[0] += 1
+        return hypot(a, b)
+
+    monkeypatch.setattr(math, "hypot", spy)
+    rng = np.random.default_rng(34)
+    row = rng.normal(size=128) + 1j * rng.normal(size=128)
+    write_field_csv(Field(2.0, 2.0, 0.0, np.tile(row, (128, 1))), tmp_path / "f.csv")
+    assert count == [128]
+    count[0] = 0
+    u = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+    write_field_csv(Field(2.0, 2.0, 0.0, u), tmp_path / "f.csv")
+    assert count == [128 * 128]
+
+
+MALFORMED_ROWS = {
+    "4 columns": lambda rows: rows[:7] + [rows[7].rsplit(",", 1)[0]] + rows[8:],
+    "6 columns": lambda rows: rows[:7] + [rows[7] + ",1.0"] + rows[8:],
+    "missing row": lambda rows: rows[:7] + rows[8:],
+    "extra row": lambda rows: rows + rows[-1:],
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_csv_rows_of_the_wrong_shape_rejected(tmp_path, capsys, edit):
+    # the reader converts two of the five columns; a row with one column too
+    # few or too many, or one row too few or too many, still fails
+    path, _ = single_mode_config(tmp_path, times=[0.0])
+    out = tmp_path / "csvrun"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", "csv"]) == 0
+    csv = out / "fg_0000.csv"
+    csv.write_text("\n".join(edit(csv.read_text().splitlines())) + "\n")
+    with pytest.raises(OutputError) as err:
+        read_field_csv(csv, SINGLE_LX, SINGLE_LY, 32, 32, 0.0)
+    assert err.value.code == "io"
+    assert main(["compare", str(out), str(out)]) == 6
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "io" and err["exit_code"] == 6
+
+
+def test_csv_without_final_newline_reads(tmp_path):
+    u = np.arange(12.0).reshape(3, 4) - 1j
+    path = tmp_path / "f.csv"
+    write_field_csv(Field(2.0, 2.0, 0.0, u), path)
+    path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+    assert read_field_csv(path, 2.0, 2.0, 4, 3, 0.0).u.tobytes() == u.tobytes()
 
 
 def test_corrupt_csv_rejected(tmp_path, capsys):

@@ -10,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 from ds2aw.config import FORMATS, RunConfig, config_from_dict, config_hash
 from ds2aw.fieldio import Field, read_field_bin, read_field_csv, write_field_bin, write_field_csv
 
+from conftest import reference_csv
+
 FAST = settings(max_examples=25, deadline=None)
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_subnormal=False)
@@ -48,6 +50,44 @@ def test_csv_round_trip_exact(tmp_path_factory, f):
     write_field_csv(f, path)
     g = read_field_csv(path, f.L_x, f.L_y, f.nx, f.ny, f.t)
     assert g.u.tobytes() == np.ascontiguousarray(f.u).tobytes()
+
+
+def _nan(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(float)[0]
+
+
+@st.composite
+def repeated_rows(draw):
+    """A random block of rows tiled along y; then, by ``kind``, one row
+    changed, or two equal rows made to differ only in a signed zero or in a
+    NaN payload, which print the same only for the NaNs."""
+    nx, period, reps = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    samples = st.complex_numbers(allow_nan=False, allow_infinity=False)
+    u = np.tile(draw(hnp.arrays(complex, (period, nx), elements=samples)), (reps, 1))
+    iy, ix = draw(st.integers(1, period * reps - 1)), draw(st.integers(0, nx - 1))
+    kind = draw(st.sampled_from(["tiled", "one row changed", "signed zero", "nan payload"]))
+    if kind == "one row changed":
+        u[iy] = draw(hnp.arrays(complex, nx, elements=samples))
+    elif kind != "tiled":
+        u[iy] = u[iy - 1]
+        pair = [0.0, -0.0] if kind == "signed zero" else [_nan(1), _nan(2)]
+        u.real[iy - 1 : iy + 1, ix] = pair
+    return kind, Field(draw(positive), draw(positive), draw(finite), u)
+
+
+@FAST
+@given(case=repeated_rows())
+def test_csv_repeated_rows_match_reference(tmp_path_factory, case):
+    kind, f = case
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    write_field_csv(f, path)
+    assert path.read_bytes() == reference_csv(f).encode()
+    g = read_field_csv(path, f.L_x, f.L_y, f.nx, f.ny, f.t)
+    if kind == "nan payload":
+        # CSV writes every NaN as "nan": the payload does not round-trip
+        assert np.array_equal(g.u, f.u, equal_nan=True)
+    else:
+        assert g.u.tobytes() == f.u.tobytes()
 
 
 harmonic = st.tuples(
