@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import curve, fieldgen, fieldio, refsolver
-from .config import FORMATS, RunConfig, config_hash, load_config
+from .config import FORMATS, RunConfig, config_from_dict, config_hash, load_config
 from .errors import ConfigError, DS2Error
 from .modes import check_genericity, enumerate_modes
 
@@ -95,14 +95,9 @@ def _write_run(
         entries.append(entry)
     manifest = {
         "command": f"evolve-{prefix}",
-        "schema": 1,
+        "schema": 2,
         "config": cfg.to_dict(),
         "config_hash": config_hash(cfg),
-        "grid": [cfg.nx, cfg.ny],
-        "L_x": cfg.L_x,
-        "L_y": cfg.L_y,
-        "times": [f.t for f in fields],
-        "format": fmt,
         "files": entries,
     }
     _emit(manifest, out_dir / "manifest.json")
@@ -122,7 +117,8 @@ def cmd_evolve_ref(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
     return 0
 
 
-def _load_run(path: Path) -> tuple[dict, Path]:
+def _load_run(path: Path) -> tuple[RunConfig, list, Path]:
+    """A run's config, parsed, and its one file entry per configured time."""
     mpath = path / "manifest.json" if path.is_dir() else path
     try:
         manifest = json.loads(mpath.read_text())
@@ -130,58 +126,51 @@ def _load_run(path: Path) -> tuple[dict, Path]:
         raise ConfigError("config-parse", f"cannot read manifest {mpath}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError("config-parse", f"{mpath}: {err.msg}") from err
-    _require(manifest, ("grid", "times", "files"), mpath)
-    grid, times, files = manifest["grid"], manifest["times"], manifest["files"]
-    if not (isinstance(grid, list) and len(grid) == 2
-            and all(type(n) is int and n > 0 for n in grid)):
-        raise ConfigError("config-parse", f"{mpath}: grid {grid!r} is not two positive ints")
-    if not (isinstance(times, list) and isinstance(files, list) and len(times) == len(files)
-            and all(type(t) in (int, float) for t in times)
-            and all(isinstance(e, dict) and all(type(e.get(k, "")) is str for k in ("bin", "csv"))
+    for key in ("config", "files"):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise ConfigError("config-parse", f"{mpath}: manifest lacks key {key!r}")
+    try:
+        cfg = config_from_dict(manifest["config"])
+    except ConfigError as err:
+        raise ConfigError(err.code, f"{mpath}: {err.message}") from err
+    files = manifest["files"]
+    if not (isinstance(files, list) and len(files) == len(cfg.times)
+            and all(isinstance(e, dict) and ("bin" in e or "csv" in e)
+                    and all(type(e.get(k, "")) is str for k in ("bin", "csv"))
                     and type(e.get("t", 0.0)) in (int, float) for e in files)):
-        raise ConfigError("config-parse", f"{mpath}: times and files are not lists of equal "
-                          "length of numbers and objects with string file names and number times")
-    return manifest, mpath.parent
+        raise ConfigError("config-parse", f"{mpath}: files is not a list of one object per "
+                          "configured time with string file names and a number t")
+    return cfg, files, mpath.parent
 
 
-def _require(doc, keys, where) -> None:
-    """Raise config-parse naming the first of ``keys`` that ``doc`` lacks."""
-    missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
-    if missing:
-        raise ConfigError("config-parse", f"{where}: manifest lacks key {missing[0]!r}")
-
-
-def _load_field(entry: dict, base: Path, manifest: dict, t: float) -> fieldio.Field:
-    nx, ny = manifest["grid"]
+def _load_field(entry: dict, base: Path, cfg: RunConfig, t: float) -> fieldio.Field:
     if "bin" in entry:
         path = base / entry["bin"]
         field = fieldio.read_field_bin(path)
     else:
-        _require(entry, ("csv", "t"), base)
-        _require(manifest, ("L_x", "L_y"), base)
         path = base / entry["csv"]
-        field = fieldio.read_field_csv(path, manifest["L_x"], manifest["L_y"], nx, ny, entry["t"])
-    if field.u.shape != (ny, nx):
-        raise ConfigError("grid-mismatch", f"{path}: {field.nx}x{field.ny} field, grid {nx}x{ny}")
+        field = fieldio.read_field_csv(path, cfg.L_x, cfg.L_y, cfg.nx, cfg.ny, t)
+    if field.u.shape != (cfg.ny, cfg.nx):
+        raise ConfigError("grid-mismatch",
+                          f"{path}: {field.nx}x{field.ny} field, grid {cfg.nx}x{cfg.ny}")
     if abs(field.t - t) > 1e-9:
-        raise ConfigError("time-mismatch", f"{path}: field t = {field.t}, manifest t = {t}")
+        raise ConfigError("time-mismatch", f"{path}: field t = {field.t}, configured t = {t}")
     return field
 
 
 def cmd_compare(run_a: Path, run_b: Path, out_path: Path | None) -> int:
-    man_a, base_a = _load_run(run_a)
-    man_b, base_b = _load_run(run_b)
-    if man_a["grid"] != man_b["grid"]:
-        raise ConfigError(
-            "grid-mismatch", f"grids differ: {man_a['grid']} vs {man_b['grid']}"
-        )
-    ta, tb = man_a["times"], man_b["times"]
+    cfg_a, files_a, base_a = _load_run(run_a)
+    cfg_b, files_b, base_b = _load_run(run_b)
+    if (cfg_a.nx, cfg_a.ny) != (cfg_b.nx, cfg_b.ny):
+        raise ConfigError("grid-mismatch", f"grids differ: {cfg_a.nx}x{cfg_a.ny} "
+                          f"vs {cfg_b.nx}x{cfg_b.ny}")
+    ta, tb = cfg_a.times, cfg_b.times
     if len(ta) != len(tb) or any(abs(x - y) > 1e-9 for x, y in zip(ta, tb)):
         raise ConfigError("time-mismatch", "snapshot times differ between runs")
     times, rel_l2, rel_linf, max_a, max_b = [], [], [], [], []
-    for ea, eb, t_a, t_b in zip(man_a["files"], man_b["files"], ta, tb):
-        fa = _load_field(ea, base_a, man_a, t_a)
-        fb = _load_field(eb, base_b, man_b, t_b)
+    for ea, eb, t_a, t_b in zip(files_a, files_b, ta, tb):
+        fa = _load_field(ea, base_a, cfg_a, t_a)
+        fb = _load_field(eb, base_b, cfg_b, t_b)
         diff = fa.u - fb.u
         nb = np.linalg.norm(fb.u)
         times.append(fa.t)
@@ -227,21 +216,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        out = Path(args.out) if args.out else None
         if args.command == "compare":
-            out = Path(args.out) if args.out else None
             return cmd_compare(Path(args.run_a), Path(args.run_b), out)
         cfg = load_config(args.config)
-        out_dir = Path(args.out) if args.out else (
-            Path(cfg.out_dir) if cfg.out_dir else None
-        )
         if args.command == "analyze":
-            return cmd_analyze(cfg, out_dir)
+            return cmd_analyze(cfg, out)
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, out_dir)
+            return cmd_spectrum(cfg, out)
         fmt = args.format or cfg.out_format
         if args.command == "evolve-fg":
-            return cmd_evolve_fg(cfg, out_dir, fmt)
-        return cmd_evolve_ref(cfg, out_dir, fmt)
+            return cmd_evolve_fg(cfg, out, fmt)
+        return cmd_evolve_ref(cfg, out, fmt)
     except DS2Error as err:
         json.dump(
             {"error": err.code, "message": err.message, "exit_code": err.exit_code},

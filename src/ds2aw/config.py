@@ -37,7 +37,6 @@ class RunConfig:
     times: list[float] = field(default_factory=lambda: [0.0])
     dt: float = 1e-3
     theta_tail_tol: float = TAIL_TOLERANCE
-    out_dir: str | None = None
     out_format: str = "both"
 
     def validate(self) -> None:
@@ -99,7 +98,7 @@ class RunConfig:
             "times": list(self.times),
             "dt": self.dt,
             "theta": {"tail_tol": self.theta_tail_tol},
-            "outputs": {"directory": self.out_dir, "format": self.out_format},
+            "outputs": {"format": self.out_format},
         }
 
     def v0_grid(self) -> np.ndarray:
@@ -133,6 +132,13 @@ def _parse_complex(v) -> complex:
     raise ConfigError("config-parse", f"complex values must be [re, im], got {v!r}")
 
 
+def _integer(v) -> int:
+    """A JSON integer; a float, a string or a boolean is refused."""
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 def _object(value, where: str) -> dict:
     """A config object; null stands for an empty one."""
     if value is None:
@@ -151,14 +157,17 @@ def config_from_dict(doc: dict) -> RunConfig:
             )
         pert = _object(doc.get("perturbation"), "perturbation")
         harmonics = [
-            (int(h["n_x"]), int(h["n_y"]), _parse_complex(h["c"]))
+            (_integer(h["n_x"]), _integer(h["n_y"]), _parse_complex(h["c"]))
             for h in pert.get("harmonics", [])
         ]
-        grid = doc.get("grid", [64, 64])
+        nx, ny = map(_integer, doc.get("grid", [64, 64]))
         theta_doc = _object(doc.get("theta"), "theta")
         if theta_doc.get("M", "adaptive") != "adaptive":
             raise ConfigError("config-parse", 'theta M must be "adaptive"')
         outputs = _object(doc.get("outputs"), "outputs")
+        if outputs.get("directory") is not None:
+            raise ConfigError("config-parse", "outputs directory must be null; "
+                              "the output directory is given by --out")
         cfg = RunConfig(
             L_x=float(doc["L_x"]),
             L_y=float(doc["L_y"]),
@@ -166,12 +175,10 @@ def config_from_dict(doc: dict) -> RunConfig:
             eps=float(doc["eps"]),
             harmonics=harmonics,
             grid_file=pert.get("grid_file"),
-            nx=int(grid[0]),
-            ny=int(grid[1]),
+            nx=nx, ny=ny,
             times=[float(t) for t in doc.get("times", [0.0])],
             dt=float(doc.get("dt", 1e-3)),
             theta_tail_tol=float(theta_doc.get("tail_tol", TAIL_TOLERANCE)),
-            out_dir=outputs.get("directory"),
             out_format=outputs.get("format", "both"),
         )
     except (KeyError, TypeError, ValueError) as err:

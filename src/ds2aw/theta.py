@@ -155,7 +155,7 @@ def _ellipsoid(R: np.ndarray, n_star: np.ndarray, C: float, budget: float):
         reach = float(np.exp(fixed + open_below[i]).sum())  # subtree bounds at the centres
         w = _window(r * r, 2.0 * reach / limit)
         if (count := len(fixed) * (2 * w + 1)) > MAX_TERMS:
-            raise NumericError("radius-overflow", f"{count} lattice candidates at one level; the "
+            raise NumericError("too-many-terms", f"{count} lattice candidates at one level; the "
                                "period matrix is too flat for the leading-order regime")
         tail = 2.0 * math.exp(-0.5 * r * r * (w + 0.5) ** 2) / -math.expm1(-r * r * (w + 1))
         omitted += reach * tail

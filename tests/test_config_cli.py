@@ -172,6 +172,40 @@ def test_config_non_object_section_rejected(tmp_path, capsys, doc):
     assert json.loads(capsys.readouterr().err)["error"] == "config-parse"
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"perturbation": {"harmonics": [{"n_x": 1.7, "n_y": 0, "c": [0.5, 0.0]}]}},
+        {"perturbation": {"harmonics": [{"n_x": "1", "n_y": 0, "c": [0.5, 0.0]}]}},
+        {"perturbation": {"harmonics": [{"n_x": 1, "n_y": True, "c": [0.5, 0.0]}]}},
+        {"grid": [128.7, 128]},
+        {"grid": [32, "32"]},
+        {"grid": [True, 32]},
+        {"grid": [32, 32, 32]},
+        {"grid": [32]},
+    ],
+    ids=["float-n_x", "string-n_x", "bool-n_y", "float-grid", "string-grid", "bool-grid",
+         "three-grid", "one-grid"],
+)
+def test_config_integer_fields_are_integers(tmp_path, capsys, override):
+    # int() would read 1.7 as 1 and a three-entry grid as its first two
+    path, _ = single_mode_config(tmp_path, **override)
+    assert main(["spectrum", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-parse" and "bad config field" in err["message"]
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "evolve-fg"])
+def test_config_output_directory_only_null(tmp_path, capsys, cmd):
+    # --out is the one way to name the output directory
+    path, _ = single_mode_config(tmp_path, outputs={"directory": str(tmp_path / "o"),
+                                                    "format": "both"})
+    assert main([cmd, "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-parse" and "--out" in err["message"]
+    assert not (tmp_path / "o").exists() and not (tmp_path / "run").exists()
+
+
 def bad_config(tmp_path, case):
     """A single-mode config file that fails to load in the way ``case`` names."""
     grid = tmp_path / "v0.bin"  # 16^2 samples against the config's 32^2 grid
@@ -510,22 +544,55 @@ def test_compare_manifest_missing_key(tmp_path, capsys):
     assert err["error"] == "config-parse" and "'files'" in err["message"]
 
 
+def test_manifest_states_config_hash_and_files(tmp_path):
+    # grid, box and times live in the config alone; every entry keeps its t
+    # and string file names, which readers of a run directory rely on
+    path, _ = single_mode_config(tmp_path, times=[0.0, 0.3])
+    out = tmp_path / "run"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest) == ["command", "config", "config_hash", "files", "schema"]
+    assert manifest["schema"] == 2
+    assert manifest["config"]["grid"] == [32, 32] and manifest["config"]["times"] == [0.0, 0.3]
+    assert [e["t"] for e in manifest["files"]] == [0.0, 0.3]
+    assert all(type(e[k]) is str for e in manifest["files"] for k in ("bin", "csv"))
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_compare_reads_the_old_manifest_layout(tmp_path, capsys, fmt):
+    # a schema-1 manifest repeats grid, box and times beside its config
+    path, doc = single_mode_config(tmp_path, times=[0.0, 0.3])
+    out = tmp_path / "run"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", fmt]) == 0
+    assert main(["compare", str(out), str(out)]) == 0
+    new = capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest.update(schema=1, grid=doc["grid"], L_x=doc["L_x"], L_y=doc["L_y"],
+                    times=doc["times"], format=fmt)
+    manifest["config"]["outputs"]["directory"] = None
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["compare", str(out), str(out)]) == 0
+    assert capsys.readouterr().out == new
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         lambda m: m.update(files=m["files"][:1]),
-        lambda m: m.update(grid=16),
-        lambda m: m.update(grid=[16, 0]),
+        lambda m: m["config"].update(grid=16),
+        lambda m: m["config"].update(grid=[16, 0]),
+        lambda m: m["config"].update(grid=[16.5, 16]),
         lambda m: m.update(files=["fg_0000.bin", "fg_0001.bin"]),
-        lambda m: m.update(times=[0.0, "0.3"]),
         lambda m: m["files"][0].update(bin=5),
         lambda m: m["files"][1].update(csv=None),
         lambda m: m["files"][1].update(t="x"),
     ],
-    ids=["truncated-files", "scalar-grid", "zero-grid", "name-files", "string-time",
+    ids=["truncated-files", "scalar-grid", "zero-grid", "float-grid", "name-files",
          "int-bin-name", "null-csv-name", "string-entry-time"],
 )
 def test_compare_manifest_bad_shape(tmp_path, capsys, edit):
+    # the manifest's config goes through the config parser; every error
+    # names the manifest
     path, _ = single_mode_config(tmp_path, grid=[16, 16], times=[0.0, 0.3])
     out = tmp_path / "run"
     assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", "csv"]) == 0
@@ -533,7 +600,8 @@ def test_compare_manifest_bad_shape(tmp_path, capsys, edit):
     edit(manifest)
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert main(["compare", str(out), str(out)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "config-parse"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-parse" and "manifest.json" in err["message"]
 
 
 @pytest.mark.parametrize("case", ["unreadable", "not-json"])

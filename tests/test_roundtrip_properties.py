@@ -108,7 +108,6 @@ def configs(draw):
         nx=draw(st.integers(8, 512)), ny=draw(st.integers(8, 512)),
         times=sorted(draw(st.lists(finite, min_size=1, max_size=4))),
         dt=draw(positive), theta_tail_tol=draw(positive),
-        out_dir=draw(st.none() | st.text(PATH_CHARS, max_size=12)),
         out_format=draw(st.sampled_from(FORMATS)),
     )
 

@@ -376,7 +376,7 @@ def test_term_cap_raised_at_the_level_that_passes_it(monkeypatch, four_mode_sd):
     monkeypatch.setattr(theta_mod.np, "column_stack", stack_spy)
     with pytest.raises(NumericError) as err:
         theta_mod._term_set(p, re_z)
-    assert err.value.code == "radius-overflow" and err.value.exit_code == 5
+    assert err.value.code == "too-many-terms" and err.value.exit_code == 5
     assert 0 < len(sorted_) == len(stacked) < p.g
     assert max(sorted_) <= 100 and all(len(N) <= 100 for N in stacked)
 
@@ -388,7 +388,7 @@ def test_near_singular_b_overflows_fast():
     start = time.perf_counter()
     with pytest.raises(NumericError) as err:
         theta(np.zeros(1, dtype=complex), p)
-    assert err.value.code == "radius-overflow"
+    assert err.value.code == "too-many-terms"
     assert time.perf_counter() - start < 0.5
 
 
