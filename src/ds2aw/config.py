@@ -7,10 +7,10 @@ the run grid) or a grid_file holding v0 samples in the DS2F binary format.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,56 +26,20 @@ FORMATS = ("csv", "bin", "both")
 
 @dataclass
 class RunConfig:
+    """A run configuration, read and checked by ``config_from_dict``."""
+
     L_x: float
     L_y: float
     eps: float
-    a: float = 1.0
-    harmonics: list[tuple[int, int, complex]] = field(default_factory=list)
-    grid_file: str | None = None
-    nx: int = 64
-    ny: int = 64
-    times: list[float] = field(default_factory=lambda: [0.0])
-    dt: float = 1e-3
-    theta_tail_tol: float = TAIL_TOLERANCE
-    out_format: str = "both"
-
-    def validate(self) -> None:
-        numbers = [("L_x", self.L_x), ("L_y", self.L_y), ("a", self.a), ("eps", self.eps),
-                   ("dt", self.dt), ("theta tail_tol", self.theta_tail_tol)]
-        numbers += [("times", t) for t in self.times]
-        numbers += [(f"harmonic ({n_x}, {n_y}) c", c) for n_x, n_y, c in self.harmonics]
-        for name, v in numbers:
-            if not cmath.isfinite(v):
-                raise ConfigError("config-parse", f"{name} must be finite, got {v}")
-        if self.L_x <= 0 or self.L_y <= 0:
-            raise ConfigError("invalid-period", "periods must be positive")
-        if self.a <= 0:
-            raise ConfigError("config-parse", "background a must be positive")
-        if self.eps <= 0:
-            raise ConfigError("config-parse", "eps must be positive")
-        if not self.harmonics and not self.grid_file:
-            raise ConfigError(
-                "config-parse", "perturbation needs harmonics or a grid_file"
-            )
-        if self.harmonics and self.grid_file:
-            raise ConfigError(
-                "config-parse", "perturbation: give harmonics or grid_file, not both"
-            )
-        for n_x, n_y, _ in self.harmonics:
-            if n_x == 0 and n_y == 0:
-                raise ConfigError(
-                    "config-parse", "harmonic (0, 0) violates the zero-mean gauge"
-                )
-        if self.nx < 8 or self.ny < 8:
-            raise ConfigError("config-parse", "grid must be at least 8x8")
-        if list(self.times) != sorted(self.times):
-            raise ConfigError("config-parse", "times must be sorted non-decreasing")
-        if self.dt <= 0:
-            raise ConfigError("config-parse", "dt must be positive")
-        if self.theta_tail_tol <= 0:
-            raise ConfigError("config-parse", "theta tail_tol must be positive")
-        if self.out_format not in FORMATS:
-            raise ConfigError("config-parse", f"format must be one of {FORMATS}")
+    a: float
+    harmonics: list[tuple[int, int, complex]]
+    grid_file: str | None
+    nx: int
+    ny: int
+    times: list[float]
+    dt: float
+    theta_tail_tol: float
+    out_format: str
 
     def to_dict(self) -> dict:
         return {
@@ -124,66 +88,97 @@ class RunConfig:
         return v0
 
 
-def _parse_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError("config-parse", f"complex values must be [re, im], got {v!r}")
-
-
-def _integer(v) -> int:
+def _integer(v, name: str) -> int:
     """A JSON integer; a float, a string or a boolean is refused."""
     if type(v) is not int:
-        raise TypeError(f"expected an integer, got {v!r}")
+        raise TypeError(f"{name} must be an integer, got {v!r}")
     return v
 
 
-def _object(value, where: str) -> dict:
-    """A config object; null stands for an empty one."""
+def _number(v, name: str) -> float:
+    """A finite JSON number; a string, a boolean, NaN or infinity is refused."""
+    # abs(v) <= max is false for NaN, infinity and an int too large for a float
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise TypeError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _complex(v, name: str) -> complex:
+    """[re, im], two finite JSON numbers."""
+    if type(v) is not list or len(v) != 2:
+        raise TypeError(f"{name} must be [re, im], got {v!r}")
+    return complex(_number(v[0], name), _number(v[1], name))
+
+
+def _object(value, where: str, keys: tuple) -> dict:
+    """A config object with no key outside ``keys``; null stands for an empty one."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError("config-parse", f"{where} must be an object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError("config-parse", f"{where} has unknown key {key!r}")
     return value
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    doc = _object(doc, "config")
+    """Read and check a run document; the defaults of a run are stated here."""
+    doc = _object(doc, "config", ("schema", "L_x", "L_y", "a", "eps", "perturbation", "grid",
+                                  "times", "dt", "theta", "outputs"))
     try:
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise ConfigError(
-                "config-parse", f"unsupported schema {doc.get('schema')!r}"
-            )
-        pert = _object(doc.get("perturbation"), "perturbation")
-        harmonics = [
-            (_integer(h["n_x"]), _integer(h["n_y"]), _parse_complex(h["c"]))
-            for h in pert.get("harmonics", [])
-        ]
-        nx, ny = map(_integer, doc.get("grid", [64, 64]))
-        theta_doc = _object(doc.get("theta"), "theta")
+        if _integer(doc.get("schema"), "schema") != SCHEMA_VERSION:
+            raise ConfigError("config-parse", f"unsupported schema {doc['schema']!r}")
+        pert = _object(doc.get("perturbation"), "perturbation", ("harmonics", "grid_file"))
+        harmonics = []
+        for h in pert.get("harmonics", []):
+            h = _object(h, "harmonic", ("n_x", "n_y", "c"))
+            harmonics.append((_integer(h["n_x"], "n_x"), _integer(h["n_y"], "n_y"),
+                              _complex(h["c"], "harmonic c")))
+        grid_file = pert.get("grid_file")
+        if not isinstance(grid_file, (str, type(None))):
+            raise TypeError(f"grid_file must be a string, got {grid_file!r}")
+        nx, ny = (_integer(n, "grid") for n in doc.get("grid", [64, 64]))
+        theta_doc = _object(doc.get("theta"), "theta", ("M", "tail_tol"))
         if theta_doc.get("M", "adaptive") != "adaptive":
             raise ConfigError("config-parse", 'theta M must be "adaptive"')
-        outputs = _object(doc.get("outputs"), "outputs")
+        outputs = _object(doc.get("outputs"), "outputs", ("directory", "format"))
         if outputs.get("directory") is not None:
             raise ConfigError("config-parse", "outputs directory must be null; "
                               "the output directory is given by --out")
         cfg = RunConfig(
-            L_x=float(doc["L_x"]),
-            L_y=float(doc["L_y"]),
-            a=float(doc.get("a", 1.0)),
-            eps=float(doc["eps"]),
+            L_x=_number(doc["L_x"], "L_x"),
+            L_y=_number(doc["L_y"], "L_y"),
+            eps=_number(doc["eps"], "eps"),
+            a=_number(doc.get("a", 1.0), "a"),
             harmonics=harmonics,
-            grid_file=pert.get("grid_file"),
+            grid_file=grid_file,
             nx=nx, ny=ny,
-            times=[float(t) for t in doc.get("times", [0.0])],
-            dt=float(doc.get("dt", 1e-3)),
-            theta_tail_tol=float(theta_doc.get("tail_tol", TAIL_TOLERANCE)),
+            times=[_number(t, "times") for t in doc.get("times", [0.0])],
+            dt=_number(doc.get("dt", 1e-3), "dt"),
+            theta_tail_tol=_number(theta_doc.get("tail_tol", TAIL_TOLERANCE), "theta tail_tol"),
             out_format=outputs.get("format", "both"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError("config-parse", f"bad config field: {err}") from err
-    cfg.validate()
+    if cfg.L_x <= 0 or cfg.L_y <= 0:
+        raise ConfigError("invalid-period", "periods must be positive")
+    for name, v in [("background a", cfg.a), ("eps", cfg.eps), ("dt", cfg.dt),
+                    ("theta tail_tol", cfg.theta_tail_tol)]:
+        if v <= 0:
+            raise ConfigError("config-parse", f"{name} must be positive")
+    if not harmonics and not grid_file:
+        raise ConfigError("config-parse", "perturbation needs harmonics or a grid_file")
+    if harmonics and grid_file:
+        raise ConfigError("config-parse", "perturbation: give harmonics or grid_file, not both")
+    if any(n_x == 0 and n_y == 0 for n_x, n_y, _ in harmonics):
+        raise ConfigError("config-parse", "harmonic (0, 0) violates the zero-mean gauge")
+    if nx < 8 or ny < 8:
+        raise ConfigError("config-parse", "grid must be at least 8x8")
+    if cfg.times != sorted(cfg.times):
+        raise ConfigError("config-parse", "times must be sorted non-decreasing")
+    if cfg.out_format not in FORMATS:
+        raise ConfigError("config-parse", f"format must be one of {FORMATS}")
     return cfg
 
 

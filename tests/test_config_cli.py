@@ -195,6 +195,66 @@ def test_config_integer_fields_are_integers(tmp_path, capsys, override):
     assert err["error"] == "config-parse" and "bad config field" in err["message"]
 
 
+def _harmonic_c(c):
+    return {"perturbation": {"harmonics": [{"n_x": 1, "n_y": 0, "c": c}]}}
+
+
+@pytest.mark.parametrize(
+    "override, text",
+    [
+        ({"L_x": "5.2"}, "L_x must be a finite number"),
+        ({"L_x": 10**400}, "L_x must be a finite number"),
+        ({"a": True}, "a must be a finite number"),
+        ({"eps": True}, "eps must be a finite number"),
+        ({"times": ["0.3"]}, "times must be a finite number"),
+        ({"dt": "1e-3"}, "dt must be a finite number"),
+        ({"theta": {"M": "adaptive", "tail_tol": "1e-10"}}, "tail_tol must be a finite number"),
+        (_harmonic_c(["0.5", 0]), "harmonic c must be a finite number"),
+        (_harmonic_c(0.5), "harmonic c must be [re, im]"),
+        (_harmonic_c(True), "harmonic c must be [re, im]"),
+        (_harmonic_c([0.5, 0, 0]), "harmonic c must be [re, im]"),
+        ({"perturbation": {"grid_file": 5}}, "grid_file must be a string"),
+        ({"perturbation": {"grid_file": True}}, "grid_file must be a string"),
+        ({"perturbation": {"grid_file": ["a"]}}, "grid_file must be a string"),
+        ({"schema": True}, "schema must be an integer"),
+        ({"schema": 1.0}, "schema must be an integer"),
+    ],
+    ids=["string-L_x", "huge-int-L_x", "bool-a", "bool-eps", "string-time", "string-dt",
+         "string-tail_tol", "string-c", "bare-number-c", "bool-c", "three-c",
+         "int-grid_file", "bool-grid_file", "list-grid_file", "bool-schema", "float-schema"],
+)
+def test_config_number_fields_are_numbers(tmp_path, capsys, override, text):
+    # float() would read "5.2" as 5.2 and true as 1.0, and true == 1.0 == 1
+    # would pass the schema check; a grid_file that is no string would fail
+    # inside the file reader, after the config was taken
+    path, _ = single_mode_config(tmp_path, **override)
+    assert main(["spectrum", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-parse" and "bad config field" in err["message"]
+    assert text in err["message"]
+
+
+@pytest.mark.parametrize(
+    "override, where, key",
+    [
+        ({"dT": 1e-3}, "config", "dT"),
+        ({"perturbation": {"grid_fil": "v0.bin"}}, "perturbation", "grid_fil"),
+        ({"perturbation": {"harmonics": [{"n_x": 1, "n_y": 0, "c": [0.5, 0.0], "C": 1}]}},
+         "harmonic", "C"),
+        ({"theta": {"M": "adaptive", "tail_tl": 1e-12}}, "theta", "tail_tl"),
+        ({"outputs": {"directory": None, "fromat": "bin"}}, "outputs", "fromat"),
+    ],
+    ids=["top-level", "perturbation", "harmonic", "theta", "outputs"],
+)
+def test_config_unknown_keys_refused(tmp_path, capsys, override, where, key):
+    # a misspelled key would otherwise leave its default in force
+    path, _ = single_mode_config(tmp_path, **override)
+    assert main(["spectrum", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config-parse"
+    assert err["message"] == f"{where} has unknown key {key!r}"
+
+
 @pytest.mark.parametrize("cmd", ["analyze", "evolve-fg"])
 def test_config_output_directory_only_null(tmp_path, capsys, cmd):
     # --out is the one way to name the output directory

@@ -115,7 +115,6 @@ def configs(draw):
 @FAST
 @given(cfg=configs())
 def test_config_round_trip_keeps_hash(cfg):
-    cfg.validate()
     again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert config_hash(again) == config_hash(cfg)
     assert again == cfg
