@@ -11,13 +11,7 @@ import math
 
 import numpy as np
 
-from ds2aw import (
-    build_spectral_data,
-    evaluate_grid,
-    evolve,
-    first_appearance_estimate,
-    make_cauchy_field,
-)
+from ds2aw import Field, build_spectral_data, evaluate_grid, evolve, first_appearance_estimate
 
 L_x, L_y = 2 * math.pi / 1.2, 2 * math.pi / 2.1
 nx = ny = 64
@@ -33,7 +27,7 @@ print("sampling the finite-gap formula ...")
 fg = evaluate_grid(times, nx, ny, sd)
 
 print("integrating the DS2 system (split-step, dt = 1e-3) ...")
-u0 = make_cauchy_field(L_x, L_y, 1.0, eps, v0)
+u0 = Field(L_x, L_y, 0.0, 1.0 + eps * v0)
 ref = evolve(u0, times, 1e-3)
 
 print(f"\n{'t':>6} {'max|u| fg':>10} {'max|u| ref':>11} {'rel Linf':>10}")

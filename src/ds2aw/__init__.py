@@ -24,7 +24,7 @@ from .errors import (
     NumericError,
     OutputError,
 )
-from .fieldgen import evaluate_grid, first_appearance_estimate, make_cauchy_field
+from .fieldgen import evaluate_grid, first_appearance_estimate
 from .fieldio import Field
 from .modes import check_genericity, enumerate_modes
 from .refsolver import evolve
@@ -48,6 +48,5 @@ __all__ = [
     "evaluate_grid",
     "evolve",
     "first_appearance_estimate",
-    "make_cauchy_field",
     "regime",
 ]

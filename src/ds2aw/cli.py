@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import curve, fieldgen, fieldio, refsolver
-from .config import FORMATS, RunConfig, config_from_dict, config_hash, load_config
-from .errors import ConfigError, DS2Error
+from .config import FORMATS, RunConfig, config_from_dict, config_hash, load_config, read_json
+from .errors import ConfigError, DS2Error, OutputError
 from .modes import check_genericity, enumerate_modes
 
 
@@ -111,7 +111,7 @@ def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
 
 
 def cmd_evolve_ref(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
-    u0 = fieldgen.make_cauchy_field(cfg.L_x, cfg.L_y, cfg.a, cfg.eps, cfg.v0_grid())
+    u0 = fieldio.Field(cfg.L_x, cfg.L_y, 0.0, cfg.a + cfg.eps * cfg.v0_grid())
     fields = refsolver.evolve(u0, cfg.times, cfg.dt)
     _write_run(cfg, fields, out_dir, "ref", fmt)
     return 0
@@ -120,12 +120,7 @@ def cmd_evolve_ref(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
 def _load_run(path: Path) -> tuple[RunConfig, list, Path]:
     """A run's config, parsed, and its one file entry per configured time."""
     mpath = path / "manifest.json" if path.is_dir() else path
-    try:
-        manifest = json.loads(mpath.read_text())
-    except OSError as err:
-        raise ConfigError("config-parse", f"cannot read manifest {mpath}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError("config-parse", f"{mpath}: {err.msg}") from err
+    manifest = read_json(mpath, "manifest")
     for key in ("config", "files"):
         if not isinstance(manifest, dict) or key not in manifest:
             raise ConfigError("config-parse", f"{mpath}: manifest lacks key {key!r}")
@@ -155,6 +150,8 @@ def _load_field(entry: dict, base: Path, cfg: RunConfig, t: float) -> fieldio.Fi
                           f"{path}: {field.nx}x{field.ny} field, grid {cfg.nx}x{cfg.ny}")
     if abs(field.t - t) > 1e-9:
         raise ConfigError("time-mismatch", f"{path}: field t = {field.t}, configured t = {t}")
+    if not np.all(np.isfinite(field.u)):
+        raise OutputError("io", f"{path}: non-finite sample")
     return field
 
 
@@ -228,7 +225,9 @@ def main(argv=None) -> int:
         if args.command == "evolve-fg":
             return cmd_evolve_fg(cfg, out, fmt)
         return cmd_evolve_ref(cfg, out, fmt)
-    except DS2Error as err:
+    except (DS2Error, OSError) as err:
+        if isinstance(err, OSError):  # a file the CLI writes: --out under a file, a full disk
+            err = OutputError("io", str(err))
         json.dump(
             {"error": err.code, "message": err.message, "exit_code": err.exit_code},
             sys.stderr,

@@ -182,18 +182,25 @@ def config_from_dict(doc: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def read_json(path, what: str):
+    """The JSON document in a ``what`` ("config" or "manifest") file, decoded
+    from its bytes as RFC 8259 allows.  A file that cannot be read, decoded or
+    parsed is config-parse; once read, at ``path:line:col`` (1:1 if json has none)."""
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_bytes())
     except OSError as err:
-        raise ConfigError("config-parse", f"cannot read config {path}: {err}") from err
-    try:
-        doc = json.loads(text)
+        raise ConfigError("config-parse", f"cannot read {what} {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(
-            "config-parse", f"{path}:{err.lineno}:{err.colno}: {err.msg}"
-        ) from err
-    return config_from_dict(doc)
+        raise ConfigError("config-parse", f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except (ValueError, RecursionError) as err:
+        # bytes not UTF-8 (placed at the bad byte), an integer past the digit limit, deep nesting
+        raw, at = getattr(err, "object", b""), getattr(err, "start", 0)
+        line, col = raw.count(b"\n", 0, at) + 1, at - raw.rfind(b"\n", 0, at)
+        raise ConfigError("config-parse", f"{path}:{line}:{col}: {err}") from err
+
+
+def load_config(path) -> RunConfig:
+    return config_from_dict(read_json(path, "config"))
 
 
 def config_hash(cfg: RunConfig) -> str:

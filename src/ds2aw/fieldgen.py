@@ -43,13 +43,6 @@ from .fieldio import Field
 from .theta import TAIL_TOLERANCE, ThetaParams, theta_grid
 
 
-def make_cauchy_field(
-    L_x: float, L_y: float, a: float, eps: float, v0_grid: np.ndarray
-) -> Field:
-    """Sample the Cauchy datum a + eps v0 as a t = 0 Field."""
-    return Field(L_x, L_y, 0.0, a + eps * np.asarray(v0_grid, dtype=complex))
-
-
 def _ratio(num, den, scale) -> np.ndarray:
     """u = num / den * scale, the snapshot's background and reduction
     factor.  den is certified, hence not 0; a non-finite sample raises with

@@ -15,7 +15,7 @@ import pytest
 
 from ds2aw.cli import main
 from ds2aw.curve import build_spectral_data
-from ds2aw.fieldgen import evaluate_grid, make_cauchy_field
+from ds2aw.fieldgen import evaluate_grid
 from ds2aw.fieldio import Field
 from ds2aw.modes import growth_rate
 from ds2aw.refsolver import evolve
@@ -238,7 +238,7 @@ def test_criterion_6_finite_gap_vs_direct():
         v0 = cosine_grid(nx, ny)
         sd = build_spectral_data(SINGLE_LX, SINGLE_LY, eps, v0)
         fg = evaluate_grid(scan, nx, ny, sd)
-        u0 = make_cauchy_field(SINGLE_LX, SINGLE_LY, 1.0, eps, v0)
+        u0 = Field(SINGLE_LX, SINGLE_LY, 0.0, 1.0 + eps * v0)
         ref = evolve(u0, scan, 1e-3)
 
         worst = 0.0

@@ -9,6 +9,7 @@ import types
 from pathlib import Path
 
 import ds2aw
+import ds2aw.errors
 import ds2aw.theta
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,7 +59,7 @@ def test_export_list():
         "GenericityError", "NumericError", "OutputError", "SpectralData",
         "ThetaParams", "build_spectral_data", "check_genericity",
         "enumerate_modes", "evaluate_grid", "evolve", "first_appearance_estimate",
-        "make_cauchy_field", "regime",
+        "regime",
     ]
 
 
@@ -93,3 +94,25 @@ def test_runtime_is_numpy_only():
             else:
                 continue  # a relative import stays inside ds2aw
             assert set(tops) <= allowed, (path.name, ast.unparse(node))
+
+
+def _coded_errors():
+    """(exit code, error code) of every ``*Error("code", ...)`` in src/."""
+    for path in sorted((ROOT / "src" / "ds2aw").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                continue
+            cls = getattr(ds2aw.errors, node.func.id, None)
+            if isinstance(cls, type) and issubclass(cls, ds2aw.DS2Error):
+                yield cls.exit_code, node.args[0].value
+
+
+def test_readme_exit_codes_match_the_raised_codes():
+    # each code raised in src/ is listed under its class's exit code, and
+    # each listed code is raised
+    readme = (ROOT / "README.md").read_text()
+    table = {(int(exit_code), code)
+             for exit_code, codes in re.findall(r"^\| (\d) \| (.+) \|$", readme, re.M)
+             for code in re.findall(r"`([^`]+)`", codes)}
+    assert table and set(_coded_errors()) == table

@@ -15,7 +15,7 @@ from ds2aw.cli import main
 from ds2aw.config import RunConfig, config_from_dict, config_hash
 from ds2aw.errors import ConfigError, OutputError
 from ds2aw.curve import build_spectral_data, regime
-from ds2aw.fieldgen import evaluate_grid, first_appearance_estimate, make_cauchy_field
+from ds2aw.fieldgen import evaluate_grid, first_appearance_estimate
 from ds2aw.fieldio import Field, read_field_bin, read_field_csv, write_field_bin, write_field_csv
 
 from conftest import (
@@ -289,6 +289,12 @@ def bad_config(tmp_path, case):
         path.write_text(json.dumps(doc))
     elif case == "not-json":
         path.write_text(json.dumps(doc)[:-1])
+    elif case == "not-utf8":  # 0x80 starts no UTF-8 character and no BOM
+        path.write_bytes(b"\x80" + json.dumps(doc).encode())
+    elif case == "huge-integer":
+        path.write_text(json.dumps(doc).replace('"eps": 0.01', '"eps": ' + "1" * 5000))
+    elif case == "deep-nesting":
+        path.write_text("[" * 100_000 + "]" * 100_000)
     elif case == "unreadable":
         path.unlink()
     return path
@@ -307,6 +313,9 @@ CONFIG_FAULTS = [
     ("schema", "config-parse", "unsupported schema 2"),
     ("missing-key", "config-parse", "bad config field: 'eps'"),
     ("not-json", "config-parse", ".json:1:"),
+    ("not-utf8", "config-parse", ".json:1:1: 'utf-8' codec can't decode byte 0x80"),
+    ("huge-integer", "config-parse", "integer string conversion"),
+    ("deep-nesting", "config-parse", "maximum recursion depth"),
     ("unreadable", "config-parse", "cannot read config"),
 ]
 
@@ -527,6 +536,28 @@ def test_format_only_on_evolve_commands(tmp_path, cmd):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("place", ["wrong-kind", "under-a-file"])
+@pytest.mark.parametrize("cmd", ["analyze", "spectrum", "evolve-fg", "evolve-ref", "compare"])
+def test_unwritable_out_is_io(tmp_path, capsys, cmd, place):
+    # --out names a directory, or compare's metrics file: an existing file
+    # (a directory for compare) or a path below a file cannot be written
+    path, _ = single_mode_config(tmp_path, grid=[8, 8], times=[0.0])
+    run = tmp_path / "run"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(run), "--format", "bin"]) == 0
+    capsys.readouterr()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    wrong = run if cmd == "compare" else blocker
+    out = wrong if place == "wrong-kind" else blocker / "out"
+    args = [str(run), str(run)] if cmd == "compare" else ["--config", str(path)]
+    assert main([cmd, *args, "--out", str(out)]) == 6
+    stderr = capsys.readouterr().err
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+    err = json.loads(stderr)
+    assert err["error"] == "io" and err["exit_code"] == 6
+    assert str(out if place == "wrong-kind" else blocker) in err["message"]
+
+
 def test_compare_self_is_zero(tmp_path, capsys):
     path, _ = single_mode_config(tmp_path, times=[0.0, 0.2])
     out = tmp_path / "run"
@@ -664,14 +695,34 @@ def test_compare_manifest_bad_shape(tmp_path, capsys, edit):
     assert err["error"] == "config-parse" and "manifest.json" in err["message"]
 
 
-@pytest.mark.parametrize("case", ["unreadable", "not-json"])
+@pytest.mark.parametrize("case", ["unreadable", "not-json", "not-utf8"])
 def test_compare_manifest_unloadable(tmp_path, capsys, case):
+    # the manifest is read by the config's reader, which places a fault
     path = tmp_path / "manifest.json"
     if case == "not-json":
         path.write_text('{"grid": [8, 8],')
+    elif case == "not-utf8":
+        path.write_bytes(b'\x80{"grid": [8, 8]}')
     assert main(["compare", str(path), str(path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config-parse" and err["exit_code"] == 2
+    if case != "unreadable":
+        assert "manifest.json:1:" in err["message"]
+
+
+@pytest.mark.parametrize("fmt", ["bin", "csv"])
+def test_compare_refuses_non_finite_samples(tmp_path, capsys, fmt):
+    # unchecked, a NaN sample reached the metrics as a NaN token, which is not JSON
+    path, _ = single_mode_config(tmp_path, grid=[8, 8], times=[0.0])
+    out = tmp_path / "run"
+    assert main(["evolve-fg", "--config", str(path), "--out", str(out), "--format", fmt]) == 0
+    u = np.ones((8, 8), dtype=complex)
+    u[3, 4] = np.nan
+    write = write_field_bin if fmt == "bin" else write_field_csv
+    write(Field(SINGLE_LX, SINGLE_LY, 0.0, u), out / f"fg_0000.{fmt}")
+    assert main(["compare", str(out), str(out)]) == 6
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "io" and f"fg_0000.{fmt}" in err["message"]
 
 
 def test_binary_round_trip(tmp_path):
@@ -716,7 +767,7 @@ def test_csv_numpy_typed_periods(tmp_path):
     L_x, L_y = np.float64(SINGLE_LX), np.float64(SINGLE_LY)
     v0 = cosine_grid(16, 16)
     sd = build_spectral_data(L_x, L_y, 1e-2, v0)
-    fields = evaluate_grid([0.0], 16, 16, sd) + [make_cauchy_field(L_x, L_y, 1.0, 1e-2, v0)]
+    fields = evaluate_grid([0.0], 16, 16, sd) + [Field(L_x, L_y, 0.0, 1.0 + 1e-2 * v0)]
     for i, f in enumerate(fields):
         path = tmp_path / f"f{i}.csv"
         write_field_csv(f, path)

@@ -18,7 +18,6 @@ import pytest
 
 from ds2aw import refsolver
 from ds2aw.errors import ConfigError, NumericError
-from ds2aw.fieldgen import make_cauchy_field
 from ds2aw.fieldio import Field
 from ds2aw.modes import growth_rate
 from ds2aw.refsolver import _cell, _mean_flow, _Work, evolve, stability_bound
@@ -107,7 +106,7 @@ def four_mode_field(nx, ny, eps=1e-2):
     """The four-mode (genus-8) datum on an nx x ny grid: its cell is the
     whole grid."""
     v0 = harmonic_grid(nx, ny, FOURMODE_TERMS)
-    return make_cauchy_field(FOURMODE_LX, FOURMODE_LY, 1.0, eps, v0)
+    return Field(FOURMODE_LX, FOURMODE_LY, 0.0, 1.0 + eps * v0)
 
 
 def x_seed_and_four_mode(n, eps):
@@ -327,7 +326,7 @@ def test_any_grid_size_agrees_with_finer_grid():
 
 def test_cell():
     # the smallest block that tiles the samples exactly, per axis
-    single = make_cauchy_field(SINGLE_LX, SINGLE_LY, 1.0, 1e-2, cosine_grid(32, 32)).u
+    single = 1.0 + 1e-2 * cosine_grid(32, 32)
     y_seed, *_ = eigenvector_seed(2 * math.pi / 1.3, 2 * math.pi / 1.4, 32, 0, 1, 1e-2)
     assert _cell(single) == (1, 32)
     assert _cell(y_seed.u) == (32, 1)
@@ -351,7 +350,7 @@ def test_y_independent_rows_stay_identical(nx, ny):
     # 6e-14 and 7.5e-14 by 2 T1)
     eps = 1e-2
     T1 = math.log(1.0 / eps) / 1.92
-    u0 = make_cauchy_field(SINGLE_LX, SINGLE_LY, 1.0, eps, cosine_grid(nx, ny))
+    u0 = Field(SINGLE_LX, SINGLE_LY, 0.0, 1.0 + eps * cosine_grid(nx, ny))
     for g in evolve(u0, [T1 * j / 8 for j in range(17)], 1e-3):
         assert np.array_equal(g.u, np.broadcast_to(g.u[0], g.u.shape))
 
@@ -367,7 +366,7 @@ def test_steps_run_on_the_cell(monkeypatch):
         step(u, *args)
 
     monkeypatch.setattr(refsolver, "step", spy)
-    single = make_cauchy_field(SINGLE_LX, SINGLE_LY, 1.0, 1e-2, cosine_grid(128, 128))
+    single = Field(SINGLE_LX, SINGLE_LY, 0.0, 1.0 + 1e-2 * cosine_grid(128, 128))
     evolve(single, [0.05, 0.1], 1e-3)
     assert shapes == [(1, 128)] * 100
     shapes.clear()
