@@ -80,7 +80,6 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path | None) -> int:
 def _write_run(
     cfg: RunConfig, fields: list[fieldio.Field], out_dir: Path, prefix: str, fmt: str
 ) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, f in enumerate(fields):
         entry: dict = {"t": f.t}
@@ -105,6 +104,9 @@ def _write_run(
 
 def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
     sd = _build_sd(cfg)
+    # after the datum, so a bad config leaves no directory, and before the
+    # compute, so an unwritable --out fails at once (as in cmd_evolve_ref)
+    out_dir.mkdir(parents=True, exist_ok=True)
     fields = fieldgen.evaluate_grid(cfg.times, cfg.nx, cfg.ny, sd, cfg.theta_tail_tol)
     _write_run(cfg, fields, out_dir, "fg", fmt)
     return 0
@@ -112,6 +114,7 @@ def cmd_evolve_fg(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
 
 def cmd_evolve_ref(cfg: RunConfig, out_dir: Path, fmt: str) -> int:
     u0 = fieldio.Field(cfg.L_x, cfg.L_y, 0.0, cfg.a + cfg.eps * cfg.v0_grid())
+    out_dir.mkdir(parents=True, exist_ok=True)
     fields = refsolver.evolve(u0, cfg.times, cfg.dt)
     _write_run(cfg, fields, out_dir, "ref", fmt)
     return 0

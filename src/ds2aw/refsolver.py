@@ -17,8 +17,9 @@ snapshots.  Because the rotation keeps |u|^2, the q computed after one
 step's linear part is also the q that the next step's opening half-phase
 needs, so the two adjacent half-phases merge into one rotation exp(2i h q).
 A lone half-phase opens and closes every segment, so each snapshot is the
-symmetric-Strang field itself.  A step costs two complex FFTs for the
-linear part and two real FFTs for q.
+symmetric-Strang field itself.  On a 2-D cell a step costs a complex FFT
+pair for the linear part and a real FFT pair for q, each taken as one
+1-D pass per axis.
 
 ``evolve`` integrates on the period cell of u0: the smallest block of
 py x px samples that tiles it exactly (the whole grid for generic data,
@@ -31,12 +32,24 @@ cell, sampled with the same spacing on the torus L_x px/nx x L_y py/ny,
 has exactly those wavenumbers and the same Q on them, so it carries the
 whole flow, and every snapshot is the cell tiled back onto the grid.
 
+A one-dimensional cell needs less.  Along an axis of length 1 the only
+wavenumber is 0 and the transform is the identity, so the linear part
+transforms only the axes of length > 1: a row cell takes one complex pass
+each way, a 1 x 1 cell (a constant field) none.  And q needs no transform
+at all: on a row cell every k_y = 0, so Q = k_x^2/k_x^2 = 1 off the origin
+and Q(0) = 0, which makes F^{-1}[Q F rho] = rho - <rho> exactly; on a
+column cell every k_x = 0 and Q = -1, so q = -(rho - <rho>).  A one-row
+step costs two complex FFTs of length px, and q a mean and two pointwise
+passes.
+
 Each ``evolve`` call builds one plan (:class:`_Work`) on the cell: the
-multipliers k_x^2 - k_y^2 and the half-spectrum Q, and the work buffers,
+multipliers k_x^2 - k_y^2 and the half-spectrum Q, the axes to transform,
+the constant Q of a one-dimensional cell, and the work buffers,
 namely the spectrum (complex, py x px), which also holds the rotation;
 |u|^2 and q (real, py x px); and the half spectrum of |u|^2 (complex,
-py x (px//2 + 1)).  Every step writes its intermediates into them and its
-result over the samples, so ``step`` allocates no array.
+py x (px//2 + 1)), which only a 2-D cell uses.  Every step writes its
+intermediates into them and its result over the samples, so ``step``
+allocates no array.
 """
 
 from __future__ import annotations
@@ -68,11 +81,17 @@ class _Work:
         ny, nx = field.ny, field.nx
         KX, KY = _wavenumbers(field)
         self.K_diff = KX * KX - KY * KY  # the linear flow's k_x^2 - k_y^2
-        # Q on the k_x >= 0 columns, the bins rfftn returns; Q(0) = 0 is the gauge
+        # Q on the k_x >= 0 columns, the bins rfft returns; Q(0) = 0 is the gauge
         k2 = (KX * KX + KY * KY)[:, : nx // 2 + 1]
         k2[0, 0] = 1.0
         self.Q_half = self.K_diff[:, : nx // 2 + 1] / k2
         self.Q_half[0, 0] = 0.0
+        # the axes of length > 1, last first as fftn takes them: along a
+        # length-1 axis the transform is the identity
+        self.axes = [axis for axis in (1, 0) if (ny, nx)[axis] > 1]
+        # Q off the origin where it is one constant: +1 on a row cell (every
+        # k_y = 0), -1 on a column cell (every k_x = 0); None on a 2-D cell
+        self.Q_off = 1.0 if ny == 1 else -1.0 if nx == 1 else None
         self.spec = np.empty((ny, nx), complex)  # F[u], then exp(i phase q)
         self.dens = np.empty((ny, nx))  # |u|^2
         self.half = np.empty((ny, nx // 2 + 1), complex)  # Q F[|u|^2]
@@ -80,21 +99,28 @@ class _Work:
 
 
 def _mean_flow(u: np.ndarray, work: _Work) -> np.ndarray:
-    """q = F^{-1}[Q F[|u|^2]] through the real FFT, returned in ``work.q``.
+    """q = F^{-1}[Q F[|u|^2]], returned in ``work.q``.
 
-    |u|^2 is real and Q is real and even on the grid (Q(-k) = Q(k), the
-    Nyquist bins included), so Q F[|u|^2] is Hermitian and its inverse is
-    real: the half spectrum holds all of it and the real FFT pair gives
-    the same q as the full complex one, up to rounding.  Overwrites the
-    ``dens``, ``half`` and ``q`` buffers of ``work``.
+    On a one-dimensional cell Q is the constant ``work.Q_off`` off the
+    origin and 0 at it, so q = Q_off (|u|^2 - <|u|^2>) with no transform.
+    On a 2-D cell q goes through the real FFT: |u|^2 is real and Q is real
+    and even on the grid (Q(-k) = Q(k), the Nyquist bins included), so
+    Q F[|u|^2] is Hermitian and its inverse is real, the half spectrum
+    holds all of it, and the real FFT pair gives the same q as the full
+    complex one, up to rounding.  Overwrites the ``dens``, ``half`` and
+    ``q`` buffers of ``work``.
     """
     dens = np.multiply(u.real, u.real, out=work.dens)
     q = np.multiply(u.imag, u.imag, out=work.q)  # scratch until q itself lands
     dens += q
-    half = np.fft.rfftn(dens, out=work.half)
+    if work.Q_off is not None:
+        dens -= dens.mean()
+        return np.multiply(work.Q_off, dens, out=q)
+    # rfftn's and irfftn's passes, in place: irfft2 drops out= (numpy 2.4)
+    # and irfftn allocates its axis-0 pass
+    half = np.fft.rfft(dens, axis=1, out=work.half)
+    np.fft.fft(half, axis=0, out=half)
     half *= work.Q_half
-    # irfft2 drops out= (numpy 2.4) and irfftn allocates its axis-0 pass:
-    # take irfftn's two passes, in place
     np.fft.ifft(half, axis=0, out=half)
     return np.fft.irfft(half, n=dens.shape[1], axis=1, out=q)
 
@@ -145,14 +171,21 @@ def step(u: np.ndarray, propagator: np.ndarray, phase: float, work: _Work) -> No
     segment, where this step's closing half-phase and the next step's
     opening one merge, and h on a segment's last step.  The new samples
     overwrite ``u`` (complex, C-contiguous); every intermediate goes into
-    the buffers of ``work``, so the step allocates no array.
+    the buffers of ``work``, so the step allocates no array.  The linear
+    flow is one complex FFT pass each way per axis of ``work.axes`` (none
+    on a 1 x 1 cell, whose propagator is 1), and q costs a real FFT pair on
+    a 2-D cell and no transform on a one-dimensional one.
     """
-    # ifft2 drops out= (numpy 2.4) and returns a fresh array: use fftn/ifftn
-    spec = np.fft.fftn(u, out=work.spec)
+    # fftn's and ifftn's passes, taken one by one: ifft2 drops out= (numpy
+    # 2.4), and fftn's set-up costs more than a pass on a one-row cell
+    spec = u
+    for axis in work.axes:
+        spec = np.fft.fft(spec, axis=axis, out=work.spec)
     # F[u] * propagator, in this order at every grid size: where numpy
     # multiplies with FMA the two orders of a complex product round apart
     spec *= propagator
-    np.fft.ifftn(spec, out=u)
+    for axis in work.axes:
+        spec = np.fft.ifft(spec, axis=axis, out=u)
     _rotate(u, phase, work)
 
 

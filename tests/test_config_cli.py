@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ds2aw import fieldgen, refsolver
 from ds2aw.cli import main
 from ds2aw.config import RunConfig, config_from_dict, config_hash
 from ds2aw.errors import ConfigError, OutputError
@@ -538,13 +539,19 @@ def test_format_only_on_evolve_commands(tmp_path, cmd):
 
 @pytest.mark.parametrize("place", ["wrong-kind", "under-a-file"])
 @pytest.mark.parametrize("cmd", ["analyze", "spectrum", "evolve-fg", "evolve-ref", "compare"])
-def test_unwritable_out_is_io(tmp_path, capsys, cmd, place):
+def test_unwritable_out_is_io(tmp_path, capsys, monkeypatch, cmd, place):
     # --out names a directory, or compare's metrics file: an existing file
-    # (a directory for compare) or a path below a file cannot be written
-    path, _ = single_mode_config(tmp_path, grid=[8, 8], times=[0.0])
+    # (a directory for compare) or a path below a file cannot be written.
+    # The evolve commands fail before they compute a snapshot
+    path, _ = single_mode_config(tmp_path, grid=[8, 8], times=[0.0, 0.1])
     run = tmp_path / "run"
     assert main(["evolve-fg", "--config", str(path), "--out", str(run), "--format", "bin"]) == 0
     capsys.readouterr()
+    computed = []
+    for module, name in ((refsolver, "step"), (fieldgen, "evaluate_grid")):
+        real = getattr(module, name)
+        spy = lambda *args, _real=real, _name=name: computed.append(_name) or _real(*args)  # noqa: E731
+        monkeypatch.setattr(module, name, spy)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     wrong = run if cmd == "compare" else blocker
@@ -556,6 +563,7 @@ def test_unwritable_out_is_io(tmp_path, capsys, cmd, place):
     err = json.loads(stderr)
     assert err["error"] == "io" and err["exit_code"] == 6
     assert str(out if place == "wrong-kind" else blocker) in err["message"]
+    assert computed == []
 
 
 def test_compare_self_is_zero(tmp_path, capsys):

@@ -159,6 +159,19 @@ def test_q_pure_x_and_y_harmonics():
     assert np.abs(q_from_u(uy) + 0.5 * np.cos(3 * Y)).max() < 1e-12
 
 
+def test_q_on_one_dimensional_cells():
+    # a row cell (Q = +1 off the origin) and a column cell (Q = -1) take q
+    # without a transform; it is the full-grid FFT q of the tiled field
+    rng = np.random.default_rng(5)
+    row = 1.0 + 0.3 * (rng.standard_normal((1, 24)) + 1j * rng.standard_normal((1, 24)))
+    for cell in (row, row.T.copy()):
+        py, px = cell.shape
+        grid = Field(24.0, 24.0, 0.0, np.tile(cell, (24 // py, 24 // px)))
+        full = np.real(np.fft.ifft2(q_multiplier(grid) * np.fft.fft2(np.abs(grid.u) ** 2)))
+        q = q_from_u(Field(float(px), float(py), 0.0, cell))
+        assert np.abs(np.tile(q, (24 // py, 24 // px)) - full).max() <= 1e-14 * np.abs(full).max()
+
+
 def test_q_real_zero_mean_every_step():
     for f in x_seed_and_four_mode(32, 1e-2):
         for g in step_snapshots(f, 1e-2, 50):
@@ -277,12 +290,17 @@ def test_dt_must_be_positive(dt):
 
 @pytest.mark.parametrize("T,times", [(0.3, [0.05, 0.22]), (-0.3, [-0.05, -0.22])])
 def test_fused_matches_strang_reference(T, times):
-    # against the full-grid oracle: a y-independent seed (one-row cell) and a
-    # tiled random block (8 x 16 cell); every snapshot is its cell tiled
+    # against the full-grid oracle: a y-independent seed (one-row cell, Q = +1
+    # off the origin), an x-independent one (one-column cell, Q = -1), a tiled
+    # random block (8 x 16 cell) and a constant (1 x 1 cell); every snapshot
+    # is its cell tiled
     x_seed, *_ = eigenvector_seed(2 * math.pi / 1.2, 2 * math.pi / 2.1, 64, 1, 0, 0.1)
+    y_seed, *_ = eigenvector_seed(2 * math.pi / 1.3, 2 * math.pi / 1.4, 64, 0, 1, 0.1)
+    constant = flat_field(n=16, value=0.8 - 0.6j)
     dt = 7e-3
     times = times + [T]
-    for f, (py, px) in ((x_seed, (1, 64)), (tiled_block(), (8, 16))):
+    cells = ((x_seed, (1, 64)), (y_seed, (64, 1)), (tiled_block(), (8, 16)), (constant, (1, 1)))
+    for f, (py, px) in cells:
         fields = evolve(f, times, dt)
         ref = strang_reference(f, times, dt)
         assert [g.t for g in fields] == times
@@ -356,19 +374,37 @@ def test_y_independent_rows_stay_identical(nx, ny):
 
 
 def test_steps_run_on_the_cell(monkeypatch):
-    # the deterministic work: a y-independent 128^2 run steps one row, and a
-    # 2-D datum steps its whole grid
-    shapes = []
+    # the deterministic work: a y-independent 128^2 run steps one row with one
+    # complex FFT pass each way and no real one, a constant steps a 1 x 1 cell
+    # with no transform, and a 2-D datum steps its whole grid with a complex
+    # and a real FFT pair, one 1-D pass per axis each
+    passes = []
+    for name in np.fft.__all__:
+        if "freq" not in name and "shift" not in name:
+            real = getattr(np.fft, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                passes.append((_name, kwargs.get("axis", kwargs.get("axes"))))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+    steps = []
     step = refsolver.step
 
     def spy(u, *args):
-        shapes.append(u.shape)
+        start = len(passes)
         step(u, *args)
+        steps.append((u.shape, passes[start:]))
 
     monkeypatch.setattr(refsolver, "step", spy)
     single = Field(SINGLE_LX, SINGLE_LY, 0.0, 1.0 + 1e-2 * cosine_grid(128, 128))
     evolve(single, [0.05, 0.1], 1e-3)
-    assert shapes == [(1, 128)] * 100
-    shapes.clear()
+    assert steps == [((1, 128), [("fft", 1), ("ifft", 1)])] * 100
+    steps.clear()
+    evolve(flat_field(n=16), [0.05, 0.1], 1e-3)
+    assert steps == [((1, 1), [])] * 100
+    steps.clear()
     evolve(four_mode_field(20, 12), [0.05, 0.1], 1e-3)
-    assert shapes == [(12, 20)] * 100
+    linear = [("fft", 1), ("fft", 0), ("ifft", 1), ("ifft", 0)]
+    mean_flow = [("rfft", 1), ("fft", 0), ("ifft", 0), ("irfft", 1)]
+    assert steps == [((12, 20), linear + mean_flow)] * 100
