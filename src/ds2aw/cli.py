@@ -145,6 +145,9 @@ def _load_field(entry: dict, base: Path, cfg: RunConfig, t: float) -> fieldio.Fi
     if "bin" in entry:
         path = base / entry["bin"]
         field = fieldio.read_field_bin(path)
+        if (field.L_x, field.L_y) != (cfg.L_x, cfg.L_y):
+            raise ConfigError("grid-mismatch", f"{path}: box {field.L_x} x {field.L_y}, "
+                              f"configured {cfg.L_x} x {cfg.L_y}")
     else:
         path = base / entry["csv"]
         field = fieldio.read_field_csv(path, cfg.L_x, cfg.L_y, cfg.nx, cfg.ny, t)
@@ -164,6 +167,9 @@ def cmd_compare(run_a: Path, run_b: Path, out_path: Path | None) -> int:
     if (cfg_a.nx, cfg_a.ny) != (cfg_b.nx, cfg_b.ny):
         raise ConfigError("grid-mismatch", f"grids differ: {cfg_a.nx}x{cfg_a.ny} "
                           f"vs {cfg_b.nx}x{cfg_b.ny}")
+    if (cfg_a.L_x, cfg_a.L_y) != (cfg_b.L_x, cfg_b.L_y):
+        raise ConfigError("grid-mismatch", f"boxes differ: {cfg_a.L_x} x {cfg_a.L_y} "
+                          f"vs {cfg_b.L_x} x {cfg_b.L_y}")
     ta, tb = cfg_a.times, cfg_b.times
     if len(ta) != len(tb) or any(abs(x - y) > 1e-9 for x, y in zip(ta, tb)):
         raise ConfigError("time-mismatch", "snapshot times differ between runs")

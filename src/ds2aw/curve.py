@@ -41,23 +41,25 @@ DEGENERATE_IM_TOL = 1e-9
 DEGENERATE_AB_TOL = 1e-14
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResonantPair:
-    """One resonant pair (tau_{2j-1}, tau_{2j}) and its handle data.
+    """One handle: the resonant pair (tau_{2j-1}, tau_{2j}) of a mode and
+    the perturbation's matrix elements on it.
 
     tau_2 - tau_1 = k_x + i k_y and 1/tau_2 - 1/tau_1 = k_x - i k_y for the
     pair's mode, with Im(tau_1 / tau_2) > 0.  alpha/beta are the two-level
     matrix elements of the perturbation restricted to the pair's Bloch
-    space; they are filled by :func:`alpha_beta`.
+    space, and sqrt_alpha_beta is the fixed branch of sqrt(alpha beta);
+    :func:`resonant_pair` builds all of them.
     """
 
     j: int
     tau_1: complex
     tau_2: complex
     mode: Mode
-    alpha: complex | None = None
-    beta: complex | None = None
-    sqrt_alpha_beta: complex | None = None
+    alpha: complex
+    beta: complex
+    sqrt_alpha_beta: complex
 
     @property
     def q_1(self) -> float:
@@ -99,43 +101,9 @@ class SpectralData:
     a: float
 
 
-def resonant_pair(mode: Mode) -> tuple[ResonantPair, ResonantPair]:
-    """Both resonant pairs of an unstable mode: (tau_1, tau_2) and its negative.
-
-    The points come from :func:`.modes.resonant_points`.  The negated pair
-    solves the resonance system of the mode (-k_x, -k_y) and is returned
-    with that mode attached.
-    """
-    if not mode.unstable:
-        raise ConfigError(
-            "wrong-class", f"mode ({mode.n_x}, {mode.n_y}) is not unstable"
-        )
-    tau_1, tau_2 = resonant_points(mode.k_x, mode.k_y)
-    if abs(tau_1.imag) < DEGENERATE_IM_TOL or abs(tau_2.imag) < DEGENERATE_IM_TOL:
-        raise DegenerateSpectrumError(
-            "degenerate-pair",
-            f"mode ({mode.n_x}, {mode.n_y}) has a resonant point on the real "
-            "axis; the configuration is non-generic",
-        )
-    neg_mode = Mode(-mode.n_x, -mode.n_y, -mode.k_x, -mode.k_y, mode.sigma, True)
-    return ResonantPair(0, tau_1, tau_2, mode), ResonantPair(0, -tau_1, -tau_2, neg_mode)
-
-
-def order_pairs(pairs: list[ResonantPair]) -> list[ResonantPair]:
-    """Assign pair indices: odd points tau_1, tau_3, ... run clockwise.
-
-    The sweep starts just below polar angle pi.  Each class adds a pair
-    and its negative, no tau_1 is real (:func:`resonant_pair`) and no two
-    classes share a point (:func:`.modes.check_genericity`), so the sweep
-    places mirror pairs N apart: pair j+N = -pair j.
-    """
-    ordered = sorted(pairs, key=lambda p: cmath.phase(p.tau_1), reverse=True)
-    return [dataclasses.replace(p, j=i + 1) for i, p in enumerate(ordered)]
-
-
-def perturbation_coefficients(v0_grid: np.ndarray, mode: Mode) -> tuple[complex, complex]:
-    """Fourier coefficients (c_j, c_{-j}) of the mode in the convention
-    v0(x, y) = sum_n c_n exp(i(k_x x + k_y y)).
+def perturbation_coefficients(v0_grid: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of v0 in the convention v0(x, y) = sum_n c_n
+    exp(i(k_x x + k_y y)): c_n = coeff[n_y % ny, n_x % nx].
 
     v0 must be sampled on a uniform grid v0[iy, ix] = v0(ix Lx/nx, iy Ly/ny)
     with zero mean; :func:`build_spectral_data` rules out aliasing.
@@ -149,35 +117,58 @@ def perturbation_coefficients(v0_grid: np.ndarray, mode: Mode) -> tuple[complex,
         raise ConfigError(
             "nonzero-mean", f"perturbation mean {abs(mean):.3e} exceeds 1e-10"
         )
-    coeff = np.fft.fft2(v0) / (nx * ny)
-    c_plus = complex(coeff[mode.n_y % ny, mode.n_x % nx])
-    c_minus = complex(coeff[(-mode.n_y) % ny, (-mode.n_x) % nx])
-    return c_plus, c_minus
+    return np.fft.fft2(v0) / (nx * ny)
 
 
-def alpha_beta(pair: ResonantPair, c_j: complex, c_minus_j: complex) -> ResonantPair:
-    """Fill the two-level matrix elements of the perturbation on the pair.
+def resonant_pair(mode: Mode, coeff: np.ndarray) -> ResonantPair:
+    """The handle of an unstable mode k, read from the datum's coefficients.
 
-    alpha = -(conj(c_j) + conj(tau_1) tau_2 c_{-j}) / (2 Im tau_1)
-    beta  =  (conj(c_{-j}) + conj(tau_2) tau_1 c_j) / (2 Im tau_2)
+    The points come from :func:`.modes.resonant_points`; with c_k and c_{-k}
+    from ``coeff`` (:func:`perturbation_coefficients`)
+
+    alpha = -(conj(c_k) + conj(tau_1) tau_2 c_{-k}) / (2 Im tau_1)
+    beta  =  (conj(c_{-k}) + conj(tau_2) tau_1 c_k) / (2 Im tau_2)
 
     The branch of sqrt(alpha beta) is fixed once: Re > 0, ties broken by
-    Im >= 0; all downstream formulas use this value.
+    Im >= 0; all downstream formulas use this value.  The mirror handle is
+    the handle of -k.  The pair's index j is 0 until :func:`order_pairs`.
     """
-    q1, q2 = pair.q_1, pair.q_2
-    alpha = -(c_j.conjugate() + pair.tau_1.conjugate() * pair.tau_2 * c_minus_j) / (2.0 * q1)
-    beta = (c_minus_j.conjugate() + pair.tau_2.conjugate() * pair.tau_1 * c_j) / (2.0 * q2)
+    where = f"mode ({mode.n_x}, {mode.n_y})"
+    if not mode.unstable:
+        raise ConfigError("wrong-class", f"{where} is not unstable")
+    tau_1, tau_2 = resonant_points(mode.k_x, mode.k_y)
+    if abs(tau_1.imag) < DEGENERATE_IM_TOL or abs(tau_2.imag) < DEGENERATE_IM_TOL:
+        raise DegenerateSpectrumError(
+            "degenerate-pair",
+            f"{where} has a resonant point on the real axis; the configuration is non-generic",
+        )
+    ny, nx = coeff.shape
+    c_k = complex(coeff[mode.n_y % ny, mode.n_x % nx])
+    c_minus_k = complex(coeff[-mode.n_y % ny, -mode.n_x % nx])
+    alpha = -(c_k.conjugate() + tau_1.conjugate() * tau_2 * c_minus_k) / (2.0 * tau_1.imag)
+    beta = (c_minus_k.conjugate() + tau_2.conjugate() * tau_1 * c_k) / (2.0 * tau_2.imag)
     ab = alpha * beta
     if abs(ab) < DEGENERATE_AB_TOL:
         raise DegenerateSpectrumError(
             "degenerate-mode",
-            f"alpha*beta vanishes for mode ({pair.mode.n_x}, {pair.mode.n_y}); "
-            "the perturbation does not open this handle",
+            f"alpha*beta vanishes for {where}; the perturbation does not open this handle",
         )
     s = cmath.sqrt(ab)
     if s.real < 0.0 or (s.real == 0.0 and s.imag < 0.0):
         s = -s
-    return dataclasses.replace(pair, alpha=alpha, beta=beta, sqrt_alpha_beta=s)
+    return ResonantPair(0, tau_1, tau_2, mode, alpha, beta, s)
+
+
+def order_pairs(pairs: list[ResonantPair]) -> list[ResonantPair]:
+    """Assign pair indices: odd points tau_1, tau_3, ... run clockwise.
+
+    The sweep starts just below polar angle pi.  Each class adds a pair
+    and its negative, no tau_1 is real (:func:`resonant_pair`) and no two
+    classes share a point (:func:`.modes.check_genericity`), so the sweep
+    places mirror pairs N apart: pair j+N = -pair j.
+    """
+    ordered = sorted(pairs, key=lambda p: cmath.phase(p.tau_1), reverse=True)
+    return [dataclasses.replace(p, j=i + 1) for i, p in enumerate(ordered)]
 
 
 def period_matrix(pairs: list[ResonantPair], eps: float) -> np.ndarray:
@@ -292,9 +283,9 @@ def build_spectral_data(
     collisions, no marginal modes) and a zero-mean v0; every upstream
     degeneracy is re-raised with the offending mode attached.
     """
-    if not math.isfinite(eps):
-        raise ConfigError("invalid-argument", f"eps must be finite, got {eps}")
-    if eps <= 0.0:
+    if not 0.0 <= eps < math.inf:
+        raise ConfigError("invalid-argument", f"eps must be finite and non-negative, got {eps}")
+    if eps == 0.0:
         raise DegenerateSpectrumError(
             "degenerate-mode", "eps = 0 gives alpha = beta = 0 on every handle"
         )
@@ -329,12 +320,11 @@ def build_spectral_data(
             f"to radius {grid_radius}; need >= {4 * grid_radius} per direction",
         )
 
+    coeff = perturbation_coefficients(v0_grid)
     pairs = []
     for m in classes:
-        c_plus, c_minus = perturbation_coefficients(v0_grid, m)
-        p_pos, p_neg = resonant_pair(m)
-        pairs.append(alpha_beta(p_pos, c_plus, c_minus))
-        pairs.append(alpha_beta(p_neg, c_minus, c_plus))
+        mirror = Mode(-m.n_x, -m.n_y, -m.k_x, -m.k_y, m.sigma, True)
+        pairs += [resonant_pair(m, coeff), resonant_pair(mirror, coeff)]
     pairs = order_pairs(pairs)
 
     B = period_matrix(pairs, eps1)

@@ -610,17 +610,32 @@ def test_compare_time_mismatch(tmp_path, capsys):
     assert err["error"] == "time-mismatch"
 
 
+def test_compare_box_mismatch(tmp_path, capsys):
+    # the same 16x16 grid and times on two tori: the samples sit at other
+    # points, so the metrics would compare unlike fields
+    p1, _ = single_mode_config(tmp_path, grid=[16, 16], times=[0.0, 0.1])
+    p2, _ = single_mode_config(tmp_path, L_x=2.0 * math.pi / 1.1, grid=[16, 16], times=[0.0, 0.1])
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["evolve-fg", "--config", str(p1), "--out", str(out1)]) == 0
+    assert main(["evolve-ref", "--config", str(p2), "--out", str(out2)]) == 0
+    assert main(["compare", str(out1), str(out2)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "grid-mismatch" and repr(2.0 * math.pi / 1.1) in err["message"]
+
+
 @pytest.mark.parametrize(
     "edit, code",
     [
         (lambda f: Field(f.L_x, f.L_y, f.t, f.u[:1]), "grid-mismatch"),
         (lambda f: Field(f.L_x, f.L_y, f.t + 0.5, f.u), "time-mismatch"),
+        (lambda f: Field(f.L_x, 2.0 * f.L_y, f.t, f.u), "grid-mismatch"),
     ],
-    ids=["one-row-file", "later-file"],
+    ids=["one-row-file", "later-file", "other-box-file"],
 )
 def test_compare_file_disagrees_with_manifest(tmp_path, capsys, edit, code):
-    # the manifest says 8x8 at t = 0, but the file holds another grid (a 1x8
-    # row broadcasts against 8x8, so unchecked it compared as equal) or time
+    # the manifest says 8x8 at t = 0 on its box, but the file holds another
+    # grid (a 1x8 row broadcasts against 8x8, so unchecked it compared as
+    # equal), time or box
     path, _ = single_mode_config(tmp_path, grid=[8, 8], times=[0.0])
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from ds2aw.curve import (
-    alpha_beta,
     build_spectral_data,
     order_pairs,
     perturbation_coefficients,
@@ -45,9 +44,9 @@ def lattice_mode(L_x, L_y, n_x, n_y, a=1.0):
 
 
 def fresh_pair(c_plus=0.5, c_minus=0.5):
-    mode = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
-    p, _ = resonant_pair(mode)
-    return alpha_beta(p, c_plus, c_minus)
+    coeff = np.zeros((8, 8), dtype=complex)
+    coeff[0, 1], coeff[0, -1] = c_plus, c_minus
+    return resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0), coeff)
 
 
 def stable_resonant_pair(mode):
@@ -77,8 +76,9 @@ def branch_points(pair, eps):
 
 
 def test_resonant_pair_example_values():
-    mode = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
-    p, n = resonant_pair(mode)
+    coeff = perturbation_coefficients(cosine_grid(32, 32))
+    p = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0), coeff)
+    n = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, -1, 0), coeff)
     assert p.tau_1 == pytest.approx(-0.6 + 0.8j, abs=1e-12)
     assert p.tau_2 == pytest.approx(0.6 + 0.8j, abs=1e-12)
     assert n.tau_1 == pytest.approx(0.6 - 0.8j, abs=1e-12)
@@ -104,14 +104,14 @@ def test_degenerate_pair_rejected():
     k_y = 2 * math.cos(phi) * math.sin(phi)
     mode = Mode(1, 1, k_x, k_y, growth_rate(k_x, k_y, 1.0), True)
     with pytest.raises(DegenerateSpectrumError) as err:
-        resonant_pair(mode)
+        resonant_pair(mode, np.zeros((8, 8)))
     assert err.value.code == "degenerate-pair"
 
 
 def test_wrong_class_errors():
     stable = lattice_mode(SINGLE_LX, SINGLE_LY, 2, 0)
     with pytest.raises(ConfigError) as err:
-        resonant_pair(stable)
+        resonant_pair(stable, np.zeros((8, 8)))
     assert err.value.code == "wrong-class"
     unstable = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
     with pytest.raises(ConfigError):
@@ -141,8 +141,9 @@ def test_stable_pairs_off_circle():
 
 
 def test_order_pairs_single_mode():
-    mode = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
-    ordered = order_pairs(list(resonant_pair(mode)))
+    coeff = perturbation_coefficients(cosine_grid(32, 32))
+    ordered = order_pairs([resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, n_x, 0), coeff)
+                           for n_x in (1, -1)])
     assert [p.j for p in ordered] == [1, 2]
     assert ordered[1].tau_1 == pytest.approx(-ordered[0].tau_1, abs=1e-14)
     assert ordered[1].tau_2 == pytest.approx(-ordered[0].tau_2, abs=1e-14)
@@ -163,21 +164,17 @@ def test_order_pairs_clockwise_and_mirror(four_mode_sd):
 
 
 def test_coefficients_cosine():
-    v0 = cosine_grid(32, 32)
-    mode = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
-    c_plus, c_minus = perturbation_coefficients(v0, mode)
-    assert c_plus == pytest.approx(0.5, abs=1e-14)
-    assert c_minus == pytest.approx(0.5, abs=1e-14)
+    coeff = perturbation_coefficients(cosine_grid(32, 32))
+    assert coeff[0, 1] == pytest.approx(0.5, abs=1e-14)
+    assert coeff[0, -1] == pytest.approx(0.5, abs=1e-14)
     for n_x, n_y in [(2, 0), (1, 1), (0, 1)]:
-        other = lattice_mode(SINGLE_LX, SINGLE_LY, n_x, n_y)
-        cp, cm = perturbation_coefficients(v0, other)
+        cp, cm = coeff[n_y, n_x], coeff[-n_y, -n_x]
         assert abs(cp) < 1e-14 and abs(cm) < 1e-14
 
 
 def test_coefficients_single_exponential():
-    v0 = harmonic_grid(32, 32, [(1, 1, 1.0)])
-    mode = lattice_mode(FOURMODE_LX, FOURMODE_LY, 1, 1)
-    c_plus, c_minus = perturbation_coefficients(v0, mode)
+    coeff = perturbation_coefficients(harmonic_grid(32, 32, [(1, 1, 1.0)]))
+    c_plus, c_minus = coeff[1, 1], coeff[-1, -1]
     assert c_plus == pytest.approx(1.0, abs=1e-14)
     assert abs(c_minus) < 1e-14
 
@@ -191,11 +188,11 @@ def test_coefficients_round_trip():
         if (n_x, n_y) != (0, 0)
     ]
     v0 = harmonic_grid(32, 32, terms)
+    coeff = perturbation_coefficients(v0)
     rebuilt = np.zeros_like(v0)
     ix, iy = np.meshgrid(np.arange(32), np.arange(32), indexing="xy")
     for n_x, n_y, _ in terms:
-        mode = Mode(n_x, n_y, 1.2 * n_x, 1.4 * n_y, 0.0, False)
-        c_plus, _ = perturbation_coefficients(v0, mode)
+        c_plus = coeff[n_y, n_x]
         rebuilt += c_plus * np.exp(2j * np.pi * (n_x * ix + n_y * iy) / 32)
     assert np.abs(rebuilt - v0).max() < 1e-12
 
@@ -203,7 +200,7 @@ def test_coefficients_round_trip():
 def test_coefficients_nonzero_mean():
     v0 = cosine_grid(32, 32) + 1e-6
     with pytest.raises(ConfigError) as err:
-        perturbation_coefficients(v0, lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0))
+        perturbation_coefficients(v0)
     assert err.value.code == "nonzero-mean"
 
 
@@ -242,11 +239,10 @@ def quadrature_block(L_x, L_y, pair, v_grid):
 
 def test_alpha_beta_against_quadrature_oracle():
     v0 = cosine_grid(64, 64)
-    mode = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
-    for pair in resonant_pair(mode):
-        c_pl, c_mi = perturbation_coefficients(v0, pair.mode)
-        filled = alpha_beta(pair, c_pl, c_mi)
-        m12, m21 = quadrature_block(SINGLE_LX, SINGLE_LY, pair, v0)
+    coeff = perturbation_coefficients(v0)
+    for n_x in (1, -1):
+        filled = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, n_x, 0), coeff)
+        m12, m21 = quadrature_block(SINGLE_LX, SINGLE_LY, filled, v0)
         assert filled.alpha == pytest.approx(-m12, abs=1e-12)
         assert filled.beta == pytest.approx(m21, abs=1e-12)
 
@@ -254,11 +250,10 @@ def test_alpha_beta_against_quadrature_oracle():
 def test_alpha_beta_oracle_complex_perturbation():
     terms = [(1, 0, 0.3 - 0.2j), (-1, 0, 0.1 + 0.4j)]
     v0 = harmonic_grid(64, 64, terms)
-    mode = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
-    for pair in resonant_pair(mode):
-        c_pl, c_mi = perturbation_coefficients(v0, pair.mode)
-        filled = alpha_beta(pair, c_pl, c_mi)
-        m12, m21 = quadrature_block(SINGLE_LX, SINGLE_LY, pair, v0)
+    coeff = perturbation_coefficients(v0)
+    for n_x in (1, -1):
+        filled = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, n_x, 0), coeff)
+        m12, m21 = quadrature_block(SINGLE_LX, SINGLE_LY, filled, v0)
         assert filled.alpha == pytest.approx(-m12, abs=1e-12)
         assert filled.beta == pytest.approx(m21, abs=1e-12)
 
@@ -266,8 +261,7 @@ def test_alpha_beta_oracle_complex_perturbation():
 def test_dual_basis_is_biorthogonal():
     # <f*_k, f^(+-)_l> quadrature: identity on (+), zero on (-)
     L_x, L_y = SINGLE_LX, SINGLE_LY
-    mode = lattice_mode(L_x, L_y, 1, 0)
-    pair, _ = resonant_pair(mode)
+    pair = fresh_pair()
     nx = ny = 64
     x = np.arange(nx) * (L_x / nx)
     y = np.arange(ny) * (L_y / ny)
@@ -297,10 +291,8 @@ def test_alpha_beta_conjugation_symmetry(four_mode_sd):
 
 
 def test_alpha_beta_degenerate():
-    mode = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
-    pair, _ = resonant_pair(mode)
     with pytest.raises(DegenerateSpectrumError) as err:
-        alpha_beta(pair, 0.0, 0.0)
+        fresh_pair(0.0, 0.0)
     assert err.value.code == "degenerate-mode"
 
 
@@ -530,6 +522,16 @@ def test_build_attaches_mode_to_error():
     assert "(0, 1)" in err.value.message or "(1, 1)" in err.value.message
 
 
+def test_build_transforms_datum_once(monkeypatch):
+    # every handle reads its c_k and c_{-k} from one coefficient array
+    calls = []
+    fft2 = np.fft.fft2
+    monkeypatch.setattr(np.fft, "fft2", lambda *a, **kw: calls.append(1) or fft2(*a, **kw))
+    sd = build_spectral_data(FOURMODE_LX, FOURMODE_LY, 1e-2, harmonic_grid(32, 32, FOURMODE_TERMS))
+    assert sd.g == 8
+    assert len(calls) == 1
+
+
 def with_sample(v0, value):
     """v0 with its sample (3, 4) set to ``value``."""
     v0 = v0.copy()
@@ -554,14 +556,16 @@ SINGLE = (SINGLE_LX, SINGLE_LY)
         (SINGLE, math.inf, 1e-2, cosine_grid(16, 16), "invalid-background", 2),
         (SINGLE, 1.0, math.nan, cosine_grid(16, 16), "invalid-argument", 2),
         (SINGLE, 1.0, math.inf, cosine_grid(16, 16), "invalid-argument", 2),
+        (SINGLE, 1.0, -1e-2, cosine_grid(16, 16), "invalid-argument", 2),
     ],
     ids=["background", "no-unstable-modes", "v0-not-2d", "v0-nan", "v0-inf", "period-nan",
-         "period-inf", "background-nan", "background-inf", "eps-nan", "eps-inf"],
+         "period-inf", "background-nan", "background-inf", "eps-nan", "eps-inf",
+         "eps-negative"],
 )
 def test_build_coded_failures(L, a, eps, v0, code, exit_code):
     # on the 2 x 2 torus the smallest wave number, pi, lies outside the
     # instability disk |k| < 2; a non-finite input is bad input, not a NaN
-    # period matrix or an exception without a code
+    # period matrix or an exception without a code, and so is a negative eps
     with pytest.raises(DS2Error) as err:
         build_spectral_data(*L, eps, v0, a=a)
     assert (err.value.code, err.value.exit_code) == (code, exit_code)
