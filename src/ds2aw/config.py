@@ -66,7 +66,7 @@ class RunConfig:
         }
 
     def v0_grid(self) -> np.ndarray:
-        """Perturbation samples on the run grid, in the convention
+        """Perturbation samples on the run grid and box, in the convention
         v0 = sum_n c_n exp(i(k_x x + k_y y))."""
         if self.grid_file:
             f = read_field_bin(self.grid_file)
@@ -75,6 +75,9 @@ class RunConfig:
                     "config-parse",
                     f"grid_file is {f.nx}x{f.ny}, config grid is {self.nx}x{self.ny}",
                 )
+            if (f.L_x, f.L_y) != (self.L_x, self.L_y):
+                msg = f"grid_file box is {f.L_x} x {f.L_y}, config box is {self.L_x} x {self.L_y}"
+                raise ConfigError("config-parse", msg)
             if not np.all(np.isfinite(f.u)):
                 msg = f"grid_file {self.grid_file} has non-finite samples"
                 raise ConfigError("config-parse", msg)

@@ -9,13 +9,14 @@ theta-functional solution -- period matrix, frequency vectors, Abel
 vectors, divisor transform, Riemann constants -- have closed forms on the
 degenerate curve and are assembled here.
 
-Everything is computed on the unit-background problem (a = 1); inputs with
-a != 1 are rescaled first and the frequency vectors are mapped back, so
-consumers never see the rescaling.
+The pairs carry the modes :func:`.modes.enumerate_modes` lists for (L_x,
+L_y, a).  The closed forms are those of background 1: a mode's points lie
+on the unit circle (:func:`.modes.resonant_points` divides k by a), eps
+enters as eps/a, and the frequency vectors are scaled back by a and a^2.
 
 Genericity (no mode on the instability circle, no point shared by two mode
 classes) is checked once, by :func:`.modes.check_genericity` on the same
-a = 1 census, before anything is built; the formulas here rely on it.
+census, before anything is built; the formulas here rely on it.
 Pair j + N = -pair j follows from how the pairs are built (order_pairs).
 """
 
@@ -46,11 +47,11 @@ class ResonantPair:
     """One handle: the resonant pair (tau_{2j-1}, tau_{2j}) of a mode and
     the perturbation's matrix elements on it.
 
-    tau_2 - tau_1 = k_x + i k_y and 1/tau_2 - 1/tau_1 = k_x - i k_y for the
-    pair's mode, with Im(tau_1 / tau_2) > 0.  alpha/beta are the two-level
-    matrix elements of the perturbation restricted to the pair's Bloch
-    space, and sqrt_alpha_beta is the fixed branch of sqrt(alpha beta);
-    :func:`resonant_pair` builds all of them.
+    tau_2 - tau_1 = (k_x + i k_y)/a and 1/tau_2 - 1/tau_1 = (k_x - i k_y)/a
+    for the pair's mode, with Im(tau_1 / tau_2) > 0.  alpha/beta are the
+    two-level matrix elements of the perturbation restricted to the pair's
+    Bloch space, and sqrt_alpha_beta is the fixed branch of sqrt(alpha
+    beta); :func:`resonant_pair` builds all of them.
     """
 
     j: int
@@ -79,10 +80,9 @@ class ResonantPair:
 class SpectralData:
     """All leading-order data of the genus g = 2N curve.
 
-    The frequency vectors are stored in the coordinates of the original
-    problem (background a), i.e., already multiplied by the rescaling
-    factors, so the theta-ratio formula can be evaluated directly at
-    physical (x, y, t).
+    The frequency vectors, like the pairs' modes, are in the units of the
+    problem (background a): W_z and W_zbar carry a factor a and W_t a^2,
+    so the theta-ratio formula is evaluated directly at physical (x, y, t).
     """
 
     g: int
@@ -120,8 +120,8 @@ def perturbation_coefficients(v0_grid: np.ndarray) -> np.ndarray:
     return np.fft.fft2(v0) / (nx * ny)
 
 
-def resonant_pair(mode: Mode, coeff: np.ndarray) -> ResonantPair:
-    """The handle of an unstable mode k, read from the datum's coefficients.
+def resonant_pair(mode: Mode, coeff: np.ndarray, a: float) -> ResonantPair:
+    """The handle of an unstable mode k on background a, read from the datum.
 
     The points come from :func:`.modes.resonant_points`; with c_k and c_{-k}
     from ``coeff`` (:func:`perturbation_coefficients`)
@@ -136,7 +136,7 @@ def resonant_pair(mode: Mode, coeff: np.ndarray) -> ResonantPair:
     where = f"mode ({mode.n_x}, {mode.n_y})"
     if not mode.unstable:
         raise ConfigError("wrong-class", f"{where} is not unstable")
-    tau_1, tau_2 = resonant_points(mode.k_x, mode.k_y)
+    tau_1, tau_2 = resonant_points(mode.k_x, mode.k_y, a)
     if abs(tau_1.imag) < DEGENERATE_IM_TOL or abs(tau_2.imag) < DEGENERATE_IM_TOL:
         raise DegenerateSpectrumError(
             "degenerate-pair",
@@ -279,7 +279,8 @@ def build_spectral_data(
     """Assemble the full leading-order spectral data for the Cauchy datum
     u(x, y, 0) = a + eps v0(x, y).
 
-    Requires finite inputs, a generic configuration (no circle hits, no
+    Requires finite inputs, a grid that resolves the census radius (checked
+    before the census), a generic configuration (no circle hits, no
     collisions, no marginal modes) and a zero-mean v0; every upstream
     degeneracy is re-raised with the offending mode attached.
     """
@@ -294,10 +295,14 @@ def build_spectral_data(
     v0_grid = np.asarray(v0_grid, dtype=complex)
     if not np.all(np.isfinite(v0_grid)):
         raise ConfigError("config-parse", "perturbation grid has non-finite samples")
-    # Unit-background twin: u(x/a, y/a, t/a^2)/a solves DS2 with background
-    # 1 on the stretched torus; the grid samples of v0 are reused verbatim.
-    Lx1, Ly1, eps1 = L_x * a, L_y * a, eps / a
-    report = check_genericity(Lx1, Ly1, 1.0)
+    grid_radius = min_search_radius(L_x, L_y, a)
+    if min(v0_grid.shape) < 4 * grid_radius:
+        raise ConfigError(
+            "aliasing",
+            f"perturbation grid {v0_grid.shape} cannot resolve harmonics up "
+            f"to radius {grid_radius}; need >= {4 * grid_radius} per direction",
+        )
+    report = check_genericity(L_x, L_y, a)
     if not report.ok:
         raise GenericityError(
             "genericity",
@@ -306,31 +311,23 @@ def build_spectral_data(
             f"{len(report.multiplicity_violations)} collisions, "
             f"{len(report.marginal_modes)} marginal modes",
         )
-    modes = enumerate_modes(Lx1, Ly1, 1.0)
-    classes = unstable_classes(modes)
+    classes = unstable_classes(enumerate_modes(L_x, L_y, a))
     if not classes:
         raise DegenerateSpectrumError(
             "no-unstable-modes", "the instability disk contains no lattice mode"
-        )
-    grid_radius = min_search_radius(Lx1, Ly1, 1.0)
-    if min(v0_grid.shape) < 4 * grid_radius:
-        raise ConfigError(
-            "aliasing",
-            f"perturbation grid {v0_grid.shape} cannot resolve harmonics up "
-            f"to radius {grid_radius}; need >= {4 * grid_radius} per direction",
         )
 
     coeff = perturbation_coefficients(v0_grid)
     pairs = []
     for m in classes:
         mirror = Mode(-m.n_x, -m.n_y, -m.k_x, -m.k_y, m.sigma, True)
-        pairs += [resonant_pair(m, coeff), resonant_pair(mirror, coeff)]
+        pairs += [resonant_pair(m, coeff, a), resonant_pair(mirror, coeff, a)]
     pairs = order_pairs(pairs)
 
-    B = period_matrix(pairs, eps1)
+    B = period_matrix(pairs, eps / a)
     W_z, W_zbar, W_t = frequency_vectors(pairs)
     A_inf2 = abel_infinity(pairs)
-    A_div, K, d = divisor_and_constants(pairs, B, eps1)
+    A_div, K, d = divisor_and_constants(pairs, B, eps / a)
     return SpectralData(
         g=len(pairs),
         pairs=pairs,

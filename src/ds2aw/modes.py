@@ -98,6 +98,8 @@ def _is_marginal(k_x: float, k_y: float, a: float) -> bool:
 
 def min_search_radius(L_x: float, L_y: float, a: float) -> int:
     """Smallest lattice radius covering the instability disk k^2 < 4a^2."""
+    if not (0.0 < L_x < math.inf and 0.0 < L_y < math.inf):
+        raise ConfigError("invalid-period", f"periods must be positive and finite: ({L_x}, {L_y})")
     return max(1, math.ceil(max(L_x, L_y) * a / math.pi))
 
 
@@ -109,8 +111,6 @@ def enumerate_modes(L_x: float, L_y: float, a: float) -> list[Mode]:
     lies strictly inside the instability disk and k_x^2 != k_y^2 (marginal
     modes have sigma = 0 to leading order and do not open handles).
     """
-    if not (0.0 < L_x < math.inf and 0.0 < L_y < math.inf):
-        raise ConfigError("invalid-period", f"periods must be positive and finite: ({L_x}, {L_y})")
     radius = min_search_radius(L_x, L_y, a)
     dkx = 2.0 * math.pi / L_x
     dky = 2.0 * math.pi / L_y
@@ -140,15 +140,15 @@ def unstable_classes(modes: list[Mode]) -> list[Mode]:
     ]
 
 
-def resonant_points(k_x: float, k_y: float) -> tuple[complex, complex]:
-    """Resonant points (tau_1, tau_2) of an unstable mode at background 1.
-
-    tau_1 = (k/2)(-1 + i s), tau_2 = (k/2)(1 + i s) with k = k_x + i k_y and
+def resonant_points(k_x: float, k_y: float, a: float) -> tuple[complex, complex]:
+    """Resonant points (tau_1, tau_2) of an unstable mode on background a:
+    those of background 1 for k = (k_x + i k_y)/a, the one place a divides
+    a wave vector.  tau_1 = (k/2)(-1 + i s), tau_2 = (k/2)(1 + i s) with
     s = sqrt((4 - |k|^2)/|k|^2), the sign branch with Im(tau_1/tau_2) > 0;
     both lie on the unit circle.
     """
-    k = complex(k_x, k_y)
-    k2 = k_x * k_x + k_y * k_y
+    k = complex(k_x / a, k_y / a)
+    k2 = k.real * k.real + k.imag * k.imag
     s = math.sqrt(max(4.0 - k2, 0.0) / k2)
     return 0.5 * k * (-1.0 + 1j * s), 0.5 * k * (1.0 + 1j * s)
 
@@ -174,10 +174,10 @@ def check_genericity(L_x: float, L_y: float, a: float) -> GenericityReport:
     # Resonant points of distinct unstable modes must stay apart: the four
     # points of a class {+k, -k} are (tau_1, tau_2, -tau_1, -tau_2), and a
     # coincidence across classes makes a multiple point of order > 2.
-    # Points are compared at a = 1 (the curve is built after rescaling).
+    # These are the curve's own points, on the unit circle for any a.
     points: list[tuple[tuple[int, int], complex]] = []
     for m in unstable_classes(modes):
-        t1, t2 = resonant_points(m.k_x / a, m.k_y / a)
+        t1, t2 = resonant_points(m.k_x, m.k_y, a)
         key = (m.n_x, m.n_y)
         points.extend([(key, t1), (key, t2), (key, -t1), (key, -t2)])
     for i in range(len(points)):

@@ -74,10 +74,8 @@ def four_mode_config(tmp_path, **overrides):
     ]
     return single_mode_config(
         tmp_path,
-        L_x=FOURMODE_LX,
-        L_y=FOURMODE_LY,
-        perturbation={"harmonics": harmonics},
-        **overrides,
+        **{"L_x": FOURMODE_LX, "L_y": FOURMODE_LY, "perturbation": {"harmonics": harmonics},
+           **overrides},
     )
 
 
@@ -271,6 +269,8 @@ def bad_config(tmp_path, case):
     """A single-mode config file that fails to load in the way ``case`` names."""
     grid = tmp_path / "v0.bin"  # 16^2 samples against the config's 32^2 grid
     write_field_bin(Field(SINGLE_LX, SINGLE_LY, 0.0, cosine_grid(16, 16)), grid)
+    boxed = tmp_path / "v0_box.bin"  # the config's 32^2 grid, sampled on another box
+    write_field_bin(Field(99.0, 77.0, 5.0, cosine_grid(32, 32)), boxed)
     both = {"harmonics": [{"n_x": 1, "n_y": 0, "c": [0.5, 0.0]}], "grid_file": str(grid)}
     overrides = {
         "period": {"L_x": 0.0},
@@ -282,6 +282,7 @@ def bad_config(tmp_path, case):
         "format": {"outputs": {"format": "png"}},
         "harmonics-and-grid-file": {"perturbation": both},
         "grid-file-shape": {"perturbation": {"grid_file": str(grid)}},
+        "grid-file-box": {"perturbation": {"grid_file": str(boxed)}},
         "schema": {"schema": 2},
     }
     path, doc = single_mode_config(tmp_path, **overrides.get(case, {}))
@@ -311,6 +312,8 @@ CONFIG_FAULTS = [
     ("format", "config-parse", "format must be one of"),
     ("harmonics-and-grid-file", "config-parse", "not both"),
     ("grid-file-shape", "config-parse", "grid_file is 16x16, config grid is 32x32"),
+    ("grid-file-box", "config-parse",
+     f"grid_file box is 99.0 x 77.0, config box is {SINGLE_LX} x {SINGLE_LY}"),
     ("schema", "config-parse", "unsupported schema 2"),
     ("missing-key", "config-parse", "bad config field: 'eps'"),
     ("not-json", "config-parse", ".json:1:"),
@@ -375,6 +378,30 @@ def test_spectrum_single_mode(tmp_path, capsys, single_mode_sd):
     assert doc["regime"] == dict(zip(("eps_max", "lambda_min_P"), regime(single_mode_sd)))
     # complex numbers serialized as [re, im]
     assert isinstance(doc["W_t"][0], list) and len(doc["W_t"][0]) == 2
+
+
+@pytest.mark.parametrize("make, L_y, genus", [(single_mode_config, 2 * math.pi / 4.2, 2),
+                                               (four_mode_config, 2 * math.pi / 2.8, 8)],
+                         ids=["genus2", "genus8"])
+def test_spectrum_pairs_carry_the_analyze_census(tmp_path, capsys, make, L_y, genus):
+    # at a = 2 each pair's mode is the census entry analyze lists, in the
+    # problem's units: k_x = 2.4 and sigma = 7.68 for (1, 0), so |W_t| =
+    # sigma and W_zbar, W_z = i (k_x +/- i k_y) / 2 hold within one document
+    path, _ = make(tmp_path, L_x=2 * math.pi / 2.4, L_y=L_y, a=2.0)
+    assert main(["analyze", "--config", str(path)]) == 0
+    census = {(m["n_x"], m["n_y"]): m for m in json.loads(capsys.readouterr().out)["modes"]}
+    assert main(["spectrum", "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["g"] == genus
+    for p, W_t, W_zbar, W_z in zip(doc["pairs"], doc["W_t"], doc["W_zbar"], doc["W_z"]):
+        mode = p["mode"]
+        assert mode == census[mode["n_x"], mode["n_y"]]
+        sigma = mode["sigma"][0]
+        assert abs(complex(*W_t)) == pytest.approx(sigma, rel=1e-12)
+        k = complex(mode["k_x"], mode["k_y"])
+        assert complex(*W_zbar) == pytest.approx(0.5j * k, abs=1e-12)
+        assert complex(*W_z) == pytest.approx(0.5j * k.conjugate(), abs=1e-12)
+    assert census[1, 0]["k_x"] == pytest.approx(2.4) and census[1, 0]["sigma"][0] == 7.68
 
 
 def test_spectrum_eps_halving_shifts_diagonal(tmp_path, capsys):

@@ -46,7 +46,7 @@ def lattice_mode(L_x, L_y, n_x, n_y, a=1.0):
 def fresh_pair(c_plus=0.5, c_minus=0.5):
     coeff = np.zeros((8, 8), dtype=complex)
     coeff[0, 1], coeff[0, -1] = c_plus, c_minus
-    return resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0), coeff)
+    return resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0), coeff, 1.0)
 
 
 def stable_resonant_pair(mode):
@@ -77,8 +77,8 @@ def branch_points(pair, eps):
 
 def test_resonant_pair_example_values():
     coeff = perturbation_coefficients(cosine_grid(32, 32))
-    p = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0), coeff)
-    n = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, -1, 0), coeff)
+    p = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0), coeff, 1.0)
+    n = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, -1, 0), coeff, 1.0)
     assert p.tau_1 == pytest.approx(-0.6 + 0.8j, abs=1e-12)
     assert p.tau_2 == pytest.approx(0.6 + 0.8j, abs=1e-12)
     assert n.tau_1 == pytest.approx(0.6 - 0.8j, abs=1e-12)
@@ -104,14 +104,14 @@ def test_degenerate_pair_rejected():
     k_y = 2 * math.cos(phi) * math.sin(phi)
     mode = Mode(1, 1, k_x, k_y, growth_rate(k_x, k_y, 1.0), True)
     with pytest.raises(DegenerateSpectrumError) as err:
-        resonant_pair(mode, np.zeros((8, 8)))
+        resonant_pair(mode, np.zeros((8, 8)), 1.0)
     assert err.value.code == "degenerate-pair"
 
 
 def test_wrong_class_errors():
     stable = lattice_mode(SINGLE_LX, SINGLE_LY, 2, 0)
     with pytest.raises(ConfigError) as err:
-        resonant_pair(stable, np.zeros((8, 8)))
+        resonant_pair(stable, np.zeros((8, 8)), 1.0)
     assert err.value.code == "wrong-class"
     unstable = lattice_mode(SINGLE_LX, SINGLE_LY, 1, 0)
     with pytest.raises(ConfigError):
@@ -142,7 +142,7 @@ def test_stable_pairs_off_circle():
 
 def test_order_pairs_single_mode():
     coeff = perturbation_coefficients(cosine_grid(32, 32))
-    ordered = order_pairs([resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, n_x, 0), coeff)
+    ordered = order_pairs([resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, n_x, 0), coeff, 1.0)
                            for n_x in (1, -1)])
     assert [p.j for p in ordered] == [1, 2]
     assert ordered[1].tau_1 == pytest.approx(-ordered[0].tau_1, abs=1e-14)
@@ -213,6 +213,21 @@ def test_coefficients_aliasing():
         assert err.value.code == "aliasing"
 
 
+def test_aliasing_refused_before_the_census(monkeypatch):
+    # a grid too coarse for the census radius is refused before any mode is
+    # enumerated: at L_x = 3000 the census would hold 3.6e6 modes.  A torus
+    # that is non-generic as well reports aliasing, not genericity
+    def no_census(*args):
+        raise AssertionError("census taken")
+
+    monkeypatch.setattr("ds2aw.modes.enumerate_modes", no_census)
+    monkeypatch.setattr("ds2aw.curve.enumerate_modes", no_census)
+    for L, n in [((3000.0, 2.99), 64), ((math.pi, 2 * math.pi), 6)]:
+        with pytest.raises(ConfigError) as err:
+            build_spectral_data(*L, 1e-2, cosine_grid(n, n))
+        assert err.value.code == "aliasing"
+
+
 # --------------------------------------------------------- alpha / beta
 
 
@@ -241,7 +256,7 @@ def test_alpha_beta_against_quadrature_oracle():
     v0 = cosine_grid(64, 64)
     coeff = perturbation_coefficients(v0)
     for n_x in (1, -1):
-        filled = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, n_x, 0), coeff)
+        filled = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, n_x, 0), coeff, 1.0)
         m12, m21 = quadrature_block(SINGLE_LX, SINGLE_LY, filled, v0)
         assert filled.alpha == pytest.approx(-m12, abs=1e-12)
         assert filled.beta == pytest.approx(m21, abs=1e-12)
@@ -252,7 +267,7 @@ def test_alpha_beta_oracle_complex_perturbation():
     v0 = harmonic_grid(64, 64, terms)
     coeff = perturbation_coefficients(v0)
     for n_x in (1, -1):
-        filled = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, n_x, 0), coeff)
+        filled = resonant_pair(lattice_mode(SINGLE_LX, SINGLE_LY, n_x, 0), coeff, 1.0)
         m12, m21 = quadrature_block(SINGLE_LX, SINGLE_LY, filled, v0)
         assert filled.alpha == pytest.approx(-m12, abs=1e-12)
         assert filled.beta == pytest.approx(m21, abs=1e-12)
