@@ -26,7 +26,7 @@ import numpy as np
 from . import curve, fieldgen, fieldio, refsolver
 from .config import FORMATS, RunConfig, config_from_dict, config_hash, load_config, read_json
 from .errors import ConfigError, DS2Error, OutputError
-from .modes import check_genericity, enumerate_modes
+from .modes import check_genericity
 
 
 def _encode(obj):
@@ -50,12 +50,11 @@ def _emit(doc: dict, out_path: Path | None) -> None:
 
 
 def cmd_analyze(cfg: RunConfig, out_dir: Path | None) -> int:
-    modes = enumerate_modes(cfg.L_x, cfg.L_y, cfg.a)
     report = check_genericity(cfg.L_x, cfg.L_y, cfg.a)
     doc = {
         "config_hash": config_hash(cfg),
-        "modes": modes,
-        "unstable_count": sum(1 for m in modes if m.unstable),
+        "modes": report.modes,
+        "unstable_count": sum(1 for m in report.modes if m.unstable),
         "genericity": report.to_dict(),
     }
     _emit(doc, out_dir / "analyze.json" if out_dir else None)

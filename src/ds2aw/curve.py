@@ -9,14 +9,15 @@ theta-functional solution -- period matrix, frequency vectors, Abel
 vectors, divisor transform, Riemann constants -- have closed forms on the
 degenerate curve and are assembled here.
 
-The pairs carry the modes :func:`.modes.enumerate_modes` lists for (L_x,
-L_y, a).  The closed forms are those of background 1: a mode's points lie
-on the unit circle (:func:`.modes.resonant_points` divides k by a), eps
-enters as eps/a, and the frequency vectors are scaled back by a and a^2.
+The pairs carry the modes of the census :func:`.modes.check_genericity`
+judged for (L_x, L_y, a), read from its report.  The closed forms are
+those of background 1: a mode's points lie on the unit circle
+(:func:`.modes.resonant_points` divides k by a), eps enters as eps/a, and
+the frequency vectors are scaled back by a and a^2.
 
 Genericity (no mode on the instability circle, no point shared by two mode
-classes) is checked once, by :func:`.modes.check_genericity` on the same
-census, before anything is built; the formulas here rely on it.
+classes) is checked on that census before anything is built; the formulas
+here rely on it.
 Pair j + N = -pair j follows from how the pairs are built (order_pairs).
 """
 
@@ -30,9 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSpectrumError, GenericityError
-from .modes import (
-    Mode, check_genericity, enumerate_modes, min_search_radius, resonant_points, unstable_classes
-)
+from .modes import Mode, check_genericity, min_search_radius, resonant_points, unstable_classes
 
 # Pairs with a resonant point this close to the real axis are rejected:
 # the matrix elements divide by Im(tau).
@@ -106,11 +105,14 @@ def perturbation_coefficients(v0_grid: np.ndarray) -> np.ndarray:
     exp(i(k_x x + k_y y)): c_n = coeff[n_y % ny, n_x % nx].
 
     v0 must be sampled on a uniform grid v0[iy, ix] = v0(ix Lx/nx, iy Ly/ny)
-    with zero mean; :func:`build_spectral_data` rules out aliasing.
+    with finite samples and zero mean; :func:`build_spectral_data` rules out
+    aliasing.
     """
     v0 = np.asarray(v0_grid, dtype=complex)
     if v0.ndim != 2:
         raise ConfigError("invalid-grid", "perturbation grid must be 2-d")
+    if not np.all(np.isfinite(v0)):
+        raise ConfigError("config-parse", "perturbation grid has non-finite samples")
     ny, nx = v0.shape
     mean = complex(v0.mean())
     if abs(mean) > 1e-10:
@@ -279,10 +281,10 @@ def build_spectral_data(
     """Assemble the full leading-order spectral data for the Cauchy datum
     u(x, y, 0) = a + eps v0(x, y).
 
-    Requires finite inputs, a grid that resolves the census radius (checked
-    before the census), a generic configuration (no circle hits, no
-    collisions, no marginal modes) and a zero-mean v0; every upstream
-    degeneracy is re-raised with the offending mode attached.
+    Requires finite inputs, a finite zero-mean v0 on a grid that resolves
+    the census radius (both checked before the census) and a generic
+    configuration (no circle hits, no collisions, no marginal modes); every
+    upstream degeneracy is re-raised with the offending mode attached.
     """
     if not 0.0 <= eps < math.inf:
         raise ConfigError("invalid-argument", f"eps must be finite and non-negative, got {eps}")
@@ -290,16 +292,12 @@ def build_spectral_data(
         raise DegenerateSpectrumError(
             "degenerate-mode", "eps = 0 gives alpha = beta = 0 on every handle"
         )
-    if not 0.0 < a < math.inf:
-        raise ConfigError("invalid-background", f"background must be positive and finite, got {a}")
-    v0_grid = np.asarray(v0_grid, dtype=complex)
-    if not np.all(np.isfinite(v0_grid)):
-        raise ConfigError("config-parse", "perturbation grid has non-finite samples")
+    coeff = perturbation_coefficients(v0_grid)
     grid_radius = min_search_radius(L_x, L_y, a)
-    if min(v0_grid.shape) < 4 * grid_radius:
+    if min(coeff.shape) < 4 * grid_radius:
         raise ConfigError(
             "aliasing",
-            f"perturbation grid {v0_grid.shape} cannot resolve harmonics up "
+            f"perturbation grid {coeff.shape} cannot resolve harmonics up "
             f"to radius {grid_radius}; need >= {4 * grid_radius} per direction",
         )
     report = check_genericity(L_x, L_y, a)
@@ -311,13 +309,12 @@ def build_spectral_data(
             f"{len(report.multiplicity_violations)} collisions, "
             f"{len(report.marginal_modes)} marginal modes",
         )
-    classes = unstable_classes(enumerate_modes(L_x, L_y, a))
+    classes = unstable_classes(report.modes)
     if not classes:
         raise DegenerateSpectrumError(
             "no-unstable-modes", "the instability disk contains no lattice mode"
         )
 
-    coeff = perturbation_coefficients(v0_grid)
     pairs = []
     for m in classes:
         mirror = Mode(-m.n_x, -m.n_y, -m.k_x, -m.k_y, m.sigma, True)

@@ -41,13 +41,16 @@ class Mode:
 
 @dataclass
 class GenericityReport:
-    """Violations of the genericity hypotheses for periods (L_x, L_y).
+    """The census of periods (L_x, L_y) and its genericity violations.
 
-    ``ok`` is true iff all three lists are empty.  Marginal modes
-    (k_x^2 = k_y^2 inside the disk, zero growth rate to leading order) count
-    like the others: build_spectral_data raises genericity (exit 3) on them.
+    ``modes`` is the :func:`enumerate_modes` list judged, the one census
+    that the curve's handles and ``analyze`` read.  ``ok`` is true iff the
+    three violation lists are empty.  Marginal modes (k_x^2 = k_y^2 inside
+    the disk, zero growth rate to leading order) count like the others:
+    build_spectral_data raises genericity (exit 3) on them.
     """
 
+    modes: list[Mode] = field(default_factory=list)
     on_circle_violations: list[Mode] = field(default_factory=list)
     multiplicity_violations: list[dict] = field(default_factory=list)
     marginal_modes: list[Mode] = field(default_factory=list)
@@ -100,6 +103,8 @@ def min_search_radius(L_x: float, L_y: float, a: float) -> int:
     """Smallest lattice radius covering the instability disk k^2 < 4a^2."""
     if not (0.0 < L_x < math.inf and 0.0 < L_y < math.inf):
         raise ConfigError("invalid-period", f"periods must be positive and finite: ({L_x}, {L_y})")
+    if not 0.0 < a < math.inf:
+        raise ConfigError("invalid-background", f"background must be positive and finite, got {a}")
     return max(1, math.ceil(max(L_x, L_y) * a / math.pi))
 
 
@@ -159,13 +164,12 @@ def check_genericity(L_x: float, L_y: float, a: float) -> GenericityReport:
     Flags (i) lattice modes within GENERICITY_TOL of the instability circle
     k^2 = 4 a^2, (ii) collisions of resonant points belonging to distinct
     unstable modes in the Bloch-multiplier plane (multiple points of order
-    higher than two), and (iii) marginal in-disk modes.  Report-only; this
-    is the one place these conditions are tested, and
+    higher than two), and (iii) marginal in-disk modes, in the census the
+    report carries.  The one test of these conditions; report-only, and
     :func:`.curve.build_spectral_data` refuses periods that fail it.
     """
-    modes = enumerate_modes(L_x, L_y, a)
-    report = GenericityReport()
-    for m in modes:
+    report = GenericityReport(enumerate_modes(L_x, L_y, a))
+    for m in report.modes:
         if abs(m.k_squared - 4.0 * a * a) < GENERICITY_TOL * a * a:
             report.on_circle_violations.append(m)
         elif m.k_squared < 4.0 * a * a and _is_marginal(m.k_x, m.k_y, a):
@@ -176,7 +180,7 @@ def check_genericity(L_x: float, L_y: float, a: float) -> GenericityReport:
     # coincidence across classes makes a multiple point of order > 2.
     # These are the curve's own points, on the unit circle for any a.
     points: list[tuple[tuple[int, int], complex]] = []
-    for m in unstable_classes(modes):
+    for m in unstable_classes(report.modes):
         t1, t2 = resonant_points(m.k_x, m.k_y, a)
         key = (m.n_x, m.n_y)
         points.extend([(key, t1), (key, t2), (key, -t1), (key, -t2)])

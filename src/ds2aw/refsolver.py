@@ -197,8 +197,13 @@ def evolve(u0: Field, times, dt: float) -> list[Field]:
     not exceed :func:`stability_bound` of u0.  It is locally shrunk (never
     grown) so every segment between snapshots is covered by uniform
     sub-steps landing exactly on its end.  The steps run on the period cell
-    of u0, and each snapshot is that cell tiled onto u0's grid.
+    of u0, and each snapshot is that cell tiled onto u0's grid.  u0 must
+    hold a non-empty 2-d sample array on a positive, finite box.
     """
+    if np.ndim(u0.u) != 2 or np.size(u0.u) == 0:
+        raise ConfigError("invalid-grid", f"u0 is not a non-empty 2-d grid: {np.shape(u0.u)}")
+    if not (0.0 < u0.L_x < np.inf and 0.0 < u0.L_y < np.inf):
+        raise ConfigError("invalid-period", f"box is not positive, finite: ({u0.L_x}, {u0.L_y})")
     targets = [float(t) for t in times]
     if not np.all(np.isfinite([u0.t, *targets])):
         raise ConfigError("invalid-times", f"times must be finite: from {u0.t} to {targets}")

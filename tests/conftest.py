@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ def reality_residual(sd):
         rhs = -p.alpha * p.tau_1
         worst = max(worst, abs(m.alpha.conjugate() * p.tau_2 - rhs) / max(abs(rhs), 1e-300))
     return worst
+
+
+def count_censuses(monkeypatch):
+    """A list that gains one entry per ``enumerate_modes`` call, through any
+    ds2aw module's name for it."""
+    from ds2aw import modes
+
+    calls = []
+    census = modes.enumerate_modes
+    for mod in [m for name, m in sys.modules.items() if name.startswith("ds2aw")]:
+        if getattr(mod, "enumerate_modes", None) is census:
+            monkeypatch.setattr(mod, "enumerate_modes", lambda *a: calls.append(a) or census(*a))
+    return calls
 
 
 def harmonic_grid(nx, ny, terms):

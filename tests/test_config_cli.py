@@ -27,6 +27,7 @@ from conftest import (
     SINGLE_LX,
     SINGLE_LY,
     cosine_grid,
+    count_censuses,
     harmonic_grid,
     reference_csv,
 )
@@ -341,6 +342,15 @@ def test_analyze_four_mode(tmp_path, capsys):
     classes = {(nx, ny) for nx, ny in unstable if (nx, ny) >= (-nx, -ny)}
     assert classes == {(1, 0), (0, 1), (1, 1), (1, -1)}
     assert doc["genericity"]["ok"] is True
+
+
+def test_analyze_takes_one_census(tmp_path, capsys, monkeypatch):
+    # the listed modes are the census the genericity verdict was taken on
+    calls = count_censuses(monkeypatch)
+    path, _ = four_mode_config(tmp_path)
+    assert main(["analyze", "--config", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["modes"]) == 24
+    assert len(calls) == 1
 
 
 def test_analyze_nongeneric_exit_code(tmp_path, capsys):

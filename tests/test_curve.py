@@ -31,7 +31,7 @@ from ds2aw.theta import ThetaParams
 
 from conftest import (
     COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, FOURMODE_TERMS, SINGLE_LX, SINGLE_LY, cosine_grid,
-    harmonic_grid, reality_residual,
+    count_censuses, harmonic_grid, reality_residual,
 )
 
 
@@ -221,7 +221,6 @@ def test_aliasing_refused_before_the_census(monkeypatch):
         raise AssertionError("census taken")
 
     monkeypatch.setattr("ds2aw.modes.enumerate_modes", no_census)
-    monkeypatch.setattr("ds2aw.curve.enumerate_modes", no_census)
     for L, n in [((3000.0, 2.99), 64), ((math.pi, 2 * math.pi), 6)]:
         with pytest.raises(ConfigError) as err:
             build_spectral_data(*L, 1e-2, cosine_grid(n, n))
@@ -547,6 +546,14 @@ def test_build_transforms_datum_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_build_takes_one_census(monkeypatch):
+    # the handles are read from the census check_genericity judged
+    calls = count_censuses(monkeypatch)
+    sd = build_spectral_data(FOURMODE_LX, FOURMODE_LY, 1e-2, harmonic_grid(32, 32, FOURMODE_TERMS))
+    assert sd.g == 8
+    assert len(calls) == 1
+
+
 def with_sample(v0, value):
     """v0 with its sample (3, 4) set to ``value``."""
     v0 = v0.copy()
@@ -563,6 +570,7 @@ SINGLE = (SINGLE_LX, SINGLE_LY)
         (SINGLE, 0.0, 1e-2, cosine_grid(32, 32), "invalid-background", 2),
         ((2.0, 2.0), 1.0, 1e-2, cosine_grid(16, 16), "no-unstable-modes", 4),
         (SINGLE, 1.0, 1e-2, np.zeros(64), "invalid-grid", 2),
+        (SINGLE, 1.0, 1e-2, np.complex128(0), "invalid-grid", 2),
         (SINGLE, 1.0, 1e-2, with_sample(cosine_grid(16, 16), math.nan), "config-parse", 2),
         (SINGLE, 1.0, 1e-2, with_sample(cosine_grid(16, 16), math.inf), "config-parse", 2),
         ((math.nan, SINGLE_LY), 1.0, 1e-2, cosine_grid(16, 16), "invalid-period", 2),
@@ -573,7 +581,7 @@ SINGLE = (SINGLE_LX, SINGLE_LY)
         (SINGLE, 1.0, math.inf, cosine_grid(16, 16), "invalid-argument", 2),
         (SINGLE, 1.0, -1e-2, cosine_grid(16, 16), "invalid-argument", 2),
     ],
-    ids=["background", "no-unstable-modes", "v0-not-2d", "v0-nan", "v0-inf", "period-nan",
+    ids=["background", "no-unstable-modes", "v0-not-2d", "v0-0d", "v0-nan", "v0-inf", "period-nan",
          "period-inf", "background-nan", "background-inf", "eps-nan", "eps-inf",
          "eps-negative"],
 )

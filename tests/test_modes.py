@@ -146,6 +146,16 @@ def test_invalid_period():
     assert err.value.code == "invalid-period"
 
 
+@pytest.mark.parametrize("census", [enumerate_modes, check_genericity])
+@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+def test_invalid_background(census, a):
+    # a background that is not finite and positive has no instability disk,
+    # so the census refuses it with a code
+    with pytest.raises(ConfigError) as err:
+        census(SINGLE_LX, SINGLE_LY, a)
+    assert err.value.code == "invalid-background"
+
+
 def test_sign_symmetry():
     modes = enumerate_modes(FOURMODE_LX, FOURMODE_LY, 1.0)
     by_key = {(m.n_x, m.n_y): m for m in modes}

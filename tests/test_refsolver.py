@@ -280,6 +280,27 @@ def test_start_time_must_be_finite():
     assert err.value.code == "invalid-times"
 
 
+@pytest.mark.parametrize(
+    "box, u, code",
+    [
+        ((2.0, 2.0), np.ones(16, complex), "invalid-grid"),
+        ((2.0, 2.0), np.ones((0, 16), complex), "invalid-grid"),
+        ((0.0, 2.0), np.ones((16, 16), complex), "invalid-period"),
+        ((math.nan, 2.0), np.ones((16, 16), complex), "invalid-period"),
+        ((-5.0, 2.0), np.ones((16, 16), complex), "invalid-period"),
+        ((math.inf, 2.0), np.ones((16, 16), complex), "invalid-period"),
+        ((2.0, -math.inf), np.ones((16, 16), complex), "invalid-period"),
+    ],
+    ids=["u-1d", "u-empty", "L_x-zero", "L_x-nan", "L_x-negative", "L_x-inf", "L_y-neg-inf"],
+)
+def test_malformed_field_refused(box, u, code):
+    # refused before any work: every wavenumber divides by the box, and a
+    # step needs a 2-d grid of samples
+    with pytest.raises(ConfigError) as err:
+        evolve(Field(*box, 0.0, u), [0.1], 1e-2)
+    assert err.value.code == code
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-3])
 def test_dt_must_be_positive(dt):
     f = flat_field(n=16)
