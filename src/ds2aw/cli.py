@@ -153,7 +153,7 @@ def _load_field(entry: dict, base: Path, cfg: RunConfig, t: float) -> fieldio.Fi
     if field.u.shape != (cfg.ny, cfg.nx):
         raise ConfigError("grid-mismatch",
                           f"{path}: {field.nx}x{field.ny} field, grid {cfg.nx}x{cfg.ny}")
-    if abs(field.t - t) > 1e-9:
+    if not abs(field.t - t) <= 1e-9:  # a NaN header time is a mismatch too
         raise ConfigError("time-mismatch", f"{path}: field t = {field.t}, configured t = {t}")
     if not np.all(np.isfinite(field.u)):
         raise OutputError("io", f"{path}: non-finite sample")

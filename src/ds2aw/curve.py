@@ -7,7 +7,8 @@ operator, and a perturbation of size eps splits each double point into a
 pair of branch points at distance O(eps).  All quantities needed by the
 theta-functional solution -- period matrix, frequency vectors, Abel
 vectors, divisor transform, Riemann constants -- have closed forms on the
-degenerate curve and are assembled here.
+degenerate curve, stated on :class:`SpectralData`, and
+:func:`build_spectral_data` assembles them in one pass over the handles.
 
 The pairs carry the modes of the census :func:`.modes.check_genericity`
 judged for (L_x, L_y, a), read from its report.  The closed forms are
@@ -79,9 +80,30 @@ class ResonantPair:
 class SpectralData:
     """All leading-order data of the genus g = 2N curve.
 
+    Handle j reads its pair's tau_1, tau_2, q_i = Im tau_i, alpha, beta
+    and s = sqrt(alpha beta), with Im_x = Im(tau_2 conj tau_1) and e =
+    eps/a (the closed forms are those of background 1):
+
+    B       b_jj = Log[tau_1 tau_2 q_1 q_2 e^2 alpha beta
+                       / (Im_x^2 (tau_1 - tau_2)^2)];
+            b_jk = Log of the cross ratio of the four points of pairs j
+            and k, real for concyclic points; a negative ratio is stored
+            exactly as log|r| + i pi.
+    W_z     a (i/2)(conj tau_2 - conj tau_1),  the b-periods of the z,
+    W_zbar  a (i/2)(tau_2 - tau_1),            zbar and t differentials
+    W_t     a^2 Im(tau_1^2 - tau_2^2),         on the degenerate curve.
+    A_inf2  Abel vector of the second marked point (A(inf_1) = 0):
+            Log(tau_1 conj tau_2) = i arg(tau_1 conj tau_2) on the circle.
+    A_div   Log(alpha / s), the divisor's handle-local transform measured
+            from the branch point E_{4j-3}; cross components are O(eps)
+            and dropped.
+    K       Riemann constants b_jj/2 - i pi + A_j(E_{4j-3}), with
+            A_j(E_{4j-3}) = -Log[tau_2 q_2 e s / (i Im_x (tau_1 - tau_2))].
+    d       -A_div - K, the theta-argument offset.
+
     The frequency vectors, like the pairs' modes, are in the units of the
-    problem (background a): W_z and W_zbar carry a factor a and W_t a^2,
-    so the theta-ratio formula is evaluated directly at physical (x, y, t).
+    problem (background a), so the theta-ratio formula is evaluated
+    directly at physical (x, y, t).
     """
 
     g: int
@@ -173,91 +195,6 @@ def order_pairs(pairs: list[ResonantPair]) -> list[ResonantPair]:
     return [dataclasses.replace(p, j=i + 1) for i, p in enumerate(ordered)]
 
 
-def period_matrix(pairs: list[ResonantPair], eps: float) -> np.ndarray:
-    """Riemann period matrix: eps^2-log diagonal, cross-ratio off-diagonal.
-
-    b_jj = Log[ tau_1 tau_2 q_1 q_2 eps^2 alpha beta
-                / (Im^2(tau_2 conj tau_1) (tau_1 - tau_2)^2) ]
-    b_jk = Log of the cross ratio of the four points of pairs j and k,
-           which is real for concyclic points; a negative ratio is stored
-           exactly as log|r| + i pi.
-    """
-    g = len(pairs)
-    B = np.zeros((g, g), dtype=complex)
-    for idx, p in enumerate(pairs):
-        arg = (
-            p.tau_1
-            * p.tau_2
-            * p.q_1
-            * p.q_2
-            * eps
-            * eps
-            * p.alpha
-            * p.beta
-            / (p.im_cross**2 * (p.tau_1 - p.tau_2) ** 2)
-        )
-        B[idx, idx] = cmath.log(arg)
-    for j in range(g):
-        for k in range(j + 1, g):
-            pj, pk = pairs[j], pairs[k]
-            num = (pj.tau_2 - pk.tau_2) * (pj.tau_1 - pk.tau_1)
-            den = (pj.tau_2 - pk.tau_1) * (pj.tau_1 - pk.tau_2)
-            r = num / den
-            # cross ratio of concyclic points is real; keep Im(b) in {0, pi}
-            rr = r.real
-            B[j, k] = B[k, j] = complex(math.log(abs(rr)), math.pi if rr < 0 else 0.0)
-    return B
-
-
-def frequency_vectors(pairs: list[ResonantPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """b-periods of the z, zbar and t differentials on the degenerate curve."""
-    W_z = np.array(
-        [0.5j * (p.tau_2.conjugate() - p.tau_1.conjugate()) for p in pairs]
-    )
-    W_zbar = np.array([0.5j * (p.tau_2 - p.tau_1) for p in pairs])
-    W_t = np.array(
-        [complex((p.tau_1**2 - p.tau_2**2).imag, 0.0) for p in pairs]
-    )
-    return W_z, W_zbar, W_t
-
-
-def abel_infinity(pairs: list[ResonantPair]) -> np.ndarray:
-    """Abel vector of the second marked point, A(inf_2); A(inf_1) = 0.  A_j =
-    Log(tau_1 conj(tau_2)) = i arg(tau_1 conj(tau_2)) on the unit circle."""
-    return np.array([complex(0.0, cmath.phase(p.tau_1 * p.tau_2.conjugate())) for p in pairs])
-
-
-def divisor_and_constants(
-    pairs: list[ResonantPair], B: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Divisor Abel transform, Riemann constants, theta-argument offset.
-
-    A_div_j = Log(alpha_j / sqrt(alpha_j beta_j))   (handle-local transform,
-    measured from the branch point E_{4j-3}; cross components are O(eps)
-    and dropped).  K_j = b_jj/2 - i pi + A_j(E_{4j-3}) with
-
-    A_j(E_{4j-3}) = -Log[ tau_2 q_2 eps sqrt(ab)
-                          / (i Im(tau_2 conj tau_1)(tau_1 - tau_2)) ],
-
-    and the theta-argument offset is d = -A_div - K.
-    """
-    g = len(pairs)
-    A_div = np.zeros(g, dtype=complex)
-    K = np.zeros(g, dtype=complex)
-    for idx, p in enumerate(pairs):
-        A_div[idx] = cmath.log(p.alpha / p.sqrt_alpha_beta)
-        a_e = -cmath.log(
-            p.tau_2
-            * p.q_2
-            * eps
-            * p.sqrt_alpha_beta
-            / (1j * p.im_cross * (p.tau_1 - p.tau_2))
-        )
-        K[idx] = 0.5 * B[idx, idx] - 1j * math.pi + a_e
-    d = -A_div - K
-    return A_div, K, d
-
-
 def regime(sd: SpectralData) -> tuple[float, float]:
     """(eps_max, lambda_min(P)): where the leading-order data stop being a
     period matrix, and how far they are from it.
@@ -321,23 +258,26 @@ def build_spectral_data(
         pairs += [resonant_pair(m, coeff, a), resonant_pair(mirror, coeff, a)]
     pairs = order_pairs(pairs)
 
-    B = period_matrix(pairs, eps / a)
-    W_z, W_zbar, W_t = frequency_vectors(pairs)
-    A_inf2 = abel_infinity(pairs)
-    A_div, K, d = divisor_and_constants(pairs, B, eps / a)
+    g, e = len(pairs), eps / a
+    B = np.zeros((g, g), dtype=complex)
+    W_z, W_zbar, W_t, A_inf2, A_div, K = (np.zeros(g, dtype=complex) for _ in range(6))
+    for j, p in enumerate(pairs):
+        t1, t2, s = p.tau_1, p.tau_2, p.sqrt_alpha_beta
+        B[j, j] = cmath.log(
+            t1 * t2 * p.q_1 * p.q_2 * e * e * p.alpha * p.beta / (p.im_cross**2 * (t1 - t2) ** 2)
+        )
+        for k, o in enumerate(pairs[j + 1:], j + 1):
+            r = ((t2 - o.tau_2) * (t1 - o.tau_1) / ((t2 - o.tau_1) * (t1 - o.tau_2))).real
+            B[j, k] = B[k, j] = complex(math.log(abs(r)), math.pi if r < 0 else 0.0)
+        W_z[j] = 0.5j * (t2.conjugate() - t1.conjugate())
+        W_zbar[j] = 0.5j * (t2 - t1)
+        W_t[j] = complex((t1**2 - t2**2).imag, 0.0)
+        A_inf2[j] = complex(0.0, cmath.phase(t1 * t2.conjugate()))
+        A_div[j] = cmath.log(p.alpha / s)
+        K[j] = 0.5 * B[j, j] - 1j * math.pi - cmath.log(
+            t2 * p.q_2 * e * s / (1j * p.im_cross * (t1 - t2))
+        )
     return SpectralData(
-        g=len(pairs),
-        pairs=pairs,
-        B=B,
-        W_z=W_z * a,
-        W_zbar=W_zbar * a,
-        W_t=W_t * a * a,
-        A_inf2=A_inf2,
-        A_div=A_div,
-        K=K,
-        d=d,
-        eps=eps,
-        L_x=L_x,
-        L_y=L_y,
-        a=a,
+        g=g, pairs=pairs, B=B, W_z=W_z * a, W_zbar=W_zbar * a, W_t=W_t * a * a,
+        A_inf2=A_inf2, A_div=A_div, K=K, d=-A_div - K, eps=eps, L_x=L_x, L_y=L_y, a=a,
     )

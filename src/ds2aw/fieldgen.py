@@ -73,11 +73,14 @@ def evaluate_grid(
     grid.  Each theta is certified to ``tail_tolerance`` relative to
     |theta|.  A NumericError with a sample index keeps its code and gains
     ``at (x, y, t) = (...)``; a B that is no period matrix names eps and
-    eps_max (:func:`.curve.regime`); a time that is not finite is refused
+    eps_max (:func:`.curve.regime`); a grid that is not two integers >= 8
+    and times that are not an iterable of finite numbers are refused
     before any theta work.
     """
-    if nx < 8 or ny < 8:
-        raise ConfigError("invalid-grid", f"grid {nx}x{ny} too small; need >= 8")
+    if not all(isinstance(n, (int, np.integer)) and n >= 8 for n in (nx, ny)):
+        raise ConfigError("invalid-grid", f"grid {nx}x{ny} is not two integers >= 8")
+    if not np.iterable(times):
+        raise ConfigError("invalid-times", f"times must be an iterable of numbers, got {times!r}")
     times = [float(t) for t in times]
     for t in times:
         if not math.isfinite(t):

@@ -105,7 +105,10 @@ def min_search_radius(L_x: float, L_y: float, a: float) -> int:
         raise ConfigError("invalid-period", f"periods must be positive and finite: ({L_x}, {L_y})")
     if not 0.0 < a < math.inf:
         raise ConfigError("invalid-background", f"background must be positive and finite, got {a}")
-    return max(1, math.ceil(max(L_x, L_y) * a / math.pi))
+    radius = max(L_x, L_y) * a / math.pi
+    if radius == math.inf:  # each input is finite, but their product overflowed
+        raise ConfigError("invalid-period", f"periods ({L_x}, {L_y}) at a = {a}: radius overflows")
+    return max(1, math.ceil(radius))
 
 
 def enumerate_modes(L_x: float, L_y: float, a: float) -> list[Mode]:

@@ -204,6 +204,8 @@ def evolve(u0: Field, times, dt: float) -> list[Field]:
         raise ConfigError("invalid-grid", f"u0 is not a non-empty 2-d grid: {np.shape(u0.u)}")
     if not (0.0 < u0.L_x < np.inf and 0.0 < u0.L_y < np.inf):
         raise ConfigError("invalid-period", f"box is not positive, finite: ({u0.L_x}, {u0.L_y})")
+    if not np.iterable(times):
+        raise ConfigError("invalid-times", f"times must be an iterable of numbers, got {times!r}")
     targets = [float(t) for t in times]
     if not np.all(np.isfinite([u0.t, *targets])):
         raise ConfigError("invalid-times", f"times must be finite: from {u0.t} to {targets}")

@@ -666,13 +666,14 @@ def test_compare_box_mismatch(tmp_path, capsys):
         (lambda f: Field(f.L_x, f.L_y, f.t, f.u[:1]), "grid-mismatch"),
         (lambda f: Field(f.L_x, f.L_y, f.t + 0.5, f.u), "time-mismatch"),
         (lambda f: Field(f.L_x, 2.0 * f.L_y, f.t, f.u), "grid-mismatch"),
+        (lambda f: Field(f.L_x, f.L_y, math.nan, f.u), "time-mismatch"),
     ],
-    ids=["one-row-file", "later-file", "other-box-file"],
+    ids=["one-row-file", "later-file", "other-box-file", "nan-time-file"],
 )
 def test_compare_file_disagrees_with_manifest(tmp_path, capsys, edit, code):
     # the manifest says 8x8 at t = 0 on its box, but the file holds another
     # grid (a 1x8 row broadcasts against 8x8, so unchecked it compared as
-    # equal), time or box
+    # equal), time (a NaN one too) or box
     path, _ = single_mode_config(tmp_path, grid=[8, 8], times=[0.0])
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

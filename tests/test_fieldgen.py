@@ -410,24 +410,38 @@ def test_theta_zero_reported(single_mode_sd):
 
 
 @pytest.mark.parametrize(
-    "nx, flat, t, code, exit_code",
-    [(4, False, 0.0, "invalid-grid", 2), (8, True, 0.0, "too-many-terms", 5),
-     (8, False, math.nan, "invalid-times", 2), (8, False, -math.inf, "invalid-times", 2)],
-    ids=["grid-too-small", "too-many-terms", "time-nan", "time-inf"],
+    "nx, flat, times, code, exit_code",
+    [(4, False, [0.0, 0.0], "invalid-grid", 2), (16.5, False, [0.0], "invalid-grid", 2),
+     (math.nan, False, [0.0], "invalid-grid", 2), (8, True, [0.0, 0.0], "too-many-terms", 5),
+     (8, False, [0.0, math.nan], "invalid-times", 2),
+     (8, False, [0.0, -math.inf], "invalid-times", 2), (8, False, 0.5, "invalid-times", 2)],
+    ids=["grid-too-small", "grid-not-integer", "grid-nan", "too-many-terms", "time-nan",
+         "time-inf", "time-scalar"],
 )
-def test_evaluate_grid_coded_failures(single_mode_sd, nx, flat, t, code, exit_code):
+def test_evaluate_grid_coded_failures(
+    monkeypatch, single_mode_sd, nx, flat, times, code, exit_code
+):
     # B = -1e-12 I asks for about 2e7 candidates at one level: the term cap
     # fails it in the first theta_grid call, and the error, which names no
-    # sample, passes through the naming unchanged.  A time that is not
-    # finite is named before any theta work (a RuntimeWarning is an error
-    # in this suite)
+    # sample, passes through the naming unchanged.  A grid that is not two
+    # integers >= 8, and times that are not finite numbers, are named
+    # before any theta work (a RuntimeWarning is an error in this suite)
     sd = dataclasses.replace(single_mode_sd, B=-1e-12 * np.eye(2)) if flat else single_mode_sd
+    if code.startswith("invalid-"):
+        monkeypatch.setattr("ds2aw.fieldgen.ThetaParams", None)
     with pytest.raises(DS2Error) as err:
-        evaluate_grid([0.0, t], nx, 8, sd)
+        evaluate_grid(times, nx, 8, sd)
     assert (err.value.code, err.value.exit_code) == (code, exit_code)
     assert "(x, y, t)" not in err.value.message
     if code == "invalid-times":
-        assert str(t) in err.value.message
+        assert str(np.ravel(times)[-1]) in err.value.message
+
+
+def test_evaluate_grid_takes_any_iterable_of_times(single_mode_sd):
+    want = [f.u.tobytes() for f in evaluate_grid([0.0, 1.0], 8, 8, single_mode_sd)]
+    for times in ((0.0, 1.0), np.array([0.0, 1.0]), iter([0.0, 1.0]), range(2)):
+        fields = evaluate_grid(times, np.int64(8), 8, single_mode_sd)
+        assert [f.u.tobytes() for f in fields] == want
 
 
 def test_truncation_insufficient_propagates(four_mode_sd):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from ds2aw.curve import build_spectral_data
 from ds2aw.errors import ConfigError
 from ds2aw.modes import (
     check_genericity,
@@ -24,7 +25,7 @@ from ds2aw.modes import (
 )
 
 from conftest import (
-    COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, harmonic_matrix
+    COLLIDE_LY, FOURMODE_LX, FOURMODE_LY, SINGLE_LX, SINGLE_LY, cosine_grid, harmonic_matrix
 )
 
 
@@ -141,9 +142,17 @@ def test_growth_rate_zero_wavevector():
 
 
 def test_invalid_period():
-    with pytest.raises(ConfigError) as err:
-        enumerate_modes(-1.0, 2.0, 1.0)
-    assert err.value.code == "invalid-period"
+    # a negative period, and finite periods and background whose census
+    # radius max(L_x, L_y) a / pi overflows, are refused by every census
+    def build(L_x, L_y, a):
+        return build_spectral_data(L_x, L_y, 1e-2, cosine_grid(16, 16), a)
+
+    for census in (enumerate_modes, check_genericity, build):
+        for L_x, L_y, a in [(-1.0, 2.0, 1.0), (1e10, 1.0, 1e300), (1e308, 1e308, 10.0)]:
+            with pytest.raises(ConfigError) as err:
+                census(L_x, L_y, a)
+            assert err.value.code == "invalid-period"
+            assert str(L_x) in err.value.message
 
 
 @pytest.mark.parametrize("census", [enumerate_modes, check_genericity])

@@ -264,13 +264,22 @@ def test_evolve_carries_no_state():
 
 
 @pytest.mark.parametrize(
-    "times", [[0.2, 0.1], [-0.1, 0.1], [0.1, -0.1], [0.1, math.inf], [-math.inf], [math.nan]]
+    "times",
+    [[0.2, 0.1], [-0.1, 0.1], [0.1, -0.1], [0.1, math.inf], [-math.inf], [math.nan],
+     pytest.param(0.1, id="scalar"), pytest.param(np.float64(0.1), id="numpy-scalar")],
 )
 def test_times_must_be_monotone(times):
     f = flat_field(n=16)
     with pytest.raises(ConfigError) as err:
         evolve(f, times, 1e-2)
     assert err.value.code == "invalid-times"
+
+
+def test_times_may_be_any_iterable():
+    f = four_mode_field(20, 12)
+    want = [g.u.tobytes() for g in evolve(f, [0.05, 0.1], 1e-2)]
+    for times in ((0.05, 0.1), np.array([0.05, 0.1]), iter([0.05, 0.1])):
+        assert [g.u.tobytes() for g in evolve(f, times, 1e-2)] == want
 
 
 def test_start_time_must_be_finite():
